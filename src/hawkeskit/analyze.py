@@ -23,18 +23,20 @@ from .core import (
     KernelSpec,
     ValidationError,
     branching_matrix,
-    exp_weighted_excitation,
 )
 from .data import Corpus, FormatError
 from .learn import (
     LearnConfig,
     _Converge,
     _EmStats,
+    _Roughness,
+    _diff_gram,
+    _exp_features,
     _fit_from_stats,
-    _first_diff_gram,
-    _penalized_newton,
-    _penalty_value,
+    _init_params,
+    _kernel_stats,
     _stable_sum,
+    _structural,
     fit_mle,
     fit_mle_ode,
 )
@@ -229,7 +231,9 @@ def cluster_mixture(
         raise ValidationError(f"K must be >= 1, got {K}")
     if n_seq < K:
         raise ValidationError(f"corpus has {n_seq} sequences, fewer than K={K}")
-    stats = _EmStats(corpus, kernel_template)
+    stats = _kernel_stats(corpus, kernel_template)
+    mstep, penalty = _structural(cfg.penalty)
+    init = _init_params(stats, cfg.rng_seed, 0.1 / stats.dim)
     rng = make_rng(cfg.rng_seed)
     resp = rng.uniform(0.5, 1.0, size=(n_seq, K))
     resp /= resp.sum(axis=1, keepdims=True)
@@ -242,8 +246,8 @@ def cluster_mixture(
     for _ in range(cfg.max_iters):
         for k in range(K):
             mu_k, A_k, _, _ = _fit_from_stats(
-                stats, cfg, weights=resp[:, k], init=params[k],
-                max_iters=inner_iters,
+                stats, cfg, init if params[k] is None else params[k], mstep, penalty,
+                weights=resp[:, k], max_iters=inner_iters,
             )
             params[k] = (mu_k, A_k)
         mixing = resp.mean(axis=0)
@@ -253,9 +257,7 @@ def cluster_mixture(
         logw = np.log(np.maximum(mixing, 1e-300))[None, :] + ll
         lse = logsumexp(logw, axis=1)
         resp = np.exp(logw - lse[:, None])
-        pen_total = math.fsum(
-            _penalty_value(cfg.penalty, A_k) for (_, A_k) in params
-        )
+        pen_total = math.fsum(penalty(A_k) for (_, A_k) in params)
         obj = -_stable_sum(lse) + pen_total
         trace.append(obj)
         col = resp.sum(axis=0)
@@ -492,7 +494,7 @@ class TvhpModel:
             )
         if np.any(A < 0) or np.any(mu < 0):
             raise ValidationError("mu and node coefficients must be >= 0")
-        if self.decay <= 0:
+        if not self.decay > 0:
             raise ValidationError(f"decay must be > 0, got {self.decay}")
 
     @property
@@ -514,63 +516,30 @@ class TvhpFit:
     details: dict
 
 
-class _TvhpStats:
-    """Interpolation-weighted excitation features, fixed across iterations."""
+def _tvhp_stats(corpus: Corpus, grid: np.ndarray, decay: float) -> _EmStats:
+    """Exponential features with one channel per grid node.
 
-    def __init__(self, corpus: Corpus, grid: np.ndarray, decay: float):
-        if len(corpus) == 0:
-            raise ValidationError("corpus is empty")
-        grid = np.asarray(grid, dtype=np.float64)
-        D = corpus.dim
-        G = grid.size
-        n_seq = len(corpus)
-        F_parts, marks_parts, idx_parts = [], [], []
-        E_s = np.zeros((n_seq, G, D))
-        T_s = np.zeros(n_seq)
-        counts_s = np.zeros((n_seq, D))
-        for s_i, seq in enumerate(corpus):
-            if len(seq) and (
-                seq.times[0] < grid[0] or seq.times[-1] > grid[-1]
-            ):
-                raise ValidationError(
-                    f"sequence {seq.id!r} has events outside the grid span "
-                    f"[{grid[0]:g}, {grid[-1]:g}]"
-                )
-            n = len(seq)
-            T_s[s_i] = seq.duration
-            counts_s[s_i] = np.bincount(seq.marks, minlength=D)
-            marks_parts.append(seq.marks)
-            idx_parts.append(np.full(n, s_i, dtype=np.int64))
-            pos = np.clip(
-                np.searchsorted(grid, seq.times, side="right") - 1, 0, G - 2
+    Each event's weight is split between the two nodes bracketing its time
+    by linear interpolation, so the features carry it to its children.
+    """
+    D, n_nodes = corpus.dim, grid.size
+
+    def features(seq):
+        if len(seq) and (seq.times[0] < grid[0] or seq.times[-1] > grid[-1]):
+            raise ValidationError(
+                f"sequence {seq.id!r} has events outside the grid span "
+                f"[{grid[0]:g}, {grid[-1]:g}]"
             )
-            frac = (seq.times - grid[pos]) / (grid[pos + 1] - grid[pos])
-            W = np.zeros((n, G, D))
-            rows = np.arange(n)
-            W[rows, pos, seq.marks] += 1.0 - frac
-            W[rows, pos + 1, seq.marks] += frac
-            Wf = W.reshape(n, G * D)
-            F = exp_weighted_excitation(seq.times, Wf, decay).reshape(n, G, D)
-            F_parts.append(F)
-            decay_mass = 1.0 - np.exp(-decay * (seq.t_end - seq.times))
-            E_s[s_i] = np.einsum("ngv,n->gv", W, decay_mass)
-        self.marks = np.concatenate(marks_parts)
-        self.seq_idx = np.concatenate(idx_parts)
-        self.F = (
-            np.concatenate(F_parts, axis=0) if F_parts else np.zeros((0, G, D))
-        )
-        self.E_s = E_s
-        self.T_s = T_s
-        self.counts_s = counts_s
-        self.n = self.marks.size
-        self.dim = D
-        self.G = G
+        n = len(seq)
+        pos = np.clip(np.searchsorted(grid, seq.times, side="right") - 1, 0, n_nodes - 2)
+        frac = (seq.times - grid[pos]) / (grid[pos + 1] - grid[pos])
+        W = np.zeros((n, n_nodes, D))
+        rows = np.arange(n)
+        W[rows, pos, seq.marks] += 1.0 - frac
+        W[rows, pos + 1, seq.marks] += frac
+        return _exp_features(seq, W, decay)
 
-    def rates(self, mu, A):
-        if self.n == 0:
-            return np.empty(0)
-        E = np.einsum("jgv,gvu->ju", self.F, A)
-        return mu[self.marks] + E[np.arange(self.n), self.marks]
+    return _EmStats(corpus, features)
 
 
 def fit_tvhp(
@@ -590,56 +559,18 @@ def fit_tvhp(
     cfg = cfg or LearnConfig()
     if cfg.penalty.kind != "none":
         raise ValidationError("structural penalties are not supported here")
-    if beta < 0:
+    if not beta >= 0:
         raise ValidationError(f"beta must be >= 0, got {beta}")
-    if decay <= 0:
+    if not decay > 0:
         raise ValidationError(f"decay must be > 0, got {decay}")
     start = time.perf_counter()
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must be strictly increasing with >= 2 nodes")
-    stats = _TvhpStats(corpus, grid, decay)
-    D, G = stats.dim, stats.G
-    T_w = float(stats.T_s.sum())
-    counts = stats.counts_s.sum(axis=0)
-    E = stats.E_s.sum(axis=0)  # (G, D)
-    P = 2.0 * beta * _first_diff_gram(G)
-
-    mu = 0.5 * counts / max(T_w, 1e-300)
-    rng = make_rng(cfg.rng_seed)
-    A = rng.uniform(0.0, 0.1 / D, size=(G, D, D))
-
-    def objective(mu_, A_, lam_):
-        log_term = _stable_sum(np.log(np.maximum(lam_, 1e-300))) if stats.n else 0.0
-        comp = T_w * float(mu_.sum()) + float(np.einsum("gvu,gv->", A_, E))
-        smooth = 0.5 * float(np.einsum("gvu,gk,kvu->", A_, P, A_))
-        return -log_term + comp + smooth
-
-    lam = stats.rates(mu, A)
-    obj = objective(mu, A, lam)
-    trace = [obj]
-    clamp_total = 0
-    checker = _Converge(cfg.tol)
-    converged = False
-    for _ in range(cfg.max_iters):
-        inv = 1.0 / np.maximum(lam, 1e-300)
-        base = np.bincount(stats.marks, weights=mu[stats.marks] * inv, minlength=D)
-        onehot = (stats.marks[:, None] == np.arange(D)[None, :]).astype(np.float64)
-        S = np.einsum("jgv,j,ju->gvu", stats.F, inv, onehot)
-        N = A * S
-        mu = base / T_w
-        for v in range(D):
-            for u in range(D):
-                A_vu, clamps = _penalized_newton(N[:, v, u], E[:, v], P, A[:, v, u])
-                A[:, v, u] = A_vu
-                clamp_total += clamps
-        lam = stats.rates(mu, A)
-        obj_new = objective(mu, A, lam)
-        trace.append(obj_new)
-        if checker.step(obj, obj_new):
-            converged = True
-            break
-        obj = obj_new
+    stats = _tvhp_stats(corpus, grid, decay)
+    smooth = _Roughness(2.0 * beta * _diff_gram(grid.size, 1))
+    init = _init_params(stats, cfg.rng_seed, 0.1 / stats.dim)
+    mu, A, trace, converged = _fit_from_stats(stats, cfg, init, smooth.mstep, smooth.value)
     model = TvhpModel(mu=mu, grid=grid, A=A, decay=decay)
     return TvhpFit(
         model=model,
@@ -647,21 +578,18 @@ def fit_tvhp(
         converged=converged,
         iterations=len(trace) - 1,
         wall_time=time.perf_counter() - start,
-        details={"clamp_count": clamp_total, "beta": beta},
+        details={"clamp_count": smooth.clamps, "beta": beta},
     )
 
 
 def tvhp_log_likelihood(model: TvhpModel, corpus: Corpus) -> float:
     """Exact log-likelihood of a corpus under interpolated node infectivities."""
-    stats = _TvhpStats(corpus, model.grid, model.decay)
+    stats = _tvhp_stats(corpus, model.grid, model.decay)
     lam = stats.rates(model.mu, model.A)
     if np.any(lam <= 0):
         return float("-inf")
-    E = stats.E_s.sum(axis=0)
-    comp = float(stats.T_s.sum()) * float(model.mu.sum()) + float(
-        np.einsum("gvu,gv->", model.A, E)
-    )
-    return _stable_sum(np.log(lam)) - comp
+    G, T_w, _, ev_w = stats.weighted(None)
+    return -stats.nll(model.mu, model.A, lam, ev_w, G, T_w)
 
 
 def tvhp_variation(model: TvhpModel) -> float:

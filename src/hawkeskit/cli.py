@@ -82,7 +82,6 @@ _PENALTY_BY_FLAG = {
 # Built-in defaults, applied after CLI flags and any --config file.
 _COMMON_DEFAULTS = {
     "seed": 0,
-    "threads": None,
     "config": None,
 }
 _KERNEL_DEFAULTS = {
@@ -178,12 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker cap; defaults to HAWKESKIT_THREADS (recorded, operations are vectorized)",
-        )
         sp.add_argument("--config", default=None, help="JSON file of flag defaults")
 
     def kernel_flags(sp):
@@ -335,9 +328,6 @@ def _resolve(args: argparse.Namespace) -> dict:
         if val is None and key in defaults:
             val = defaults[key]
         resolved[key] = val
-    if resolved.get("threads") is None:
-        env = os.environ.get("HAWKESKIT_THREADS")
-        resolved["threads"] = int(env) if env else 1
     return resolved
 
 

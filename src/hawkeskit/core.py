@@ -73,7 +73,12 @@ class EventSequence:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
-        marks = np.asarray(self.marks, dtype=np.int64)
+        raw_marks = np.asarray(self.marks)
+        if raw_marks.dtype.kind == "f" and not np.all(
+            np.isfinite(raw_marks) & (raw_marks == np.round(raw_marks))
+        ):
+            raise ValidationError(f"sequence {self.id!r}: marks must be integers")
+        marks = np.asarray(raw_marks, dtype=np.int64)
         times.setflags(write=False)
         marks.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -82,10 +87,16 @@ class EventSequence:
             raise ValidationError("times and marks must be 1-d arrays of equal length")
         if self.dim < 1:
             raise ValidationError(f"dim must be >= 1, got {self.dim}")
+        if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)):
+            raise ValidationError(
+                f"sequence {self.id!r}: window [{self.t_start}, {self.t_end}] must be finite"
+            )
         if self.t_end < self.t_start:
             raise ValidationError(
                 f"t_end ({self.t_end}) must be >= t_start ({self.t_start})"
             )
+        if not np.all(np.isfinite(times)):
+            raise ValidationError(f"sequence {self.id!r}: event times must be finite")
         if times.size:
             if np.any(np.diff(times) < 0):
                 raise ValidationError(f"sequence {self.id!r}: times must be sorted")
@@ -112,7 +123,7 @@ class EventSequence:
     ) -> "EventSequence":
         evs = list(events)
         times = np.array([e.time for e in evs], dtype=np.float64)
-        marks = np.array([e.mark for e in evs], dtype=np.int64)
+        marks = np.array([e.mark for e in evs])
         return cls(times, marks, t_start, t_end, dim, id)
 
     @property
@@ -156,7 +167,7 @@ class ExponentialKernel:
     decay: float
 
     def __post_init__(self):
-        if self.decay <= 0:
+        if not self.decay > 0:
             raise ValidationError(f"decay must be > 0, got {self.decay}")
 
 
@@ -179,13 +190,15 @@ class GaussianBasisKernel:
         object.__setattr__(self, "centers", centers)
         if centers.ndim != 1 or centers.size == 0:
             raise ValidationError("centers must be a nonempty 1-d array")
+        if not np.all(np.isfinite(centers)):
+            raise ValidationError("centers must be finite")
         if np.any(np.diff(centers) < 0):
             raise ValidationError("centers must be sorted nondecreasing")
         if centers[0] < 0:
             raise ValidationError("centers must be >= 0")
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ValidationError(f"bandwidth must be > 0, got {self.bandwidth}")
-        if self.support <= 0:
+        if not self.support > 0:
             raise ValidationError(f"support must be > 0, got {self.support}")
 
     @property
@@ -243,9 +256,9 @@ class DiscretizedKernel:
     n_lags: int
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValidationError(f"dt must be > 0, got {self.dt}")
-        if self.n_lags < 1:
+        if not self.n_lags >= 1:
             raise ValidationError(f"n_lags must be >= 1, got {self.n_lags}")
 
     @property
@@ -289,6 +302,8 @@ class HawkesModel:
         object.__setattr__(self, "A", A)
         if mu.ndim != 1 or mu.size == 0:
             raise ValidationError("mu must be a nonempty 1-d array")
+        if not np.all(np.isfinite(mu)):
+            raise ValidationError("mu entries must be finite")
         if np.any(mu < 0):
             raise ValidationError("mu entries must be >= 0")
         expected = _expected_coeff_shape(self.kernel, mu.size)
@@ -296,6 +311,8 @@ class HawkesModel:
             raise ValidationError(
                 f"coefficient array has shape {A.shape}, expected {expected}"
             )
+        if not np.all(np.isfinite(A)):
+            raise ValidationError("kernel coefficients must be finite")
         if np.any(A < 0):
             raise ValidationError("kernel coefficients must be >= 0")
         rho = spectral_radius(branching_matrix(self))

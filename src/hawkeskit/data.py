@@ -233,11 +233,11 @@ def load_corpus(path: str) -> Corpus:
         for s in doc["sequences"]:
             ev = s["events"]
             times = np.array([e[0] for e in ev], dtype=np.float64)
-            marks = np.array([e[1] for e in ev], dtype=np.int64)
+            marks = np.array([e[1] for e in ev])
             seqs.append(
                 EventSequence(times, marks, s["t_start"], s["t_end"], d, s["id"])
             )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise FormatError(f"{path}: malformed corpus document ({exc})") from exc
     return Corpus(tuple(seqs), d, label_map)
 

@@ -1,11 +1,18 @@
 """Learners: penalized EM for continuous kernels, a smoothness-penalized
 EM for step kernels on a lag grid, and binned least squares.
 
-The EM learners share one skeleton.  An expectation pass attributes each
-event to the baseline or to one past event; the attribution totals feed
-closed-form or small convex updates.  Penalties on the branching matrix are
-applied inside the minimization step through exact or majorized penalized
-updates, which keeps the recorded penalized objective nonincreasing.
+fit_mle, fit_mle_ode, and (in analyze) fit_tvhp and cluster_mixture run one
+EM loop, ``_fit_from_stats``, over one statistics class, ``_EmStats``.  The
+statistics hold per-event excitation features R (C, n, D) and per-sequence
+exposures G (n_seq, C, D), built either by the exponential recursion over
+per-event channel weights (exponential kernel; TVHP grid nodes) or by
+summing over lag pairs (Gaussian bases; lag-grid bins).  An expectation pass
+attributes each event to the baseline or to one past event; the attribution
+totals N feed the learner's minimization step, which is passed to the loop
+together with the matching penalty term of the recorded objective: closed
+form or structural penalty (``_mstep``), or a per-pair projected Newton solve
+under a quadratic roughness penalty (``_Roughness``).  Each step is exact or
+majorized, which keeps the recorded penalized objective nonincreasing.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +37,7 @@ from .core import (
     ValidationError,
     _pair_arrays,
     branching_matrix,
-    exp_excitation_states,
+    exp_weighted_excitation,
     kernel_lag_averages,
 )
 from ._util import make_rng
@@ -51,7 +59,7 @@ class Penalty:
             raise ValidationError(
                 f"penalty kind {self.kind!r} not one of {_PENALTY_KINDS}"
             )
-        if self.weight < 0:
+        if not self.weight >= 0:
             raise ValidationError(f"penalty weight must be >= 0, got {self.weight}")
 
 
@@ -65,7 +73,7 @@ class LearnConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValidationError(f"tol must be > 0, got {self.tol}")
 
 
@@ -98,74 +106,77 @@ def _stable_sum(x: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sufficient statistics shared by the continuous-kernel EM learners
+# sufficient statistics and the EM loop shared by every EM learner
+
+
+def _onehot(marks: np.ndarray, D: int) -> np.ndarray:
+    return (marks[:, None] == np.arange(D)[None, :]).astype(np.float64)
+
+
+def _exp_features(seq: EventSequence, W: np.ndarray, decay: float):
+    """Features of an exponential decay over per-event channel weights.
+
+    W has shape (n, C, D) and places each event on channels and its source
+    dimension.  Returns R (C, n, D) with
+    R[c, j, v] = sum_{t_i < t_j} W[i, c, v] * decay * exp(-decay * (t_j - t_i))
+    and exposures G (C, D) weighting each W[i] by its mass left in the window.
+    """
+    n, C, D = W.shape
+    R = exp_weighted_excitation(seq.times, W.reshape(n, C * D), decay)
+    mass = 1.0 - np.exp(-decay * (seq.t_end - seq.times))
+    return R.reshape(n, C, D).transpose(1, 0, 2), (W * mass[:, None, None]).sum(axis=0)
+
+
+def _lag_features(seq: EventSequence, kernel: KernelSpec, D: int):
+    """Features summed over lag pairs for basis (C = M) and grid (C = L) kernels.
+
+    A basis kernel adds each pair's basis densities; a grid kernel adds one
+    count at the pair's lag bin, so its coefficients are step values and its
+    exposures are the bin widths that fit in the remaining window.
+    """
+    src, tgt = _pair_arrays(seq.times, kernel.support)
+    lags = seq.times[tgt] - seq.times[src]
+    rem = seq.t_end - seq.times
+    if isinstance(kernel, DiscretizedKernel):
+        L, dt = kernel.n_lags, kernel.dt
+        R = np.zeros((L, len(seq), D))
+        k = np.minimum((lags / dt).astype(np.int64), L - 1)
+        np.add.at(R, (k, tgt, seq.marks[src]), 1.0)
+        mass = np.clip(rem[None, :] - np.arange(L)[:, None] * dt, 0.0, dt)
+    else:
+        R = np.zeros((kernel.n_bases, len(seq), D))
+        np.add.at(R, (slice(None), tgt, seq.marks[src]), kernel.density(lags))
+        mass = kernel.mass(rem)
+    G = np.zeros((R.shape[0], D))
+    np.add.at(G, (slice(None), seq.marks), mass)
+    return R, G
 
 
 class _EmStats:
     """Per-corpus quantities that never change across EM iterations.
 
-    R has shape (C, n, D): per-component excitation features such that
-    lambda_j = mu[u_j] + sum_{c,v} A[c,v,u_j] * R[c,j,v].  Exposures G_s and
-    durations are stored per sequence so callers can reweight sequences
-    without recomputation.
+    ``features(seq)`` returns one sequence's features R (C, n, D) and
+    exposures G (C, D), so that lambda_j = mu[u_j] + sum_{c,v} A[c,v,u_j] *
+    R[c,j,v] and the compensator is T * sum(mu) + sum_{c,v,u} A[c,v,u] *
+    G[c,v].  Exposures and durations are stored per sequence so callers can
+    reweight sequences without recomputation.
     """
 
-    def __init__(self, corpus, kernel: KernelSpec):
+    def __init__(self, corpus, features):
         if len(corpus) == 0:
             raise ValidationError("corpus is empty")
-        self.dim = corpus.dim
-        self.kernel = kernel
-        D = self.dim
-        n_seq = len(corpus)
-
-        if isinstance(kernel, ExponentialKernel):
-            C = 1
-        elif isinstance(kernel, GaussianBasisKernel):
-            C = kernel.n_bases
-        else:
-            raise UnsupportedKernelError(
-                "direct EM needs an exponential or basis kernel; "
-                "use fit_mle_ode or fit_ls for discretized kernels"
-            )
-        self.C = C
-
-        marks_parts, seq_idx_parts, R_parts = [], [], []
-        G_s = np.zeros((n_seq, C, D))
-        T_s = np.zeros(n_seq)
-        counts_s = np.zeros((n_seq, D))
-        for s_i, seq in enumerate(corpus):
-            n = len(seq)
-            T_s[s_i] = seq.duration
-            counts_s[s_i] = np.bincount(seq.marks, minlength=D)
-            marks_parts.append(seq.marks)
-            seq_idx_parts.append(np.full(n, s_i, dtype=np.int64))
-            if isinstance(kernel, ExponentialKernel):
-                R = exp_excitation_states(seq.times, seq.marks, D, kernel.decay)
-                R_parts.append(R[None, :, :])
-                w = 1.0 - np.exp(-kernel.decay * (seq.t_end - seq.times))
-                np.add.at(G_s[s_i, 0], seq.marks, w)
-            else:
-                R = np.zeros((C, n, D))
-                src, tgt = _pair_arrays(seq.times, kernel.support)
-                if src.size:
-                    dens = kernel.density(seq.times[tgt] - seq.times[src])  # (C, P)
-                    for c in range(C):
-                        np.add.at(R[c], (tgt, seq.marks[src]), dens[c])
-                R_parts.append(R)
-                w = kernel.mass(seq.t_end - seq.times)  # (C, n)
-                for c in range(C):
-                    np.add.at(G_s[s_i, c], seq.marks, w[c])
-        self.marks = np.concatenate(marks_parts) if marks_parts else np.empty(0, np.int64)
-        self.seq_idx = np.concatenate(seq_idx_parts) if seq_idx_parts else np.empty(0, np.int64)
-        self.R = np.concatenate(R_parts, axis=1) if R_parts else np.zeros((C, 0, D))
-        self.G_s = G_s
-        self.T_s = T_s
-        self.counts_s = counts_s
-        self.n = self.marks.size
-        n_arr = self.n
-        self.onehot = (
-            self.marks[:, None] == np.arange(D)[None, :]
-        ).astype(np.float64) if n_arr else np.zeros((0, D))
+        self.dim = D = corpus.dim
+        parts = [features(seq) for seq in corpus]
+        self.R = np.concatenate([R for R, _ in parts], axis=1)
+        self.G_s = np.stack([G for _, G in parts])
+        self.C = self.R.shape[0]
+        self.T_s = np.array([seq.duration for seq in corpus], dtype=np.float64)
+        self.counts_s = np.stack(
+            [np.bincount(seq.marks, minlength=D) for seq in corpus]
+        ).astype(np.float64)
+        self.marks = np.concatenate([seq.marks for seq in corpus])
+        self.seq_idx = np.repeat(np.arange(len(corpus)), [len(seq) for seq in corpus])
+        self.onehot = _onehot(self.marks, D)
 
     def weighted(self, weights: np.ndarray | None):
         n_seq = self.T_s.size
@@ -180,19 +191,17 @@ class _EmStats:
 
     def rates(self, mu: np.ndarray, A: np.ndarray) -> np.ndarray:
         """Event intensities lambda_j under coefficients A of shape (C, D, D)."""
-        if self.n == 0:
-            return np.empty(0)
-        E = np.einsum("cjv,cvu->ju", self.R, A)
-        return mu[self.marks] + E[np.arange(self.n), self.marks]
+        return mu[self.marks] + np.einsum("cjv,cvj->j", self.R, A[:, :, self.marks])
+
+    def contract(self, w: np.ndarray) -> np.ndarray:
+        """S[c, v, u] = sum_j R[c, j, v] * w[j] * [u_j = u], shape (C, D, D)."""
+        return np.matmul((self.R * w[:, None]).transpose(0, 2, 1), self.onehot)
 
     def nll(self, mu, A, lam, ev_w, G, T_w) -> float:
-        if self.n:
-            logs = np.where(ev_w > 0, np.log(np.maximum(lam, 1e-300)), 0.0)
-            log_term = _stable_sum(ev_w * logs)
-        else:
-            log_term = 0.0
+        # the 1e-300 floor is the one guard against zero intensity at an event
+        logs = np.where(ev_w > 0, np.log(np.maximum(lam, 1e-300)), 0.0)
         comp = T_w * float(mu.sum()) + float(np.einsum("cvu,cv->", A, G))
-        return -log_term + comp
+        return -_stable_sum(ev_w * logs) + comp
 
     def per_seq_loglik(self, mu, A) -> np.ndarray:
         lam = self.rates(mu, A)
@@ -202,6 +211,68 @@ class _EmStats:
         )
         comp = self.T_s * mu.sum() + np.einsum("cvu,scv->s", A, self.G_s)
         return logs - comp
+
+
+def _kernel_stats(corpus, kernel: KernelSpec) -> _EmStats:
+    """Statistics for direct EM on an exponential or basis kernel."""
+    D = corpus.dim
+    if isinstance(kernel, ExponentialKernel):
+        return _EmStats(
+            corpus,
+            lambda seq: _exp_features(seq, _onehot(seq.marks, D)[:, None, :], kernel.decay),
+        )
+    if isinstance(kernel, GaussianBasisKernel):
+        return _EmStats(corpus, lambda seq: _lag_features(seq, kernel, D))
+    raise UnsupportedKernelError(
+        "direct EM needs an exponential or basis kernel; "
+        "use fit_mle_ode or fit_ls for discretized kernels"
+    )
+
+
+def _init_params(stats: _EmStats, seed: int, scale: float):
+    """Half the empirical rates as baselines; coefficients uniform on [0, scale)."""
+    _, T_w, counts_w, _ = stats.weighted(None)
+    mu0 = 0.5 * counts_w / max(T_w, 1e-300)
+    rng = make_rng(seed)
+    A0 = rng.uniform(0.0, scale, size=(stats.C, stats.dim, stats.dim))
+    return mu0, A0
+
+
+def _fit_from_stats(stats: _EmStats, cfg: LearnConfig, init, mstep, penalty,
+                    weights=None, max_iters=None):
+    """The EM loop of every learner; returns (mu, A, trace, converged).
+
+    ``mstep(N, G, A)`` minimizes the attribution surrogate sum(-N log A + A G)
+    plus the penalty from the current A, which it may overwrite;
+    ``penalty(A)`` is the penalty term of the recorded objective.
+    """
+    D = stats.dim
+    G, T_w, _, ev_w = stats.weighted(weights)
+    if T_w <= 0:
+        raise ValidationError("total weighted observation time is zero")
+    mu = np.array(init[0], dtype=np.float64)
+    A = np.array(init[1], dtype=np.float64)
+    iters = max_iters if max_iters is not None else cfg.max_iters
+
+    lam = stats.rates(mu, A)
+    obj = stats.nll(mu, A, lam, ev_w, G, T_w) + penalty(A)
+    trace = [obj]
+    checker = _Converge(cfg.tol)
+    converged = False
+    for _ in range(iters):
+        wl = ev_w / np.maximum(lam, 1e-300)
+        base = np.bincount(stats.marks, weights=wl * mu[stats.marks], minlength=D)
+        N = A * stats.contract(wl)
+        mu = base / T_w
+        A = mstep(N, G, A)
+        lam = stats.rates(mu, A)
+        obj_new = stats.nll(mu, A, lam, ev_w, G, T_w) + penalty(A)
+        trace.append(obj_new)
+        if checker.step(obj, obj_new):
+            converged = True
+            break
+        obj = obj_new
+    return mu, A, trace, converged
 
 
 def _penalty_value(pen: Penalty, A: np.ndarray) -> float:
@@ -326,61 +397,9 @@ def _lowrank_column(Ncol, Gcol, x0, Q, k):
     return x
 
 
-def _coeff_shape(kernel: KernelSpec, D: int) -> tuple[int, int, int]:
-    C = kernel.n_bases if isinstance(kernel, GaussianBasisKernel) else 1
-    return (C, D, D)
-
-
-def _init_params(stats: _EmStats, seed: int):
-    D = stats.dim
-    G, T_w, counts_w, _ = stats.weighted(None)
-    mu0 = 0.5 * counts_w / max(T_w, 1e-300)
-    rng = make_rng(seed)
-    A0 = rng.uniform(0.0, 0.1 / D, size=(stats.C, D, D))
-    return mu0, A0
-
-
-def _fit_from_stats(
-    stats: _EmStats,
-    cfg: LearnConfig,
-    weights=None,
-    init=None,
-    max_iters=None,
-):
-    """Core penalized-EM loop; returns (mu, A, trace, converged)."""
-    D = stats.dim
-    G, T_w, counts_w, ev_w = stats.weighted(weights)
-    if T_w <= 0:
-        raise ValidationError("total weighted observation time is zero")
-    if init is None:
-        mu, A = _init_params(stats, cfg.rng_seed)
-    else:
-        mu, A = np.asarray(init[0], dtype=np.float64).copy(), np.asarray(
-            init[1], dtype=np.float64
-        ).copy()
-    pen = cfg.penalty
-    iters = max_iters if max_iters is not None else cfg.max_iters
-
-    lam = stats.rates(mu, A)
-    obj = stats.nll(mu, A, lam, ev_w, G, T_w) + _penalty_value(pen, A)
-    trace = [obj]
-    checker = _Converge(cfg.tol)
-    converged = False
-    for _ in range(iters):
-        wl = ev_w / np.maximum(lam, 1e-300) if stats.n else np.empty(0)
-        base = np.bincount(stats.marks, weights=wl * mu[stats.marks], minlength=D)
-        S = np.einsum("cjv,j,ju->cvu", stats.R, wl, stats.onehot)
-        N = A * S
-        mu = base / T_w
-        A = _mstep(N, G, A, pen)
-        lam = stats.rates(mu, A)
-        obj_new = stats.nll(mu, A, lam, ev_w, G, T_w) + _penalty_value(pen, A)
-        trace.append(obj_new)
-        if checker.step(obj, obj_new):
-            converged = True
-            break
-        obj = obj_new
-    return mu, A, trace, converged
+def _structural(pen: Penalty):
+    """fit_mle's (M-step, penalty term) pair for a structural penalty."""
+    return partial(_mstep, pen=pen), partial(_penalty_value, pen)
 
 
 def fit_mle(
@@ -399,8 +418,12 @@ def fit_mle(
     """
     cfg = cfg or LearnConfig()
     start = time.perf_counter()
-    stats = _EmStats(corpus, kernel_template)
-    mu, A, trace, converged = _fit_from_stats(stats, cfg, weights, init)
+    stats = _kernel_stats(corpus, kernel_template)
+    if init is None:
+        init = _init_params(stats, cfg.rng_seed, 0.1 / stats.dim)
+    mu, A, trace, converged = _fit_from_stats(
+        stats, cfg, init, *_structural(cfg.penalty), weights=weights
+    )
     A_model = A[0] if isinstance(kernel_template, ExponentialKernel) else A
     model = HawkesModel(mu=mu, kernel=kernel_template, A=A_model)
     return FitReport(
@@ -415,22 +438,20 @@ def fit_mle(
 def exp_nll_and_grad(model: HawkesModel, corpus):
     """Negative log-likelihood and its exact gradient for exponential kernels.
 
-    Returns (nll, grad_mu, grad_A).  Events with zero intensity give inf
-    objective and undefined gradient entries; callers keep parameters
-    strictly positive.
+    Returns (nll, grad_mu, grad_A).  The objective floors event intensities
+    at 1e-300; events with zero intensity give undefined gradient entries, so
+    callers keep parameters strictly positive.
     """
     if not isinstance(model.kernel, ExponentialKernel):
         raise UnsupportedKernelError("gradient is implemented for exponential kernels")
-    stats = _EmStats(corpus, model.kernel)
-    G, T_w, counts_w, ev_w = stats.weighted(None)
+    stats = _kernel_stats(corpus, model.kernel)
+    G, T_w, _, ev_w = stats.weighted(None)
     A = model.A[None, :, :]
     lam = stats.rates(model.mu, A)
     nll = stats.nll(model.mu, A, lam, ev_w, G, T_w)
-    D = model.dim
     inv = 1.0 / lam
-    grad_mu = T_w - np.bincount(stats.marks, weights=inv, minlength=D)
-    S = np.einsum("cjv,j,ju->cvu", stats.R, inv, stats.onehot)
-    grad_A = G[0][:, None] - S[0]
+    grad_mu = T_w - np.bincount(stats.marks, weights=inv, minlength=model.dim)
+    grad_A = G[0][:, None] - stats.contract(inv)[0]
     return nll, grad_mu, grad_A
 
 
@@ -438,20 +459,10 @@ def exp_nll_and_grad(model: HawkesModel, corpus):
 # discretized-kernel EM with curvature smoothing
 
 
-def _second_diff_gram(L: int) -> np.ndarray:
-    if L < 3:
-        return np.zeros((L, L))
-    D2 = np.zeros((L - 2, L))
-    for i in range(L - 2):
-        D2[i, i : i + 3] = (1.0, -2.0, 1.0)
-    return D2.T @ D2
-
-
-def _first_diff_gram(L: int) -> np.ndarray:
-    D1 = np.zeros((L - 1, L))
-    for i in range(L - 1):
-        D1[i, i : i + 2] = (-1.0, 1.0)
-    return D1.T @ D1
+def _diff_gram(L: int, order: int) -> np.ndarray:
+    """Gram matrix of the order-th difference operator on L grid values."""
+    Dk = np.diff(np.eye(L), n=order, axis=0)
+    return Dk.T @ Dk
 
 
 def _penalized_newton(N, E, P, x0):
@@ -500,60 +511,27 @@ def _penalized_newton(N, E, P, x0):
     return x, clamps
 
 
-class _DiscStats:
-    """Fixed pairing structure for EM over a step kernel on a lag grid."""
+class _Roughness:
+    """Quadratic roughness 0.5 * sum_{v,u} A[:, v, u]' P A[:, v, u] along the
+    channel axis, with its M-step: a projected Newton solve per (v, u).
 
-    def __init__(self, corpus, kernel: DiscretizedKernel):
-        if len(corpus) == 0:
-            raise ValidationError("corpus is empty")
-        self.dim = corpus.dim
-        self.kernel = kernel
-        D, L = self.dim, kernel.n_lags
-        n_seq = len(corpus)
-        marks_parts, seq_idx_parts = [], []
-        kp_parts, vp_parts, tp_parts = [], [], []
-        E_s = np.zeros((n_seq, L, D))
-        T_s = np.zeros(n_seq)
-        counts_s = np.zeros((n_seq, D))
-        offset = 0
-        for s_i, seq in enumerate(corpus):
-            n = len(seq)
-            T_s[s_i] = seq.duration
-            counts_s[s_i] = np.bincount(seq.marks, minlength=D)
-            marks_parts.append(seq.marks)
-            seq_idx_parts.append(np.full(n, s_i, dtype=np.int64))
-            src, tgt = _pair_arrays(seq.times, kernel.support)
-            if src.size:
-                dts = seq.times[tgt] - seq.times[src]
-                k = np.minimum((dts / kernel.dt).astype(np.int64), L - 1)
-                kp_parts.append(k)
-                vp_parts.append(seq.marks[src])
-                tp_parts.append(tgt + offset)
-            rem = seq.t_end - seq.times  # (n,)
-            width = np.clip(
-                rem[None, :] - np.arange(L)[:, None] * kernel.dt, 0.0, kernel.dt
-            )  # (L, n)
+    ``clamps`` counts the entries pinned at zero over all M-steps.
+    """
+
+    def __init__(self, P: np.ndarray):
+        self.P = P
+        self.clamps = 0
+
+    def value(self, A: np.ndarray) -> float:
+        return 0.5 * float(np.einsum("cvu,ck,kvu->", A, self.P, A))
+
+    def mstep(self, N: np.ndarray, G: np.ndarray, A: np.ndarray) -> np.ndarray:
+        D = A.shape[1]
+        for v in range(D):
             for u in range(D):
-                sel = seq.marks == u
-                E_s[s_i, :, u] = width[:, sel].sum(axis=1)
-            offset += n
-        self.marks = np.concatenate(marks_parts)
-        self.seq_idx = np.concatenate(seq_idx_parts)
-        self.kp = np.concatenate(kp_parts) if kp_parts else np.empty(0, np.int64)
-        self.vp = np.concatenate(vp_parts) if vp_parts else np.empty(0, np.int64)
-        self.tp = np.concatenate(tp_parts) if tp_parts else np.empty(0, np.int64)
-        self.up = self.marks[self.tp]
-        self.E_s = E_s
-        self.T_s = T_s
-        self.counts_s = counts_s
-        self.n = self.marks.size
-
-    def rates(self, mu, phi):
-        lam = mu[self.marks].astype(np.float64)
-        if self.tp.size:
-            vals = phi[self.kp, self.vp, self.up]
-            lam = lam + np.bincount(self.tp, weights=vals, minlength=self.n)
-        return lam
+                A[:, v, u], clamps = _penalized_newton(N[:, v, u], G[:, v], self.P, A[:, v, u])
+                self.clamps += clamps
+        return A
 
 
 def fit_mle_ode(
@@ -579,66 +557,27 @@ def fit_mle_ode(
     kernel = DiscretizedKernel(dt=dt, n_lags=n_lags)
     if n_lags < 2:
         raise ValidationError("need n_lags >= 2 for a curvature-smoothed grid")
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
     start = time.perf_counter()
-    stats = _DiscStats(corpus, kernel)
-    D, L = stats.dim, n_lags
+    D, L = corpus.dim, n_lags
+    stats = _EmStats(corpus, lambda seq: _lag_features(seq, kernel, D))
     if kernel.support > stats.T_s.max():
         warnings.warn(
             f"grid support {kernel.support:g} exceeds every observation window; "
             "tail values are unidentifiable and will follow the smoother",
             stacklevel=2,
         )
-    T_w = float(stats.T_s.sum())
-    counts = stats.counts_s.sum(axis=0)
-    E = stats.E_s.sum(axis=0)  # (L, D)
-    P = (2.0 * alpha / dt**3) * _second_diff_gram(L)
-    if alpha == 0.0 and np.any(E <= 0):
+    P = (2.0 * alpha / dt**3) * _diff_gram(L, 2)
+    if alpha == 0.0 and np.any(stats.G_s.sum(axis=0) <= 0):
         warnings.warn(
             "unidentifiable grid values with alpha=0; adding a tiny ridge",
             stacklevel=2,
         )
         P = P + 1e-9 * np.eye(L)
-
-    mu = 0.5 * counts / max(T_w, 1e-300)
-    rng = make_rng(cfg.rng_seed)
-    phi = rng.uniform(0.0, 0.1 / (D * L * dt), size=(L, D, D))
-
-    def objective(mu_, phi_, lam_):
-        log_term = _stable_sum(np.log(lam_)) if stats.n else 0.0
-        comp = T_w * float(mu_.sum()) + float(np.einsum("lvu,lv->", phi_, E))
-        smooth = 0.5 * float(np.einsum("lvu,lk,kvu->", phi_, P, phi_))
-        return -log_term + comp + smooth
-
-    lam = stats.rates(mu, phi)
-    obj = objective(mu, phi, lam)
-    trace = [obj]
-    clamp_total = 0
-    checker = _Converge(cfg.tol)
-    converged = False
-    for _ in range(cfg.max_iters):
-        inv = 1.0 / lam
-        base = np.bincount(stats.marks, weights=mu[stats.marks] * inv, minlength=D)
-        N = np.zeros((L, D, D))
-        if stats.tp.size:
-            resp = phi[stats.kp, stats.vp, stats.up] * inv[stats.tp]
-            np.add.at(N, (stats.kp, stats.vp, stats.up), resp)
-        mu = base / T_w
-        for v in range(D):
-            for u in range(D):
-                phi_new, clamps = _penalized_newton(
-                    N[:, v, u], E[:, v], P, phi[:, v, u]
-                )
-                phi[:, v, u] = phi_new
-                clamp_total += clamps
-        lam = stats.rates(mu, phi)
-        obj_new = objective(mu, phi, lam)
-        trace.append(obj_new)
-        if checker.step(obj, obj_new):
-            converged = True
-            break
-        obj = obj_new
+    smooth = _Roughness(P)
+    init = _init_params(stats, cfg.rng_seed, 0.1 / (D * L * dt))
+    mu, phi, trace, converged = _fit_from_stats(stats, cfg, init, smooth.mstep, smooth.value)
     model = HawkesModel(mu=mu, kernel=kernel, A=phi)
     return FitReport(
         model=model,
@@ -646,7 +585,7 @@ def fit_mle_ode(
         converged=converged,
         iterations=len(trace) - 1,
         wall_time=time.perf_counter() - start,
-        details={"clamp_count": clamp_total, "alpha": alpha},
+        details={"clamp_count": smooth.clamps, "alpha": alpha},
     )
 
 

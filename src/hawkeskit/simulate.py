@@ -55,8 +55,8 @@ class SimConfig:
     max_events: int = 1_000_000
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValidationError(f"t_end must be > 0, got {self.t_end}")
+        if not 0 < self.t_end < np.inf:
+            raise ValidationError(f"t_end must be finite and > 0, got {self.t_end}")
         if self.n_sequences < 0:
             raise ValidationError(f"n_sequences must be >= 0, got {self.n_sequences}")
         if self.max_events < 1:

@@ -191,6 +191,20 @@ class TestFit:
         assert load_model(out).dim == 2
 
 
+    def test_fractional_mark_in_json_corpus_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "frac.json"
+        path.write_text(json.dumps({
+            "dim": 2, "label_map": None,
+            "sequences": [{"id": "s0", "t_start": 0.0, "t_end": 5.0,
+                           "events": [[1.0, 0], [2.0, 0.7]]}],
+        }))
+        out = tmp_path / "m.json"
+        rc = main(["fit", "--data", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "integer" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestGranger:
     def test_diagonal_truth_gives_exactly_self_loops(self, tmp_path):
         truth = HawkesModel(
@@ -410,13 +424,12 @@ class TestConfigPrecedence:
         assert echoed["penalty"] == "none"
         assert "config" not in echoed
 
-    def test_threads_default_comes_from_environment(self, corpus_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("HAWKESKIT_THREADS", "4")
-        report = str(tmp_path / "r.json")
-        rc = main(["fit", "--data", corpus_file, "--max-iters", "10",
-                   "--out", str(tmp_path / "m.json"), "--report", report])
-        assert rc == 0
-        assert json.load(open(report))["config"]["threads"] == 4
+    def test_removed_threads_key_is_unknown_in_config(self, corpus_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": 4}))
+        rc = main(["fit", "--data", corpus_file, "--config", str(cfg),
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 2
 
 
 class TestDemo:

@@ -1,5 +1,6 @@
 """Model primitives: intensities, compensators, likelihoods, kernels."""
 
+import json
 import math
 import warnings
 
@@ -29,6 +30,57 @@ from hawkeskit.core import (
     spectral_radius,
     window_compensator,
 )
+from hawkeskit.data import load_corpus
+from hawkeskit.learn import LearnConfig, Penalty
+from hawkeskit.simulate import SimConfig
+
+
+def _seq(times=(1.0, 2.0), marks=(0, 1), t_end=3.0):
+    return EventSequence(np.array(times), np.array(marks), 0.0, t_end, 2)
+
+
+def _model(mu=(0.1, 0.2), A=((0.1, 0.0), (0.0, 0.1))):
+    return HawkesModel(np.array(mu), ExponentialKernel(1.0), np.array(A))
+
+
+def _corpus_json(tmp, events):
+    path = tmp / "corpus.json"
+    path.write_text(json.dumps({"dim": 2, "label_map": None, "sequences": [
+        {"id": "s0", "t_start": 0.0, "t_end": 5.0, "events": events}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda tmp: _seq(times=(1.0, math.nan)),
+        lambda tmp: _seq(t_end=math.inf),
+        lambda tmp: _seq(t_end=math.nan),
+        lambda tmp: _seq(marks=(0, 0.7)),
+        lambda tmp: _seq(marks=(0, math.nan)),
+        lambda tmp: _model(mu=(0.1, math.nan)),
+        lambda tmp: _model(mu=(0.1, math.inf)),
+        lambda tmp: _model(A=((0.1, math.nan), (0.0, 0.1))),
+        lambda tmp: ExponentialKernel(math.nan),
+        lambda tmp: GaussianBasisKernel(np.array([0.5, math.nan]), 0.5),
+        lambda tmp: GaussianBasisKernel(np.array([0.5]), math.nan),
+        lambda tmp: GaussianBasisKernel(np.array([0.5]), 0.5, support=math.nan),
+        lambda tmp: DiscretizedKernel(math.nan, 4),
+        lambda tmp: load_corpus(_corpus_json(tmp, [[1.0, 0], [2.0, 0.7]])),
+        lambda tmp: Penalty("sparse", math.nan),
+        lambda tmp: LearnConfig(tol=math.nan),
+        lambda tmp: SimConfig(_model(), t_end=math.nan),
+    ],
+    ids=[
+        "nan_time", "inf_t_end", "nan_t_end", "fractional_mark", "nan_mark",
+        "nan_mu", "inf_mu", "nan_A", "nan_decay", "nan_center", "nan_bandwidth",
+        "nan_support", "nan_dt", "fractional_mark_in_json", "nan_penalty_weight",
+        "nan_tol", "nan_horizon",
+    ],
+)
+def test_non_finite_and_fractional_inputs_raise_validation_error(build, tmp_path):
+    with pytest.raises(ValidationError):
+        build(tmp_path)
 
 
 def one_event_model():
