@@ -30,6 +30,7 @@ from .learn import (
     _Converge,
     _EmStats,
     _Roughness,
+    _check_corpus_dim,
     _diff_gram,
     _exp_features,
     _fit_from_stats,
@@ -584,6 +585,7 @@ def fit_tvhp(
 
 def tvhp_log_likelihood(model: TvhpModel, corpus: Corpus) -> float:
     """Exact log-likelihood of a corpus under interpolated node infectivities."""
+    _check_corpus_dim(model.dim, corpus)
     stats = _tvhp_stats(corpus, model.grid, model.decay)
     lam = stats.rates(model.mu, model.A)
     if np.any(lam <= 0):

@@ -13,6 +13,7 @@ expansions, and step functions on a fixed lag grid.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -370,6 +371,16 @@ def _check_dims(model: HawkesModel, seq: EventSequence) -> None:
         )
 
 
+def _check_target(model: HawkesModel, u: int) -> None:
+    if not 0 <= u < model.dim:
+        raise ValidationError(f"dimension index {u} out of range [0, {model.dim})")
+
+
+def _check_finite_time(name: str, t: float) -> None:
+    if not math.isfinite(t):
+        raise ValidationError(f"{name} must be finite, got {t}")
+
+
 def _step_cum_area(kernel: DiscretizedKernel, values: np.ndarray) -> np.ndarray:
     """Cumulative area of a step kernel at grid nodes; values indexed on axis 0."""
     area = np.cumsum(values, axis=0) * kernel.dt
@@ -395,8 +406,8 @@ def intensity(model: HawkesModel, seq: EventSequence, u: int, t: float) -> float
     contribute (left-limit convention).
     """
     _check_dims(model, seq)
-    if not 0 <= u < model.dim:
-        raise ValidationError(f"dimension index {u} out of range [0, {model.dim})")
+    _check_target(model, u)
+    _check_finite_time("t", t)
     cut = np.searchsorted(seq.times, t, side="left")
     dts = t - seq.times[:cut]
     vs = seq.marks[:cut]
@@ -451,6 +462,9 @@ def compensator(
 ) -> float:
     """Integrated intensity of dimension ``u`` over ``[t0, t1]``, in closed form."""
     _check_dims(model, seq)
+    _check_target(model, u)
+    _check_finite_time("t0", t0)
+    _check_finite_time("t1", t1)
     if t1 < t0:
         raise ValidationError(f"need t0 <= t1, got [{t0}, {t1}]")
     cut = np.searchsorted(seq.times, t1, side="left")
@@ -650,6 +664,47 @@ def event_intensities(model: HawkesModel, seq: EventSequence) -> np.ndarray:
     else:
         raise UnsupportedKernelError(f"unknown kernel type {type(kern).__name__}")
     return lam
+
+
+def event_compensators(model: HawkesModel, seq: EventSequence) -> np.ndarray:
+    """Compensator of each event's own dimension from ``t_start`` to its time.
+
+    ``out[j]`` is the integral of ``lambda_{m_j}`` over ``[t_start, t_j]``
+    with strictly-past history, so events tied with ``t_j`` add nothing.
+    One pass over the sequence: O(n D) for exponential kernels, O(n D +
+    pairs within the support) for basis and grid kernels.  Shape (n,).
+    """
+    _check_dims(model, seq)
+    n = len(seq)
+    if n == 0:
+        return np.empty(0)
+    times, marks = seq.times, seq.marks
+    out = model.mu[marks] * (times - seq.t_start)
+    # cum[i, u]: total infectivity on u of events 0..i-1, each at full mass
+    cum = np.zeros((n + 1, model.dim))
+    np.cumsum(branching_matrix(model)[marks, :], axis=0, out=cum[1:])
+    kern = model.kernel
+    if isinstance(kern, ExponentialKernel):
+        # full mass of the strict past, less the part not yet spent
+        past = np.searchsorted(times, times, side="left")
+        R = exp_excitation_states(times, marks, model.dim, kern.decay)
+        unspent = np.einsum("jv,jv->j", R, model.A[:, marks].T) / kern.decay
+        return out + cum[past, marks] - unspent
+    # basis or grid (branching_matrix rejected any other kernel): events at
+    # least one support back add their full mass, pairs inside it the
+    # kernel's mass up to their lag
+    old = np.searchsorted(times, times - kern.support, side="right")
+    out = out + cum[old, marks]
+    src, tgt = _pair_arrays(times, kern.support)
+    if src.size:
+        lags = times[tgt] - times[src]
+        if isinstance(kern, GaussianBasisKernel):
+            vals = (kern.mass(lags) * model.A[:, marks[src], marks[tgt]]).sum(axis=0)
+        else:
+            cum_area = _step_cum_area(kern, model.A)
+            vals = _disc_lag_area(kern, model.A, cum_area, lags, marks[src], marks[tgt])
+        out = out + np.bincount(tgt, weights=vals, minlength=n)
+    return out
 
 
 def log_likelihood(model: HawkesModel, seq: EventSequence) -> float:

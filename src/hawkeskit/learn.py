@@ -35,6 +35,7 @@ from .core import (
     KernelSpec,
     UnsupportedKernelError,
     ValidationError,
+    _expected_coeff_shape,
     _pair_arrays,
     branching_matrix,
     exp_weighted_excitation,
@@ -229,6 +230,11 @@ def _kernel_stats(corpus, kernel: KernelSpec) -> _EmStats:
     )
 
 
+def _check_corpus_dim(dim: int, corpus) -> None:
+    if corpus.dim != dim:
+        raise ValidationError(f"model dimension {dim} != corpus dimension {corpus.dim}")
+
+
 def _init_params(stats: _EmStats, seed: int, scale: float):
     """Half the empirical rates as baselines; coefficients uniform on [0, scale)."""
     _, T_w, counts_w, _ = stats.weighted(None)
@@ -414,13 +420,16 @@ def fit_mle(
     Kernel hyperparameters (decay, centers, bandwidth) are fixed; only the
     baseline rates and the nonnegative coefficients are estimated.
     ``weights`` are optional per-sequence multiplicities (used by mixture
-    clustering); ``init`` may carry (mu0, A0) to warm-start.
+    clustering); ``init`` may carry (mu0, A0) to warm-start, with A0 in the
+    fitted model's layout, e.g. a previous fit's ``model.mu`` and ``model.A``.
     """
     cfg = cfg or LearnConfig()
     start = time.perf_counter()
     stats = _kernel_stats(corpus, kernel_template)
     if init is None:
         init = _init_params(stats, cfg.rng_seed, 0.1 / stats.dim)
+    else:
+        init = _warm_start(stats, kernel_template, init)
     mu, A, trace, converged = _fit_from_stats(
         stats, cfg, init, *_structural(cfg.penalty), weights=weights
     )
@@ -435,6 +444,27 @@ def fit_mle(
     )
 
 
+def _warm_start(stats: _EmStats, kernel: KernelSpec, init):
+    """(mu0, A0) given in the model's layout, as the loop's (C, D, D) layout."""
+    try:
+        mu0, A0 = init
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("init must be a pair (mu0, A0)") from exc
+    mu0 = np.asarray(mu0, dtype=np.float64)
+    A0 = np.asarray(A0, dtype=np.float64)
+    D = stats.dim
+    want = _expected_coeff_shape(kernel, D)
+    if mu0.shape != (D,) or A0.shape != want:
+        raise ValidationError(
+            f"init shapes {mu0.shape} and {A0.shape}, expected {(D,)} and {want}"
+        )
+    if not (np.all(np.isfinite(mu0)) and np.all(np.isfinite(A0))):
+        raise ValidationError("init values must be finite")
+    if np.any(mu0 < 0) or np.any(A0 < 0):
+        raise ValidationError("init values must be >= 0")
+    return mu0, A0.reshape(stats.C, D, D)
+
+
 def exp_nll_and_grad(model: HawkesModel, corpus):
     """Negative log-likelihood and its exact gradient for exponential kernels.
 
@@ -444,6 +474,7 @@ def exp_nll_and_grad(model: HawkesModel, corpus):
     """
     if not isinstance(model.kernel, ExponentialKernel):
         raise UnsupportedKernelError("gradient is implemented for exponential kernels")
+    _check_corpus_dim(model.dim, corpus)
     stats = _kernel_stats(corpus, model.kernel)
     G, T_w, _, ev_w = stats.weighted(None)
     A = model.A[None, :, :]

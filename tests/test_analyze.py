@@ -326,6 +326,14 @@ class TestTvhp:
         want = sum(log_likelihood(truth, s) for s in corpus)
         assert tvhp_log_likelihood(tv, corpus) == pytest.approx(want, rel=1e-12)
 
+    def test_likelihood_rejects_corpus_of_another_dimension(self):
+        tv = TvhpModel(
+            mu=np.array([0.4]), grid=np.array([0.0, 30.0]), A=np.zeros((2, 1, 1)), decay=1.0
+        )
+        seq = seq_of([1.0, 2.0], [0, 1], t_end=30.0, dim=2)
+        with pytest.raises(ValidationError, match="dimension"):
+            tvhp_log_likelihood(tv, Corpus((seq,), 2, None))
+
     def test_events_outside_grid_rejected_by_name(self):
         _, corpus = self.stationary_corpus(n=2, t_end=60.0)
         with pytest.raises(ValidationError, match="s0"):

@@ -70,12 +70,22 @@ def _corpus_json(tmp, events):
         lambda tmp: Penalty("sparse", math.nan),
         lambda tmp: LearnConfig(tol=math.nan),
         lambda tmp: SimConfig(_model(), t_end=math.nan),
+        lambda tmp: intensity(_model(), _seq(), 0, math.nan),
+        lambda tmp: intensity(_model(), _seq(), 0, math.inf),
+        lambda tmp: compensator(_model(), _seq(), 0, math.nan, 1.0),
+        lambda tmp: compensator(_model(), _seq(), 0, 0.0, math.nan),
+        lambda tmp: compensator(_model(), _seq(), 0, -math.inf, 1.0),
+        lambda tmp: compensator(_model(), _seq(), 0, 0.0, math.inf),
+        lambda tmp: compensator(_model(), _seq(), 5, 0.0, 1.5),
+        lambda tmp: compensator(_model(), _seq(), -1, 0.0, 1.5),
     ],
     ids=[
         "nan_time", "inf_t_end", "nan_t_end", "fractional_mark", "nan_mark",
         "nan_mu", "inf_mu", "nan_A", "nan_decay", "nan_center", "nan_bandwidth",
         "nan_support", "nan_dt", "fractional_mark_in_json", "nan_penalty_weight",
-        "nan_tol", "nan_horizon",
+        "nan_tol", "nan_horizon", "nan_intensity_time", "inf_intensity_time",
+        "nan_t0", "nan_t1", "minus_inf_t0", "inf_t1", "dimension_too_high",
+        "negative_dimension",
     ],
 )
 def test_non_finite_and_fractional_inputs_raise_validation_error(build, tmp_path):

@@ -108,6 +108,43 @@ class TestMleExponential:
         err = estimation_error(rep.model, truth)
         assert err["kernel_relerr"] < 0.35
 
+    @pytest.mark.parametrize(
+        "template",
+        [
+            ExponentialKernel(decay=1.0),
+            GaussianBasisKernel(centers=np.array([0.5, 1.5]), bandwidth=0.5, support=4.0),
+        ],
+        ids=["exp", "basis"],
+    )
+    def test_warm_start_from_fitted_model_continues_the_trace(self, template):
+        corpus = sim_corpus(truth_2d(), 40.0, 6, seed=3)
+        # a tolerance no relative change meets, so every run takes all its steps
+        cfg = LearnConfig(max_iters=8, tol=1e-300)
+        first = fit_mle(corpus, template, cfg)
+        warm = fit_mle(corpus, template, cfg, init=(first.model.mu, first.model.A))
+        whole = fit_mle(corpus, template, dataclasses.replace(cfg, max_iters=16))
+        assert warm.objective_trace[0] == first.objective_trace[-1]
+        assert first.objective_trace + warm.objective_trace[1:] == whole.objective_trace
+        assert np.array_equal(warm.model.A, whole.model.A)
+        assert np.array_equal(warm.model.mu, whole.model.mu)
+
+    @pytest.mark.parametrize(
+        "init",
+        [
+            (np.full(2, 0.3), np.full((1, 2, 2), 0.1)),
+            (np.full(1, 0.3), np.full((2, 2), 0.1)),
+            (np.full(2, 0.3), np.full((3, 3), 0.1)),
+            (np.full(2, 0.3), np.full((2, 2), np.nan)),
+            (np.full(2, -0.3), np.full((2, 2), 0.1)),
+            (np.full(2, 0.3),),
+        ],
+        ids=["internal_layout", "short_mu", "wrong_dim", "nan_A", "negative_mu", "not_a_pair"],
+    )
+    def test_warm_start_rejects_bad_init(self, init):
+        corpus = sim_corpus(truth_2d(), 20.0, 2, seed=3)
+        with pytest.raises(ValidationError):
+            fit_mle(corpus, ExponentialKernel(decay=1.0), LearnConfig(max_iters=2), init=init)
+
 
 @pytest.fixture(scope="module")
 def penalty_corpus():
@@ -214,6 +251,11 @@ class TestGradient:
         scale = max(corpus.n_events, 1)
         norm = np.sqrt(float(np.sum(gmu**2) + np.sum(gA**2))) / scale
         assert norm < 1e-6
+
+    def test_rejects_corpus_of_another_dimension(self):
+        corpus = sim_corpus(truth_2d(), 20.0, 2, seed=7)
+        with pytest.raises(ValidationError, match="dimension"):
+            exp_nll_and_grad(truth_1d(), corpus)
 
 
 class TestGridLearner:
