@@ -12,9 +12,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from ._util import atomic_write_text, dump_json, load_json, make_rng
+from ._util import atomic_write_text, dump_json, load_json, logsumexp, make_rng
 from .core import (
     DiscretizedKernel,
     EventSequence,
@@ -320,25 +319,62 @@ class DistanceParams:
 
     def __post_init__(self):
         for name in ("time_cost", "mark_mismatch_cost", "indel_cost"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
 
-def _dp_distance(ta, ma, tb, mb, params: DistanceParams) -> float:
-    n, m = ta.size, tb.size
+# Largest padded DP row block (partners x columns) one batch may hold.
+_DP_BATCH_CELLS = 1 << 18
+
+
+def _dp_distance(ta, ma, partners, params: DistanceParams) -> np.ndarray:
+    """Alignment costs of one sequence (times ta, marks ma) against each partner.
+
+    ``partners`` is a list of (times, marks) pairs; the sequence is the row
+    side of every DP.  Partners are padded to a common width and each row of
+    the recurrence runs for a whole batch at once.  A column only ever reads
+    columns to its left, so padding never reaches a partner's own last
+    column, and every entry is computed by the same operations as a
+    pair-at-a-time DP.
+    """
+    out = np.empty(len(partners))
     ind = params.indel_cost
-    col = ind * np.arange(m + 1, dtype=np.float64)
-    prev = col.copy()
-    ladder = ind * np.arange(m + 1, dtype=np.float64)
-    for i in range(1, n + 1):
-        match = params.time_cost * np.abs(ta[i - 1] - tb) + (
-            params.mark_mismatch_cost * (ma[i - 1] != mb)
-        )
-        x = np.minimum(prev[1:] + ind, prev[:-1] + match)
-        cand = np.concatenate(([i * ind], x))
-        run = np.minimum.accumulate(cand - ladder)
-        prev = run + ladder
-    return float(prev[m])
+    start = 0
+    while start < len(partners):
+        stop = start + 1
+        width = partners[start][0].size
+        while stop < len(partners):
+            w = max(width, partners[stop][0].size)
+            if (stop + 1 - start) * (w + 1) > _DP_BATCH_CELLS:
+                break
+            width, stop = w, stop + 1
+        batch = partners[start:stop]
+        lens = np.array([tb.size for tb, _ in batch])
+        tb = np.zeros((len(batch), width))
+        mb = np.zeros((len(batch), width), dtype=np.int64)
+        for k, (times, marks) in enumerate(batch):
+            tb[k, : times.size] = times
+            mb[k, : marks.size] = marks
+        ladder = ind * np.arange(width + 1, dtype=np.float64)
+        prev = np.tile(ladder, (len(batch), 1))
+        cand = np.empty_like(prev)
+        for i in range(1, ta.size + 1):
+            match = params.time_cost * np.abs(ta[i - 1] - tb) + (
+                params.mark_mismatch_cost * (ma[i - 1] != mb)
+            )
+            cand[:, 0] = i * ind
+            np.minimum(prev[:, 1:] + ind, prev[:, :-1] + match, out=cand[:, 1:])
+            cand -= ladder
+            np.minimum.accumulate(cand, axis=1, out=prev)
+            prev += ladder
+        out[start:stop] = prev[np.arange(len(batch)), lens]
+        start = stop
+    return out
+
+
+def _canonical_key(seq: EventSequence) -> tuple:
+    return (len(seq), seq.times.tobytes(), seq.marks.tobytes())
 
 
 def sequence_distance(
@@ -356,19 +392,27 @@ def sequence_distance(
         raise ValidationError(
             f"cannot compare sequences of dim {seq_a.dim} and {seq_b.dim}"
         )
-    ka = (len(seq_a), seq_a.times.tobytes(), seq_a.marks.tobytes())
-    kb = (len(seq_b), seq_b.times.tobytes(), seq_b.marks.tobytes())
-    if kb < ka:
+    if _canonical_key(seq_b) < _canonical_key(seq_a):
         seq_a, seq_b = seq_b, seq_a
-    return _dp_distance(seq_a.times, seq_a.marks, seq_b.times, seq_b.marks, params)
+    partner = [(seq_b.times, seq_b.marks)]
+    return float(_dp_distance(seq_a.times, seq_a.marks, partner, params)[0])
 
 
 def distance_matrix(corpus: Corpus, params: DistanceParams = DistanceParams()) -> np.ndarray:
+    """All pairwise ``sequence_distance`` values, one batched DP per sequence.
+
+    Sequences are ranked by the canonical key of ``sequence_distance``, so
+    the sequence at each rank is the row side against every later rank,
+    exactly as in the pairwise call.
+    """
     n = len(corpus)
     out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = sequence_distance(corpus[i], corpus[j], params)
+    order = sorted(range(n), key=lambda i: _canonical_key(corpus[i]))
+    seqs = [(corpus[i].times, corpus[i].marks) for i in order]
+    for r in range(n - 1):
+        ta, ma = seqs[r]
+        rest = np.array(order[r + 1:])
+        out[order[r], rest] = out[rest, order[r]] = _dp_distance(ta, ma, seqs[r + 1:], params)
     return out
 
 

@@ -20,7 +20,8 @@ from functools import cached_property
 from typing import Iterable, Union
 
 import numpy as np
-from scipy.special import ndtr
+
+from ._util import ndtr
 
 
 class HawkesError(Exception):
@@ -372,6 +373,8 @@ def _check_dims(model: HawkesModel, seq: EventSequence) -> None:
 
 
 def _check_target(model: HawkesModel, u: int) -> None:
+    if isinstance(u, bool) or not isinstance(u, (int, np.integer)):
+        raise ValidationError(f"dimension index must be an integer, got {u!r}")
     if not 0 <= u < model.dim:
         raise ValidationError(f"dimension index {u} out of range [0, {model.dim})")
 
@@ -433,6 +436,8 @@ def intensity_profile(
     """Intensities of all dimensions at the query times; shape (len(ts), D)."""
     _check_dims(model, seq)
     ts = np.asarray(ts, dtype=np.float64)
+    if not np.all(np.isfinite(ts)):
+        raise ValidationError("query times must be finite")
     out = np.tile(model.mu, (ts.size, 1))
     if len(seq) == 0:
         return out

@@ -20,9 +20,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from ._util import atomic_write_text, read_csv_rows, spawn_rngs
+from ._util import atomic_write_text, ndtr, ndtri, read_csv_rows, spawn_rngs
 from .core import (
     DiscretizedKernel,
     EventSequence,

@@ -30,6 +30,7 @@ from hawkeskit.core import (
     spectral_radius,
     window_compensator,
 )
+from hawkeskit.analyze import DistanceParams
 from hawkeskit.data import load_corpus
 from hawkeskit.learn import LearnConfig, Penalty
 from hawkeskit.simulate import SimConfig
@@ -78,6 +79,14 @@ def _corpus_json(tmp, events):
         lambda tmp: compensator(_model(), _seq(), 0, 0.0, math.inf),
         lambda tmp: compensator(_model(), _seq(), 5, 0.0, 1.5),
         lambda tmp: compensator(_model(), _seq(), -1, 0.0, 1.5),
+        lambda tmp: compensator(_model(), _seq(), 0.5, 0.0, 1.5),
+        lambda tmp: intensity(_model(), _seq(), 0.5, 1.5),
+        lambda tmp: intensity(_model(), _seq(), True, 1.5),
+        lambda tmp: intensity_profile(_model(), _seq(), [1.5, math.nan]),
+        lambda tmp: intensity_profile(_model(), _seq(), [math.inf]),
+        lambda tmp: DistanceParams(time_cost=math.nan),
+        lambda tmp: DistanceParams(mark_mismatch_cost=math.inf),
+        lambda tmp: DistanceParams(indel_cost=math.nan),
     ],
     ids=[
         "nan_time", "inf_t_end", "nan_t_end", "fractional_mark", "nan_mark",
@@ -85,7 +94,9 @@ def _corpus_json(tmp, events):
         "nan_support", "nan_dt", "fractional_mark_in_json", "nan_penalty_weight",
         "nan_tol", "nan_horizon", "nan_intensity_time", "inf_intensity_time",
         "nan_t0", "nan_t1", "minus_inf_t0", "inf_t1", "dimension_too_high",
-        "negative_dimension",
+        "negative_dimension", "fractional_dimension_compensator",
+        "fractional_dimension_intensity", "bool_dimension", "nan_profile_time",
+        "inf_profile_time", "nan_time_cost", "inf_mismatch_cost", "nan_indel_cost",
     ],
 )
 def test_non_finite_and_fractional_inputs_raise_validation_error(build, tmp_path):
