@@ -17,10 +17,10 @@ from ._util import atomic_write_text, dump_json, load_json, logsumexp, make_rng
 from .core import (
     DiscretizedKernel,
     EventSequence,
-    ExponentialKernel,
     HawkesModel,
     KernelSpec,
     ValidationError,
+    _expected_coeff_shape,
     branching_matrix,
 )
 from .data import Corpus, FormatError
@@ -231,6 +231,7 @@ def cluster_mixture(
         raise ValidationError(f"K must be >= 1, got {K}")
     if n_seq < K:
         raise ValidationError(f"corpus has {n_seq} sequences, fewer than K={K}")
+    layout = _expected_coeff_shape(kernel_template, corpus.dim)
     stats = _kernel_stats(corpus, kernel_template)
     mstep, penalty = _structural(cfg.penalty)
     init = _init_params(stats, cfg.rng_seed, 0.1 / stats.dim)
@@ -282,8 +283,7 @@ def cluster_mixture(
     assignments = np.argmax(resp, axis=1) if n_seq else np.empty(0, np.int64)
     models = []
     for mu_k, A_k in params:
-        A_m = A_k[0] if isinstance(kernel_template, ExponentialKernel) else A_k
-        models.append(HawkesModel(mu=mu_k, kernel=kernel_template, A=A_m))
+        models.append(HawkesModel(mu=mu_k, kernel=kernel_template, A=A_k.reshape(layout)))
     return ClusterResult(
         K=K,
         responsibilities=resp,

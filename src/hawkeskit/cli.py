@@ -458,7 +458,7 @@ def _run_fit(r: dict, corpus: Corpus):
     if learner == "mle":
         if r["kernel"] == "grid":
             raise ValidationError(
-                "direct EM needs --kernel exp or basis; "
+                "--learner mle takes --kernel exp or basis; "
                 "use --learner mle-ode or ls for grid kernels"
             )
         return fit_mle(corpus, _kernel_from(r), _learn_cfg(r))

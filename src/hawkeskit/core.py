@@ -7,8 +7,20 @@ dimension ``v``.  The conditional intensity used throughout is
     lambda_u(t) = mu[u] + sum_{t_i < t} phi_{m_i, u}(t - t_i)
 
 with strictly-past history (left limit at event times).  Three kernel
-representations are supported: exponential decay, truncated Gaussian basis
+families are supported: exponential decay, truncated Gaussian basis
 expansions, and step functions on a fixed lag grid.
+
+Each kernel is a sum of ``C = n_components`` fixed components, weighted by
+the model's coefficients ``coeffs[c, v, u]``.  At lags >= 0 it provides the
+per-component ``density(lags)`` and ``mass(lags)`` (integral over
+``[0, lag]``; ``mass(inf)`` is the total), each of shape ``(C,) +
+lags.shape``; their contractions with the coefficients, ``values(coeffs,
+lags, v, u)`` and ``integrals(coeffs, lags, v, u)``; its ``support``
+(``inf`` for the exponential kernel); ``quantile(comp, u01, upper)`` for the
+branch sampler; and, for finite support, ``thinning_bound(coeffs)``.  Every
+primitive below uses only these, apart from one specialisation: the
+exponential kernel's O(n) recursion over decayed excitation states
+(``exp_weighted_excitation``) replaces pair sums over a whole sequence.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from ._util import ndtr
+from ._util import ndtr, ndtri
 
 
 class HawkesError(Exception):
@@ -157,24 +169,52 @@ class EventSequence:
         return hash((self.id, self.dim, self.t_start, self.t_end, len(self)))
 
 
+class _ComponentKernel:
+    """Contracted values and integrals by expansion over the components."""
+
+    def values(self, coeffs, lags, v, u) -> np.ndarray:
+        """``sum_c coeffs[c, v, u] * density_c(lag)``; lags, v and u broadcast."""
+        lags, v, u = np.broadcast_arrays(lags, v, u)
+        return (self.density(lags) * coeffs[:, v, u]).sum(axis=0)
+
+    def integrals(self, coeffs, lags, v, u) -> np.ndarray:
+        """``sum_c coeffs[c, v, u] * mass_c(lag)``; lags, v and u broadcast."""
+        lags, v, u = np.broadcast_arrays(lags, v, u)
+        return (self.mass(lags) * coeffs[:, v, u]).sum(axis=0)
+
+
 @dataclass(frozen=True)
-class ExponentialKernel:
+class ExponentialKernel(_ComponentKernel):
     """Exponential impact kernel ``phi_vu(t) = A[v,u] * decay * exp(-decay*t)``.
 
     The decay rate is shared across all pairs; with this normalization each
     pair's kernel integrates to ``A[v,u]``, so the coefficient array is
-    exactly the branching matrix.
+    exactly the branching matrix.  Its one component has unbounded support.
     """
 
     decay: float
+    n_components = 1
+    support = math.inf
 
     def __post_init__(self):
         if not self.decay > 0:
             raise ValidationError(f"decay must be > 0, got {self.decay}")
 
+    def density(self, lags) -> np.ndarray:
+        """Density at lags >= 0, shape ``(1,) + lags.shape``."""
+        return self.decay * np.exp(-self.decay * np.asarray(lags, dtype=np.float64))[None]
+
+    def mass(self, lags) -> np.ndarray:
+        """Integral over ``[0, lag]`` for lags >= 0, shape ``(1,) + lags.shape``."""
+        return 1.0 - np.exp(-self.decay * np.asarray(lags, dtype=np.float64))[None]
+
+    def quantile(self, comp, u01, upper) -> np.ndarray:
+        """Lags whose mass is ``u01`` times the mass of ``[0, upper]``."""
+        return -np.log1p(-u01 * (1.0 - np.exp(-self.decay * upper))) / self.decay
+
 
 @dataclass(frozen=True, eq=False)
-class GaussianBasisKernel:
+class GaussianBasisKernel(_ComponentKernel):
     """Impact kernels expanded over truncated Gaussian bases.
 
     Each basis is a Gaussian density with one of ``centers`` and common
@@ -204,7 +244,7 @@ class GaussianBasisKernel:
             raise ValidationError(f"support must be > 0, got {self.support}")
 
     @property
-    def n_bases(self) -> int:
+    def n_components(self) -> int:
         return int(self.centers.size)
 
     @cached_property
@@ -213,7 +253,7 @@ class GaussianBasisKernel:
         s = self.bandwidth
         return ndtr((self.support - self.centers) / s) - ndtr(-self.centers / s)
 
-    def density(self, lags: np.ndarray) -> np.ndarray:
+    def density(self, lags) -> np.ndarray:
         """Per-basis density values, shape ``(M,) + lags.shape``; zero off-support."""
         lags = np.asarray(lags, dtype=np.float64)
         s = self.bandwidth
@@ -223,7 +263,7 @@ class GaussianBasisKernel:
         inside = (lags >= 0) & (lags < self.support)
         return np.where(inside[None, ...], vals, 0.0)
 
-    def mass(self, lags: np.ndarray) -> np.ndarray:
+    def mass(self, lags) -> np.ndarray:
         """Per-basis integral over ``[0, lag]``, clipped to the support."""
         lags = np.asarray(lags, dtype=np.float64)
         s = self.bandwidth
@@ -232,6 +272,32 @@ class GaussianBasisKernel:
         hi = ndtr((clipped[None, ...] - c) / s)
         lo = ndtr(-c / s)
         return (hi - lo) / self._norms.reshape((-1,) + (1,) * lags.ndim)
+
+    def quantile(self, comp, u01, upper) -> np.ndarray:
+        """Lags whose mass in basis ``comp`` is ``u01`` times that of ``[0, upper]``."""
+        c = self.centers[comp]
+        s = self.bandwidth
+        b = np.minimum(self.support, upper)
+        lo = ndtr(-c / s)
+        hi = ndtr((b - c) / s)
+        return np.clip(c + s * ndtri(lo + u01 * (hi - lo)), 0.0, b)
+
+    def thinning_bound(self, coeffs):
+        """Thinning bound ``bound(lags, sources)`` on the excitation ahead."""
+        # sup of each renormalized basis over lags >= x: peak if x below the
+        # center, the decreasing tail value otherwise
+        peak = 1.0 / (self.bandwidth * np.sqrt(2.0 * np.pi) * self._norms)  # (M,)
+        row_sum = coeffs.sum(axis=2)  # (M, D): total outgoing weight per basis/source
+
+        def bound(lags, src_marks):
+            if lags.size == 0:
+                return 0.0
+            below = lags[None, :] <= self.centers[:, None]
+            sup = np.where(below, peak[:, None], self.density(lags))  # (M, W)
+            sup = np.where(lags[None, :] < self.support, sup, 0.0)
+            return float((sup * row_sum[:, src_marks]).sum())
+
+        return bound
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianBasisKernel):
@@ -251,7 +317,8 @@ class DiscretizedKernel:
     """Step-function impact kernel on a fixed lag grid.
 
     Value ``k`` holds on ``[k*dt, (k+1)*dt)`` (right-continuous steps); the
-    kernel is zero at lags >= ``n_lags * dt``.
+    kernel is zero at lags >= ``n_lags * dt``.  Component ``k`` is the
+    indicator of bin ``k``, so the coefficients are the step values.
     """
 
     dt: float
@@ -264,21 +331,69 @@ class DiscretizedKernel:
             raise ValidationError(f"n_lags must be >= 1, got {self.n_lags}")
 
     @property
+    def n_components(self) -> int:
+        return self.n_lags
+
+    @property
     def support(self) -> float:
         return self.dt * self.n_lags
+
+    def density(self, lags) -> np.ndarray:
+        """Bin indicators, shape ``(L,) + lags.shape``: 1 where ``floor(lag / dt) = k``."""
+        q = np.floor(np.divide(lags, self.dt))
+        return np.equal.outer(np.arange(self.n_lags), q).astype(np.float64)
+
+    def mass(self, lags) -> np.ndarray:
+        """Width of each bin inside ``[0, lag]``, shape ``(L,) + lags.shape``."""
+        lags = np.asarray(lags, dtype=np.float64)
+        starts = (np.arange(self.n_lags) * self.dt).reshape((-1,) + (1,) * lags.ndim)
+        return np.clip(lags[None, ...] - starts, 0.0, self.dt)
+
+    def values(self, coeffs, lags, v, u) -> np.ndarray:
+        """Step value ``coeffs[floor(lag / dt), v, u]``, zero past the grid."""
+        q = np.asarray(lags, dtype=np.float64) / self.dt
+        k = np.minimum(q, self.n_lags - 1).astype(np.int64)
+        return coeffs[k, v, u] * (q < self.n_lags)
+
+    def integrals(self, coeffs, lags, v, u) -> np.ndarray:
+        """Step-function area over ``[0, lag]``: whole bins, then a partial one."""
+        x = np.clip(np.asarray(lags, dtype=np.float64), 0.0, self.support)
+        k = np.minimum((x / self.dt).astype(np.int64), self.n_lags - 1)
+        zero = np.zeros((1,) + coeffs.shape[1:])
+        area = np.concatenate([zero, np.cumsum(coeffs, axis=0) * self.dt])
+        return area[k, v, u] + coeffs[k, v, u] * (x - k * self.dt)
+
+    def quantile(self, comp, u01, upper) -> np.ndarray:
+        """Uniform lags on the part of bin ``comp`` inside ``[0, upper]``."""
+        start = comp * self.dt
+        return start + u01 * np.clip(upper - start, 0.0, self.dt)
+
+    def thinning_bound(self, coeffs):
+        """Thinning bound ``bound(lags, sources)`` on the excitation ahead."""
+        # suffix max over lag bins, summed over targets: bound per source dim
+        suf = np.maximum.accumulate(coeffs[::-1], axis=0)[::-1]  # (L, D, D)
+        bound_tbl = suf.sum(axis=2)  # (L, D)
+
+        def bound(lags, src_marks):
+            if lags.size == 0:
+                return 0.0
+            k = np.minimum((lags / self.dt).astype(np.int64), self.n_lags - 1)
+            inside = lags < self.support
+            return float((bound_tbl[k, src_marks] * inside).sum())
+
+        return bound
 
 
 KernelSpec = Union[ExponentialKernel, GaussianBasisKernel, DiscretizedKernel]
 
 
 def _expected_coeff_shape(kernel: KernelSpec, dim: int) -> tuple[int, ...]:
+    """Public layout of the coefficient array: (D, D) for the exponential kernel."""
+    if not isinstance(kernel, KernelSpec):
+        raise UnsupportedKernelError(f"unknown kernel type {type(kernel).__name__}")
     if isinstance(kernel, ExponentialKernel):
         return (dim, dim)
-    if isinstance(kernel, GaussianBasisKernel):
-        return (kernel.n_bases, dim, dim)
-    if isinstance(kernel, DiscretizedKernel):
-        return (kernel.n_lags, dim, dim)
-    raise UnsupportedKernelError(f"unknown kernel type {type(kernel).__name__}")
+    return (kernel.n_components, dim, dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,6 +445,11 @@ class HawkesModel:
     def dim(self) -> int:
         return int(self.mu.size)
 
+    @property
+    def coeffs(self) -> np.ndarray:
+        """``A`` as a read-only ``(C, D, D)`` view, indexed [component, v, u]."""
+        return self.A.reshape((-1, self.dim, self.dim))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, HawkesModel):
             return NotImplemented
@@ -345,13 +465,8 @@ class HawkesModel:
 
 def branching_matrix(model: HawkesModel) -> np.ndarray:
     """Total infectivity ``Phi[v,u] = integral of phi_vu`` as a (D, D) array."""
-    if isinstance(model.kernel, ExponentialKernel):
-        return model.A.copy()
-    if isinstance(model.kernel, GaussianBasisKernel):
-        return model.A.sum(axis=0)
-    if isinstance(model.kernel, DiscretizedKernel):
-        return model.kernel.dt * model.A.sum(axis=0)
-    raise UnsupportedKernelError(f"unknown kernel type {type(model.kernel).__name__}")
+    totals = model.kernel.mass(np.inf)  # (C,): each component's whole mass
+    return (totals[:, None, None] * model.coeffs).sum(axis=0)
 
 
 def spectral_radius(model_or_matrix) -> float:
@@ -384,50 +499,15 @@ def _check_finite_time(name: str, t: float) -> None:
         raise ValidationError(f"{name} must be finite, got {t}")
 
 
-def _step_cum_area(kernel: DiscretizedKernel, values: np.ndarray) -> np.ndarray:
-    """Cumulative area of a step kernel at grid nodes; values indexed on axis 0."""
-    area = np.cumsum(values, axis=0) * kernel.dt
-    zero = np.zeros((1,) + values.shape[1:])
-    return np.concatenate([zero, area], axis=0)
-
-
-def _step_integral(
-    kernel: DiscretizedKernel, values: np.ndarray, lags: np.ndarray
-) -> np.ndarray:
-    """Integral of the step function from 0 to each lag (exact, clipped to support)."""
-    cum = _step_cum_area(kernel, values)
-    x = np.clip(lags, 0.0, kernel.support)
-    k = np.minimum((x / kernel.dt).astype(np.int64), kernel.n_lags - 1)
-    frac = x - k * kernel.dt
-    return cum[k] + values[k] * frac
-
-
 def intensity(model: HawkesModel, seq: EventSequence, u: int, t: float) -> float:
     """Conditional intensity of dimension ``u`` at time ``t``.
 
     History is strictly before ``t``: events at exactly ``t`` do not
     contribute (left-limit convention).
     """
-    _check_dims(model, seq)
     _check_target(model, u)
     _check_finite_time("t", t)
-    cut = np.searchsorted(seq.times, t, side="left")
-    dts = t - seq.times[:cut]
-    vs = seq.marks[:cut]
-    kern = model.kernel
-    if isinstance(kern, ExponentialKernel):
-        w = kern.decay * np.exp(-kern.decay * dts)
-        excit = float(np.dot(w, model.A[vs, u]))
-    elif isinstance(kern, GaussianBasisKernel):
-        dens = kern.density(dts)  # (M, n)
-        excit = float(np.einsum("mi,mi->", dens, model.A[:, vs, u]))
-    elif isinstance(kern, DiscretizedKernel):
-        k = (dts / kern.dt).astype(np.int64)
-        inside = k < kern.n_lags
-        excit = float(model.A[k[inside], vs[inside], u].sum())
-    else:
-        raise UnsupportedKernelError(f"unknown kernel type {type(kern).__name__}")
-    return float(model.mu[u]) + excit
+    return float(intensity_profile(model, seq, np.array([t], dtype=np.float64))[0, u])
 
 
 def intensity_profile(
@@ -438,28 +518,10 @@ def intensity_profile(
     ts = np.asarray(ts, dtype=np.float64)
     if not np.all(np.isfinite(ts)):
         raise ValidationError("query times must be finite")
-    out = np.tile(model.mu, (ts.size, 1))
-    if len(seq) == 0:
-        return out
-    dts = ts[:, None] - seq.times[None, :]
-    past = dts > 0
-    kern = model.kernel
-    if isinstance(kern, ExponentialKernel):
-        w = np.where(past, kern.decay * np.exp(-kern.decay * np.maximum(dts, 0.0)), 0.0)
-        out += w @ model.A[seq.marks, :]
-    elif isinstance(kern, GaussianBasisKernel):
-        dens = kern.density(np.maximum(dts, 0.0)) * past[None, :, :]
-        for m in range(kern.n_bases):
-            out += dens[m] @ model.A[m, seq.marks, :]
-    elif isinstance(kern, DiscretizedKernel):
-        k = (np.maximum(dts, 0.0) / kern.dt).astype(np.int64)
-        inside = past & (k < kern.n_lags)
-        gi, gj = np.nonzero(inside)
-        vals = model.A[k[gi, gj], seq.marks[gj], :]
-        np.add.at(out, gi, vals)
-    else:
-        raise UnsupportedKernelError(f"unknown kernel type {type(kern).__name__}")
-    return out
+    src, q = _pair_arrays(seq.times, model.kernel.support, ts)
+    dens = model.kernel.density(ts[q] - seq.times[src])
+    S = _pair_sums(dens, q, seq.marks[src], ts.size, model.dim)  # (C, len(ts), D)
+    return model.mu + np.matmul(S, model.coeffs).sum(axis=0)
 
 
 def compensator(
@@ -475,67 +537,16 @@ def compensator(
     cut = np.searchsorted(seq.times, t1, side="left")
     ti = seq.times[:cut]
     vs = seq.marks[:cut]
-    hi = t1 - ti
-    lo = np.maximum(t0 - ti, 0.0)
-    kern = model.kernel
-    if isinstance(kern, ExponentialKernel):
-        w = np.exp(-kern.decay * lo) - np.exp(-kern.decay * hi)
-        excit = float(np.dot(w, model.A[vs, u]))
-    elif isinstance(kern, GaussianBasisKernel):
-        w = kern.mass(hi) - kern.mass(lo)  # (M, n)
-        excit = float(np.einsum("mi,mi->", w, model.A[:, vs, u]))
-    elif isinstance(kern, DiscretizedKernel):
-        cum = _step_cum_area(kern, model.A)  # (L+1, D, D)
-        excit = float(
-            _disc_lag_area(kern, model.A, cum, hi, vs, u).sum()
-            - _disc_lag_area(kern, model.A, cum, lo, vs, u).sum()
-        )
-    else:
-        raise UnsupportedKernelError(f"unknown kernel type {type(kern).__name__}")
-    return float(model.mu[u]) * (t1 - t0) + excit
-
-
-def _disc_lag_area(
-    kernel: DiscretizedKernel,
-    values: np.ndarray,
-    cum: np.ndarray,
-    lags: np.ndarray,
-    vs: np.ndarray,
-    u,
-) -> np.ndarray:
-    """Step-kernel area from lag 0 to ``lags`` for source dims ``vs``, target ``u``."""
-    x = np.clip(lags, 0.0, kernel.support)
-    k = np.minimum((x / kernel.dt).astype(np.int64), kernel.n_lags - 1)
-    frac = x - k * kernel.dt
-    return cum[k, vs, u] + values[k, vs, u] * frac
+    ends = np.stack([t1 - ti, np.maximum(t0 - ti, 0.0)])  # lags at t1 and t0
+    hi, lo = model.kernel.integrals(model.coeffs, ends, vs, u)
+    return float(model.mu[u]) * (t1 - t0) + float((hi - lo).sum())
 
 
 def window_compensator(model: HawkesModel, seq: EventSequence) -> np.ndarray:
     """Compensator of every dimension over the full observation window; shape (D,)."""
     _check_dims(model, seq)
-    span = seq.t_end - seq.t_start
-    out = model.mu * span
-    if len(seq) == 0:
-        return out
-    hi = seq.t_end - seq.times
-    kern = model.kernel
-    if isinstance(kern, ExponentialKernel):
-        w = 1.0 - np.exp(-kern.decay * hi)
-        out = out + np.einsum("i,iu->u", w, model.A[seq.marks, :])
-    elif isinstance(kern, GaussianBasisKernel):
-        w = kern.mass(hi)  # (M, n)
-        out = out + np.einsum("mi,miu->u", w, model.A[:, seq.marks, :])
-    elif isinstance(kern, DiscretizedKernel):
-        cum = _step_cum_area(kern, model.A)
-        x = np.clip(hi, 0.0, kern.support)
-        k = np.minimum((x / kern.dt).astype(np.int64), kern.n_lags - 1)
-        frac = x - k * kern.dt
-        out = out + (cum[k, seq.marks, :] + model.A[k, seq.marks, :] * frac[:, None]).sum(
-            axis=0
-        )
-    else:
-        raise UnsupportedKernelError(f"unknown kernel type {type(kern).__name__}")
-    return out
+    G = _exposures(model.kernel, seq, model.dim)
+    return model.mu * (seq.t_end - seq.t_start) + np.einsum("cv,cvu->u", G, model.coeffs)
 
 
 # Block span (in units of 1/decay) for the overflow-safe prefix recursion.
@@ -602,43 +613,48 @@ def kernel_lag_averages(model: HawkesModel, dt: float, n_lags: int) -> np.ndarra
     """
     if dt <= 0 or n_lags < 1:
         raise ValidationError("need dt > 0 and n_lags >= 1")
-    D = model.dim
-    edges = np.arange(n_lags + 1) * dt
-    kern = model.kernel
-    if isinstance(kern, ExponentialKernel):
-        seg = np.exp(-kern.decay * edges[:-1]) - np.exp(-kern.decay * edges[1:])
-        return seg[:, None, None] * model.A[None, :, :] / dt
-    if isinstance(kern, GaussianBasisKernel):
-        w = kern.mass(edges)  # (M, L+1)
-        seg = w[:, 1:] - w[:, :-1]  # (M, L)
-        return np.einsum("ml,mvu->lvu", seg, model.A) / dt
-    if isinstance(kern, DiscretizedKernel):
-        cum = _step_cum_area(kern, model.A)  # (L0+1, D, D)
-        x = np.clip(edges, 0.0, kern.support)
-        k = np.minimum((x / kern.dt).astype(np.int64), kern.n_lags - 1)
-        frac = x - k * kern.dt
-        areas = cum[k] + model.A[k] * frac[:, None, None]
-        return (areas[1:] - areas[:-1]) / dt
-    raise UnsupportedKernelError(f"unknown kernel type {type(kern).__name__}")
+    dims = np.arange(model.dim)
+    edges, v, u = np.ix_(np.arange(n_lags + 1) * dt, dims, dims)
+    return np.diff(model.kernel.integrals(model.coeffs, edges, v, u), axis=0) / dt
 
 
-def _pair_arrays(times: np.ndarray, support: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) with ``0 < t_j - t_i < support`` and ``t_i < t_j``.
+def _pair_arrays(
+    times: np.ndarray, support: float, queries: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with ``0 < q_j - t_i < support``.
 
-    Returns (sources, targets) as flat arrays; strict time ordering means
-    simultaneous events never pair with each other.
+    ``q`` is ``queries`` if given, else ``times`` itself.  Returns (sources,
+    targets) as flat arrays; strict time ordering means simultaneous events
+    never pair with each other.
     """
-    n = times.size
-    lo = np.searchsorted(times, times - support, side="right")
-    hi = np.searchsorted(times, times, side="left")
+    q = times if queries is None else queries
+    lo = np.searchsorted(times, q - support, side="right")
+    hi = np.searchsorted(times, q, side="left")
     counts = hi - lo
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    targets = np.repeat(np.arange(n), counts)
+    targets = np.repeat(np.arange(q.size), counts)
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
     sources = np.arange(total) - np.repeat(offsets, counts) + np.repeat(lo, counts)
     return sources, targets
+
+
+def _pair_sums(
+    weights: np.ndarray, rows: np.ndarray, cols: np.ndarray, n_rows: int, dim: int
+) -> np.ndarray:
+    """Sums of pair weights (C, P) at each pair's (row, col): shape (C, n_rows, dim).
+
+    One ``np.bincount`` per component adds the pairs in order.
+    """
+    idx = rows * dim + cols
+    sums = [np.bincount(idx, weights=w, minlength=n_rows * dim) for w in weights]
+    return np.stack(sums).reshape(len(weights), n_rows, dim)
+
+
+def _exposures(kernel: KernelSpec, seq: EventSequence, dim: int) -> np.ndarray:
+    """Component mass left in the window after each event, per source: (C, D)."""
+    return _pair_sums(kernel.mass(seq.t_end - seq.times), 0, seq.marks, 1, dim)[:, 0]
 
 
 def event_intensities(model: HawkesModel, seq: EventSequence) -> np.ndarray:
@@ -647,28 +663,15 @@ def event_intensities(model: HawkesModel, seq: EventSequence) -> np.ndarray:
     n = len(seq)
     if n == 0:
         return np.empty(0)
-    lam = model.mu[seq.marks].astype(np.float64)
+    times, marks = seq.times, seq.marks
+    lam = model.mu[marks].astype(np.float64)
     kern = model.kernel
     if isinstance(kern, ExponentialKernel):
-        R = exp_excitation_states(seq.times, seq.marks, model.dim, kern.decay)
-        lam = lam + np.einsum("jv,jv->j", R, model.A[:, seq.marks].T)
-    elif isinstance(kern, GaussianBasisKernel):
-        src, tgt = _pair_arrays(seq.times, kern.support)
-        if src.size:
-            dts = seq.times[tgt] - seq.times[src]
-            dens = kern.density(dts)  # (M, P)
-            vals = (dens * model.A[:, seq.marks[src], seq.marks[tgt]]).sum(axis=0)
-            lam = lam + np.bincount(tgt, weights=vals, minlength=n)
-    elif isinstance(kern, DiscretizedKernel):
-        src, tgt = _pair_arrays(seq.times, kern.support)
-        if src.size:
-            dts = seq.times[tgt] - seq.times[src]
-            k = np.minimum((dts / kern.dt).astype(np.int64), kern.n_lags - 1)
-            vals = model.A[k, seq.marks[src], seq.marks[tgt]]
-            lam = lam + np.bincount(tgt, weights=vals, minlength=n)
-    else:
-        raise UnsupportedKernelError(f"unknown kernel type {type(kern).__name__}")
-    return lam
+        R = exp_excitation_states(times, marks, model.dim, kern.decay)
+        return lam + np.einsum("jv,jv->j", R, model.A[:, marks].T)
+    src, tgt = _pair_arrays(times, kern.support)
+    vals = kern.values(model.coeffs, times[tgt] - times[src], marks[src], marks[tgt])
+    return lam + np.bincount(tgt, weights=vals, minlength=n)
 
 
 def event_compensators(model: HawkesModel, seq: EventSequence) -> np.ndarray:
@@ -695,21 +698,12 @@ def event_compensators(model: HawkesModel, seq: EventSequence) -> np.ndarray:
         R = exp_excitation_states(times, marks, model.dim, kern.decay)
         unspent = np.einsum("jv,jv->j", R, model.A[:, marks].T) / kern.decay
         return out + cum[past, marks] - unspent
-    # basis or grid (branching_matrix rejected any other kernel): events at
-    # least one support back add their full mass, pairs inside it the
-    # kernel's mass up to their lag
+    # finite support: events at least one support back add their full mass,
+    # pairs inside it the kernel's mass up to their lag
     old = np.searchsorted(times, times - kern.support, side="right")
-    out = out + cum[old, marks]
     src, tgt = _pair_arrays(times, kern.support)
-    if src.size:
-        lags = times[tgt] - times[src]
-        if isinstance(kern, GaussianBasisKernel):
-            vals = (kern.mass(lags) * model.A[:, marks[src], marks[tgt]]).sum(axis=0)
-        else:
-            cum_area = _step_cum_area(kern, model.A)
-            vals = _disc_lag_area(kern, model.A, cum_area, lags, marks[src], marks[tgt])
-        out = out + np.bincount(tgt, weights=vals, minlength=n)
-    return out
+    vals = kern.integrals(model.coeffs, times[tgt] - times[src], marks[src], marks[tgt])
+    return out + cum[old, marks] + np.bincount(tgt, weights=vals, minlength=n)
 
 
 def log_likelihood(model: HawkesModel, seq: EventSequence) -> float:

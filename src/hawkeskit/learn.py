@@ -1,12 +1,13 @@
-"""Learners: penalized EM for continuous kernels, a smoothness-penalized
+"""Learners: penalized EM for any kernel's coefficients, a smoothness-penalized
 EM for step kernels on a lag grid, and binned least squares.
 
 fit_mle, fit_mle_ode, and (in analyze) fit_tvhp and cluster_mixture run one
 EM loop, ``_fit_from_stats``, over one statistics class, ``_EmStats``.  The
 statistics hold per-event excitation features R (C, n, D) and per-sequence
 exposures G (n_seq, C, D), built either by the exponential recursion over
-per-event channel weights (exponential kernel; TVHP grid nodes) or by
-summing over lag pairs (Gaussian bases; lag-grid bins).  An expectation pass
+per-event channel weights (exponential kernel; TVHP grid nodes) or, for a
+finite-support kernel, by summing its C component densities over lag pairs
+and its component masses over events.  An expectation pass
 attributes each event to the baseline or to one past event; the attribution
 totals N feed the learner's minimization step, which is passed to the loop
 together with the matching penalty term of the recorded objective: closed
@@ -29,14 +30,15 @@ from .core import (
     DiscretizedKernel,
     EventSequence,
     ExponentialKernel,
-    GaussianBasisKernel,
     HawkesError,
     HawkesModel,
     KernelSpec,
     UnsupportedKernelError,
     ValidationError,
     _expected_coeff_shape,
+    _exposures,
     _pair_arrays,
+    _pair_sums,
     branching_matrix,
     exp_weighted_excitation,
     kernel_lag_averages,
@@ -129,28 +131,15 @@ def _exp_features(seq: EventSequence, W: np.ndarray, decay: float):
 
 
 def _lag_features(seq: EventSequence, kernel: KernelSpec, D: int):
-    """Features summed over lag pairs for basis (C = M) and grid (C = L) kernels.
+    """Features of a finite-support kernel, summed over lag pairs.
 
-    A basis kernel adds each pair's basis densities; a grid kernel adds one
-    count at the pair's lag bin, so its coefficients are step values and its
-    exposures are the bin widths that fit in the remaining window.
+    R adds each pair's component densities (for a grid kernel, one count at
+    the pair's lag bin); G adds each event's component mass left in the
+    window (for a grid kernel, the bin widths that fit).
     """
     src, tgt = _pair_arrays(seq.times, kernel.support)
-    lags = seq.times[tgt] - seq.times[src]
-    rem = seq.t_end - seq.times
-    if isinstance(kernel, DiscretizedKernel):
-        L, dt = kernel.n_lags, kernel.dt
-        R = np.zeros((L, len(seq), D))
-        k = np.minimum((lags / dt).astype(np.int64), L - 1)
-        np.add.at(R, (k, tgt, seq.marks[src]), 1.0)
-        mass = np.clip(rem[None, :] - np.arange(L)[:, None] * dt, 0.0, dt)
-    else:
-        R = np.zeros((kernel.n_bases, len(seq), D))
-        np.add.at(R, (slice(None), tgt, seq.marks[src]), kernel.density(lags))
-        mass = kernel.mass(rem)
-    G = np.zeros((R.shape[0], D))
-    np.add.at(G, (slice(None), seq.marks), mass)
-    return R, G
+    dens = kernel.density(seq.times[tgt] - seq.times[src])
+    return _pair_sums(dens, tgt, seq.marks[src], len(seq), D), _exposures(kernel, seq, D)
 
 
 class _EmStats:
@@ -215,19 +204,14 @@ class _EmStats:
 
 
 def _kernel_stats(corpus, kernel: KernelSpec) -> _EmStats:
-    """Statistics for direct EM on an exponential or basis kernel."""
+    """Statistics for EM on a kernel's coefficients, C = n_components."""
     D = corpus.dim
     if isinstance(kernel, ExponentialKernel):
         return _EmStats(
             corpus,
             lambda seq: _exp_features(seq, _onehot(seq.marks, D)[:, None, :], kernel.decay),
         )
-    if isinstance(kernel, GaussianBasisKernel):
-        return _EmStats(corpus, lambda seq: _lag_features(seq, kernel, D))
-    raise UnsupportedKernelError(
-        "direct EM needs an exponential or basis kernel; "
-        "use fit_mle_ode or fit_ls for discretized kernels"
-    )
+    return _EmStats(corpus, lambda seq: _lag_features(seq, kernel, D))
 
 
 def _check_corpus_dim(dim: int, corpus) -> None:
@@ -415,26 +399,28 @@ def fit_mle(
     weights=None,
     init=None,
 ) -> FitReport:
-    """Penalized maximum likelihood for exponential or basis kernels.
+    """Penalized maximum likelihood for exponential, basis or grid kernels.
 
-    Kernel hyperparameters (decay, centers, bandwidth) are fixed; only the
-    baseline rates and the nonnegative coefficients are estimated.
+    Kernel hyperparameters (decay; centers, bandwidth and support; dt and
+    n_lags) are fixed; only the baseline rates and the nonnegative
+    coefficients are estimated.  For a grid kernel these are the step values,
+    and the structural penalties act on their sum over lags.
     ``weights`` are optional per-sequence multiplicities (used by mixture
     clustering); ``init`` may carry (mu0, A0) to warm-start, with A0 in the
     fitted model's layout, e.g. a previous fit's ``model.mu`` and ``model.A``.
     """
     cfg = cfg or LearnConfig()
     start = time.perf_counter()
+    layout = _expected_coeff_shape(kernel_template, corpus.dim)
     stats = _kernel_stats(corpus, kernel_template)
     if init is None:
         init = _init_params(stats, cfg.rng_seed, 0.1 / stats.dim)
     else:
-        init = _warm_start(stats, kernel_template, init)
+        init = _warm_start(stats, layout, init)
     mu, A, trace, converged = _fit_from_stats(
         stats, cfg, init, *_structural(cfg.penalty), weights=weights
     )
-    A_model = A[0] if isinstance(kernel_template, ExponentialKernel) else A
-    model = HawkesModel(mu=mu, kernel=kernel_template, A=A_model)
+    model = HawkesModel(mu=mu, kernel=kernel_template, A=A.reshape(layout))
     return FitReport(
         model=model,
         objective_trace=tuple(trace),
@@ -444,8 +430,8 @@ def fit_mle(
     )
 
 
-def _warm_start(stats: _EmStats, kernel: KernelSpec, init):
-    """(mu0, A0) given in the model's layout, as the loop's (C, D, D) layout."""
+def _warm_start(stats: _EmStats, want: tuple[int, ...], init):
+    """(mu0, A0) given in the model's layout ``want``, as the loop's (C, D, D)."""
     try:
         mu0, A0 = init
     except (TypeError, ValueError) as exc:
@@ -453,7 +439,6 @@ def _warm_start(stats: _EmStats, kernel: KernelSpec, init):
     mu0 = np.asarray(mu0, dtype=np.float64)
     A0 = np.asarray(A0, dtype=np.float64)
     D = stats.dim
-    want = _expected_coeff_shape(kernel, D)
     if mu0.shape != (D,) or A0.shape != want:
         raise ValidationError(
             f"init shapes {mu0.shape} and {A0.shape}, expected {(D,)} and {want}"
@@ -592,7 +577,7 @@ def fit_mle_ode(
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
     start = time.perf_counter()
     D, L = corpus.dim, n_lags
-    stats = _EmStats(corpus, lambda seq: _lag_features(seq, kernel, D))
+    stats = _kernel_stats(corpus, kernel)
     if kernel.support > stats.T_s.max():
         warnings.warn(
             f"grid support {kernel.support:g} exceeds every observation window; "

@@ -21,12 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text, ndtr, ndtri, read_csv_rows, spawn_rngs
+from ._util import atomic_write_text, read_csv_rows, spawn_rngs
 from .core import (
-    DiscretizedKernel,
     EventSequence,
     ExponentialKernel,
-    GaussianBasisKernel,
     HawkesError,
     HawkesModel,
     UnsupportedKernelError,
@@ -121,61 +119,20 @@ def _branch_one(model, T, rng, max_events, sid) -> EventSequence:
 def _offspring(model, pt, pm, T, rng):
     """One generation of children for parents at times pt with marks pm."""
     kern = model.kernel
-    if isinstance(kern, ExponentialKernel):
-        mass = 1.0 - np.exp(-kern.decay * (T - pt))  # (n,)
-        means = model.A[pm, :] * mass[:, None]  # (n, D)
-        counts = rng.poisson(means)
-        k = counts.sum()
-        if k == 0:
-            return np.empty(0), np.empty(0, dtype=np.int64)
-        flat = np.repeat(np.arange(counts.size), counts.ravel())
-        parent = flat // model.dim
-        marks = flat % model.dim
-        u01 = rng.random(k)
-        offs = -np.log1p(-u01 * mass[parent]) / kern.decay
-        return pt[parent] + offs, marks
-
-    if isinstance(kern, GaussianBasisKernel):
-        w = kern.mass(T - pt)  # (M, n) window-truncated basis mass
-        means = model.A[:, pm, :] * w[:, :, None]  # (M, n, D)
-        counts = rng.poisson(means)
-        k = counts.sum()
-        if k == 0:
-            return np.empty(0), np.empty(0, dtype=np.int64)
-        n, D = pt.size, model.dim
-        flat = np.repeat(np.arange(counts.size), counts.ravel())
-        m_idx = flat // (n * D)
-        parent = (flat // D) % n
-        marks = flat % D
-        c = kern.centers[m_idx]
-        s = kern.bandwidth
-        b = np.minimum(kern.support, T - pt[parent])
-        lo = ndtr(-c / s)
-        hi = ndtr((b - c) / s)
-        u01 = rng.random(k)
-        offs = c + s * ndtri(lo + u01 * (hi - lo))
-        offs = np.clip(offs, 0.0, b)
-        return pt[parent] + offs, marks
-
-    if isinstance(kern, DiscretizedKernel):
-        L, dt = kern.n_lags, kern.dt
-        rem = T - pt  # (n,)
-        width = np.clip(rem[None, :] - np.arange(L)[:, None] * dt, 0.0, dt)  # (L, n)
-        means = model.A[:, pm, :] * width[:, :, None]  # (L, n, D)
-        counts = rng.poisson(means)
-        k = counts.sum()
-        if k == 0:
-            return np.empty(0), np.empty(0, dtype=np.int64)
-        n, D = pt.size, model.dim
-        flat = np.repeat(np.arange(counts.size), counts.ravel())
-        k_idx = flat // (n * D)
-        parent = (flat // D) % n
-        marks = flat % D
-        u01 = rng.random(k)
-        offs = k_idx * dt + u01 * width[k_idx, parent]
-        return pt[parent] + offs, marks
-
-    raise UnsupportedKernelError(f"unknown kernel type {type(kern).__name__}")
+    rem = T - pt
+    w = kern.mass(rem)  # (C, n) window-truncated component mass
+    means = model.coeffs[:, pm, :] * w[:, :, None]  # (C, n, D)
+    counts = rng.poisson(means)
+    k = counts.sum()
+    if k == 0:
+        return np.empty(0), np.empty(0, dtype=np.int64)
+    n, D = pt.size, model.dim
+    flat = np.repeat(np.arange(counts.size), counts.ravel())
+    comp = flat // (n * D)
+    parent = (flat // D) % n
+    marks = flat % D
+    u01 = rng.random(k)
+    return pt[parent] + kern.quantile(comp, u01, rem[parent]), marks
 
 
 def simulate_ogata(cfg: SimConfig) -> Corpus:
@@ -231,22 +188,9 @@ def _ogata_one(model, T, rng, max_events, sid) -> EventSequence:
             np.array(times), np.array(marks, dtype=np.int64), 0.0, T, D, sid
         )
 
-    if isinstance(kern, GaussianBasisKernel):
-        support = kern.support
-        s = kern.bandwidth
-        # sup of each renormalized basis over lags >= x: peak if x below the
-        # center, the decreasing tail value otherwise
-        peak = 1.0 / (s * np.sqrt(2.0 * np.pi) * kern._norms)  # (M,)
-        row_sum = model.A.sum(axis=2)  # (M, D): total outgoing weight per basis/source
-        bound_contrib = _basis_bound_factory(kern, row_sum, peak)
-    elif isinstance(kern, DiscretizedKernel):
-        support = kern.support
-        # suffix max over lag bins, summed over targets: bound per source dim
-        suf = np.maximum.accumulate(model.A[::-1], axis=0)[::-1]  # (L, D, D)
-        bound_tbl = suf.sum(axis=2)  # (L, D)
-        bound_contrib = _disc_bound_factory(kern, bound_tbl)
-    else:
-        raise UnsupportedKernelError(f"unknown kernel type {type(kern).__name__}")
+    support = kern.support
+    coeffs = model.coeffs
+    bound_contrib = kern.thinning_bound(coeffs)
 
     ts_arr = np.empty(0)
     ms_arr = np.empty(0, dtype=np.int64)
@@ -264,7 +208,10 @@ def _ogata_one(model, T, rng, max_events, sid) -> EventSequence:
             break
         while w0 < n and ts_arr[w0] <= t_new - support:
             w0 += 1
-        lam = _windowed_intensities(model, ts_arr[w0:], ms_arr[w0:], t_new)
+        # intensities at t_new from the strict past inside the window
+        past = slice(w0, int(ts_arr.searchsorted(t_new)))
+        dens = kern.density(t_new - ts_arr[past])  # (C, W)
+        lam = mu + dens.reshape(-1) @ coeffs[:, ms_arr[past], :].reshape(-1, D)
         total = float(lam.sum())
         v01 = rng.random()
         if v01 * lbar < total:
@@ -280,53 +227,6 @@ def _ogata_one(model, T, rng, max_events, sid) -> EventSequence:
     return EventSequence(
         np.array(times), np.array(marks, dtype=np.int64), 0.0, T, D, sid
     )
-
-
-def _basis_bound_factory(kern, row_sum, peak):
-    def contrib(lags, src_marks):
-        if lags.size == 0:
-            return 0.0
-        sup = np.where(
-            lags[None, :] <= kern.centers[:, None],
-            peak[:, None],
-            kern.density(lags),
-        )  # (M, W)
-        sup = np.where(lags[None, :] < kern.support, sup, 0.0)
-        return float((sup * row_sum[:, src_marks]).sum())
-
-    return contrib
-
-
-def _disc_bound_factory(kern, bound_tbl):
-    def contrib(lags, src_marks):
-        if lags.size == 0:
-            return 0.0
-        k = np.minimum((lags / kern.dt).astype(np.int64), kern.n_lags - 1)
-        inside = lags < kern.support
-        return float((bound_tbl[k, src_marks] * inside).sum())
-
-    return contrib
-
-
-def _windowed_intensities(model, hist_t, hist_m, t) -> np.ndarray:
-    """Intensity vector at t using only the supplied (already windowed) history."""
-    lam = model.mu.astype(np.float64).copy()
-    if hist_t.size == 0:
-        return lam
-    dts = t - hist_t
-    keep = dts > 0
-    dts = dts[keep]
-    hm = hist_m[keep]
-    kern = model.kernel
-    if isinstance(kern, GaussianBasisKernel):
-        dens = kern.density(dts)  # (M, W)
-        lam += np.einsum("mi,miu->u", dens, model.A[:, hm, :])
-    else:
-        k = (dts / kern.dt).astype(np.int64)
-        inside = k < kern.n_lags
-        if inside.any():
-            lam += model.A[k[inside], hm[inside], :].sum(axis=0)
-    return lam
 
 
 def simulate_exact_exp(cfg: SimConfig) -> Corpus:

@@ -1,0 +1,163 @@
+"""The kernel protocol: every kernel family answers the same members.
+
+Each kernel is a sum of ``n_components`` fixed components.  These tests pin
+each member against its definition: ``mass`` is the integral of
+``density``, ``mass(inf)`` gives the totals behind ``branching_matrix``, the
+contracted ``values`` and ``integrals`` equal the component expansion (for
+the grid kernel this checks its bin lookup and cumulative areas against its
+own indicator basis), and ``quantile`` samples a component's mass on
+``[0, upper]``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+
+from hawkeskit.core import (
+    DiscretizedKernel,
+    EventSequence,
+    ExponentialKernel,
+    GaussianBasisKernel,
+    HawkesModel,
+    UnsupportedKernelError,
+    ValidationError,
+    branching_matrix,
+)
+from hawkeskit.data import Corpus
+from hawkeskit.learn import fit_mle
+
+KERNELS = {
+    "exp": ExponentialKernel(decay=1.3),
+    "basis": GaussianBasisKernel(centers=np.array([0.0, 0.8, 2.5]), bandwidth=0.6, support=3.5),
+    "grid": DiscretizedKernel(dt=0.5, n_lags=6),
+}
+IDS = list(KERNELS)
+
+
+def _kernel(name):
+    return KERNELS[name]
+
+
+def _breakpoints(kern, lag):
+    # densities jump at the support and the grid's at every bin edge too;
+    # quad needs to know where
+    if math.isinf(kern.support):
+        return None
+    step = getattr(kern, "dt", kern.support)
+    edges = np.arange(step, kern.support + step / 2, step)
+    return [float(e) for e in edges if e < lag] or None
+
+
+def _coeffs(kern, D=3, seed=0):
+    return np.random.default_rng(seed).uniform(0.0, 0.2, size=(kern.n_components, D, D))
+
+
+def _lags(kern, n=400, seed=1):
+    top = 8.0 if math.isinf(kern.support) else 1.3 * kern.support
+    lags = np.random.default_rng(seed).uniform(0.0, top, n)
+    # plus the exact lags where a kernel switches: bin edges and the support
+    step = getattr(kern, "dt", kern.support)
+    edges = [] if math.isinf(step) else np.arange(0.0, kern.support + step / 2, step)
+    return np.concatenate([[0.0], edges, lags])
+
+
+@pytest.mark.parametrize("name", IDS)
+def test_shapes_and_support(name):
+    kern = _kernel(name)
+    lags = _lags(kern).reshape(-1, 1)
+    C = kern.n_components
+    assert kern.density(lags).shape == (C,) + lags.shape
+    assert kern.mass(lags).shape == (C,) + lags.shape
+    if name == "exp":
+        assert C == 1 and kern.support == math.inf
+    else:
+        assert np.all(kern.density(np.array([kern.support, 2 * kern.support])) == 0.0)
+
+
+@pytest.mark.parametrize("name", IDS)
+def test_mass_is_the_integral_of_density(name):
+    kern = _kernel(name)
+    for lag in (0.3, 1.1, 2.75, 3.2, 6.0):
+        got = kern.mass(np.array(lag))
+        for c in range(kern.n_components):
+            ref, _ = quad(
+                lambda x: float(kern.density(np.array(x))[c]), 0.0, lag,
+                points=_breakpoints(kern, lag), limit=200, epsabs=1e-13,
+            )
+            assert got[c] == pytest.approx(ref, abs=1e-9), (lag, c)
+
+
+@pytest.mark.parametrize("name", IDS)
+def test_mass_at_infinity_gives_the_branching_totals(name):
+    kern = _kernel(name)
+    totals = kern.mass(np.inf)
+    expected = {"exp": [1.0], "basis": [1.0, 1.0, 1.0], "grid": [0.5] * 6}[name]
+    np.testing.assert_allclose(totals, expected, rtol=1e-15)
+    coeffs = _coeffs(kern, D=2)
+    A = coeffs[0] if name == "exp" else coeffs
+    model = HawkesModel(mu=np.array([0.1, 0.2]), kernel=kern, A=A)
+    np.testing.assert_allclose(
+        branching_matrix(model), np.einsum("c,cvu->vu", totals, coeffs), rtol=1e-14
+    )
+
+
+@pytest.mark.parametrize("name", IDS)
+def test_values_and_integrals_expand_over_components(name):
+    kern = _kernel(name)
+    D = 3
+    coeffs = _coeffs(kern, D)
+    lags = _lags(kern)
+    rng = np.random.default_rng(2)
+    v, u = rng.integers(0, D, lags.size), rng.integers(0, D, lags.size)
+    dens, mass = kern.density(lags), kern.mass(lags)
+    np.testing.assert_allclose(
+        kern.values(coeffs, lags, v, u), (dens * coeffs[:, v, u]).sum(axis=0),
+        rtol=1e-12, atol=1e-15,
+    )
+    np.testing.assert_allclose(
+        kern.integrals(coeffs, lags, v, u), (mass * coeffs[:, v, u]).sum(axis=0),
+        rtol=1e-12, atol=1e-15,
+    )
+    # one lag per row against every target at once
+    dims = np.arange(D)
+    full = kern.values(coeffs, lags[:, None], v[:, None], dims)
+    assert full.shape == (lags.size, D)
+    np.testing.assert_allclose(full[np.arange(lags.size), u], kern.values(coeffs, lags, v, u))
+
+
+@pytest.mark.parametrize("name", IDS)
+def test_quantile_samples_the_truncated_component(name):
+    kern = _kernel(name)
+    n = 4000
+    uppers = [0.7, np.inf] if name == "exp" else [0.6 * kern.support, np.inf]
+    rng = np.random.default_rng(3)
+    for upper in uppers:
+        total = kern.mass(np.array(upper))
+        for c in range(kern.n_components):
+            if total[c] <= 0.0:
+                continue  # a grid bin that starts past upper has nothing to draw
+            x = kern.quantile(np.full(n, c), rng.random(n), np.full(n, upper))
+            assert np.all((x >= 0.0) & (x <= upper)), (upper, c)
+            cdf = np.sort(kern.mass(x)[c] / total[c])
+            grid = np.arange(1, n + 1) / n
+            ks = max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n)))
+            assert ks < 1.63 / math.sqrt(n), (upper, c, ks)  # 1% level
+
+
+def test_coeffs_is_a_read_only_component_view():
+    exp = HawkesModel(np.array([0.1, 0.2]), KERNELS["exp"], np.array([[0.1, 0.2], [0.3, 0.1]]))
+    assert exp.coeffs.shape == (1, 2, 2) and np.shares_memory(exp.coeffs, exp.A)
+    assert not exp.coeffs.flags.writeable
+    grid = HawkesModel(np.array([0.1]), KERNELS["grid"], np.full((6, 1, 1), 0.1))
+    assert grid.coeffs.shape == (6, 1, 1)
+
+
+def test_unknown_kernel_is_a_named_error():
+    with pytest.raises(UnsupportedKernelError) as info:
+        HawkesModel(np.array([0.1]), kernel=object(), A=np.zeros((1, 1)))
+    assert isinstance(info.value, ValidationError)  # the CLI maps it to exit 2
+    seq = EventSequence(np.array([1.0, 2.0]), np.array([0, 0]), 0.0, 3.0, 1)
+    with pytest.raises(UnsupportedKernelError):
+        fit_mle(Corpus((seq,), 1), object())

@@ -291,6 +291,25 @@ class TestGridLearner:
         assert "clamp_count" in rep.details
         assert rep.details["clamp_count"] >= 0
 
+    def test_direct_em_on_grid_kernel_matches_unsmoothed_grid_learner(self):
+        kernel = DiscretizedKernel(dt=0.5, n_lags=6)
+        steps = np.array([0.4, 0.3, 0.2, 0.1, 0.05, 0.0])
+        truth = HawkesModel(
+            mu=np.array([0.3, 0.2]), kernel=kernel,
+            A=steps[:, None, None] * np.array([[0.8, 0.3], [0.2, 0.6]]),
+        )
+        corpus = sim_corpus(truth, 200.0, 3, seed=5)
+        # with tol=1e-300 only an exactly repeated objective stops a run early
+        direct = fit_mle(corpus, kernel, LearnConfig(max_iters=3000, tol=1e-300))
+        smooth = fit_mle_ode(corpus, 0.5, 6, LearnConfig(max_iters=300, tol=1e-300), alpha=0.0)
+        assert monotone(direct.objective_trace)
+        assert direct.model.kernel == kernel and direct.model.A.shape == (6, 2, 2)
+        # both maximize the same likelihood over the same step values
+        assert direct.objective_trace[-1] == pytest.approx(smooth.objective_trace[-1], rel=1e-10)
+        scale = float(np.abs(smooth.model.A).max())
+        assert np.allclose(direct.model.A, smooth.model.A, rtol=0.0, atol=1e-4 * scale)
+        assert np.allclose(direct.model.mu, smooth.model.mu, rtol=1e-4)
+
 
 class TestLeastSquares:
     def test_duplicating_corpus_changes_nothing(self):
