@@ -597,9 +597,11 @@ def fit_tvhp(
     """EM for node infectivities with a squared-difference drift penalty.
 
     Each event's excitation evidence lands on the two grid nodes bracketing
-    its PARENT's time with linear weights; node updates solve small chain
-    systems by damped Newton, keeping the penalized objective nonincreasing.
-    Large beta ties all nodes together and recovers the stationary fit.
+    its PARENT's time with linear weights; node updates solve the chain
+    systems of every source/target pair by one batched projected Newton
+    (``_Roughness``), keeping the penalized objective nonincreasing, and
+    ``details`` carries its counters.  Large beta ties all nodes together
+    and recovers the stationary fit.
     """
     cfg = cfg or LearnConfig()
     if cfg.penalty.kind != "none":
@@ -623,7 +625,7 @@ def fit_tvhp(
         converged=converged,
         iterations=len(trace) - 1,
         wall_time=time.perf_counter() - start,
-        details={"clamp_count": smooth.clamps, "beta": beta},
+        details={**smooth.counters(), "beta": beta},
     )
 
 

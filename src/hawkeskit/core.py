@@ -12,10 +12,10 @@ expansions, and step functions on a fixed lag grid.
 
 Each kernel is a sum of ``C = n_components`` fixed components, weighted by
 the model's coefficients ``coeffs[c, v, u]``.  At lags >= 0 it provides the
-per-component ``density(lags)`` and ``mass(lags)`` (integral over
-``[0, lag]``; ``mass(inf)`` is the total), each of shape ``(C,) +
+per-component ``density(lags)`` and ``mass(lags, start=0)`` (integral over
+``[start, lag]``; ``mass(inf)`` is the total), each of shape ``(C,) +
 lags.shape``; their contractions with the coefficients, ``values(coeffs,
-lags, v, u)`` and ``integrals(coeffs, lags, v, u)``; its ``support``
+lags, v, u)`` and ``integrals(coeffs, lags, v, u, start=0)``; its ``support``
 (``inf`` for the exponential kernel); ``quantile(comp, u01, upper)`` for the
 branch sampler; and, for finite support, ``thinning_bound(coeffs)``.  Every
 primitive below uses only these, apart from one specialisation: the
@@ -177,10 +177,10 @@ class _ComponentKernel:
         lags, v, u = np.broadcast_arrays(lags, v, u)
         return (self.density(lags) * coeffs[:, v, u]).sum(axis=0)
 
-    def integrals(self, coeffs, lags, v, u) -> np.ndarray:
-        """``sum_c coeffs[c, v, u] * mass_c(lag)``; lags, v and u broadcast."""
+    def integrals(self, coeffs, lags, v, u, start=0.0) -> np.ndarray:
+        """``sum_c coeffs[c, v, u] * mass_c`` over ``[start, lag]``; all broadcast."""
         lags, v, u = np.broadcast_arrays(lags, v, u)
-        return (self.mass(lags) * coeffs[:, v, u]).sum(axis=0)
+        return (self.mass(lags, start) * coeffs[:, v, u]).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -204,9 +204,14 @@ class ExponentialKernel(_ComponentKernel):
         """Density at lags >= 0, shape ``(1,) + lags.shape``."""
         return self.decay * np.exp(-self.decay * np.asarray(lags, dtype=np.float64))[None]
 
-    def mass(self, lags) -> np.ndarray:
-        """Integral over ``[0, lag]`` for lags >= 0, shape ``(1,) + lags.shape``."""
-        return 1.0 - np.exp(-self.decay * np.asarray(lags, dtype=np.float64))[None]
+    def mass(self, lags, start=0.0) -> np.ndarray:
+        """Integral over ``[start, lag]``, 0 <= start <= lag; shape ``(1,) + lags.shape``.
+
+        A difference of the two tail masses, so a window far out in the
+        decay keeps its relative precision.
+        """
+        lags = np.asarray(lags, dtype=np.float64)
+        return (np.exp(-self.decay * np.asarray(start)) - np.exp(-self.decay * lags))[None]
 
     def quantile(self, comp, u01, upper) -> np.ndarray:
         """Lags whose mass is ``u01`` times the mass of ``[0, upper]``."""
@@ -263,14 +268,13 @@ class GaussianBasisKernel(_ComponentKernel):
         inside = (lags >= 0) & (lags < self.support)
         return np.where(inside[None, ...], vals, 0.0)
 
-    def mass(self, lags) -> np.ndarray:
-        """Per-basis integral over ``[0, lag]``, clipped to the support."""
+    def mass(self, lags, start=0.0) -> np.ndarray:
+        """Per-basis integral over ``[start, lag]``, clipped to the support."""
         lags = np.asarray(lags, dtype=np.float64)
         s = self.bandwidth
-        clipped = np.clip(lags, 0.0, self.support)
         c = self.centers.reshape((-1,) + (1,) * lags.ndim)
-        hi = ndtr((clipped[None, ...] - c) / s)
-        lo = ndtr(-c / s)
+        hi = ndtr((np.clip(lags, 0.0, self.support)[None, ...] - c) / s)
+        lo = ndtr((np.clip(start, 0.0, self.support) - c) / s)
         return (hi - lo) / self._norms.reshape((-1,) + (1,) * lags.ndim)
 
     def quantile(self, comp, u01, upper) -> np.ndarray:
@@ -343,11 +347,13 @@ class DiscretizedKernel:
         q = np.floor(np.divide(lags, self.dt))
         return np.equal.outer(np.arange(self.n_lags), q).astype(np.float64)
 
-    def mass(self, lags) -> np.ndarray:
-        """Width of each bin inside ``[0, lag]``, shape ``(L,) + lags.shape``."""
+    def mass(self, lags, start=0.0) -> np.ndarray:
+        """Width of each bin inside ``[start, lag]``, shape ``(L,) + lags.shape``."""
         lags = np.asarray(lags, dtype=np.float64)
         starts = (np.arange(self.n_lags) * self.dt).reshape((-1,) + (1,) * lags.ndim)
-        return np.clip(lags[None, ...] - starts, 0.0, self.dt)
+        return np.clip(lags[None, ...] - starts, 0.0, self.dt) - np.clip(
+            start - starts, 0.0, self.dt
+        )
 
     def values(self, coeffs, lags, v, u) -> np.ndarray:
         """Step value ``coeffs[floor(lag / dt), v, u]``, zero past the grid."""
@@ -355,13 +361,18 @@ class DiscretizedKernel:
         k = np.minimum(q, self.n_lags - 1).astype(np.int64)
         return coeffs[k, v, u] * (q < self.n_lags)
 
-    def integrals(self, coeffs, lags, v, u) -> np.ndarray:
-        """Step-function area over ``[0, lag]``: whole bins, then a partial one."""
-        x = np.clip(np.asarray(lags, dtype=np.float64), 0.0, self.support)
-        k = np.minimum((x / self.dt).astype(np.int64), self.n_lags - 1)
+    def integrals(self, coeffs, lags, v, u, start=0.0) -> np.ndarray:
+        """Step-function area over ``[start, lag]``: the area up to each end,
+        whole bins then a partial one, differenced."""
         zero = np.zeros((1,) + coeffs.shape[1:])
         area = np.concatenate([zero, np.cumsum(coeffs, axis=0) * self.dt])
-        return area[k, v, u] + coeffs[k, v, u] * (x - k * self.dt)
+
+        def upto(lags):
+            x = np.clip(np.asarray(lags, dtype=np.float64), 0.0, self.support)
+            k = np.minimum((x / self.dt).astype(np.int64), self.n_lags - 1)
+            return area[k, v, u] + coeffs[k, v, u] * (x - k * self.dt)
+
+        return upto(lags) - upto(start) if np.any(start) else upto(lags)
 
     def quantile(self, comp, u01, upper) -> np.ndarray:
         """Uniform lags on the part of bin ``comp`` inside ``[0, upper]``."""
@@ -537,9 +548,8 @@ def compensator(
     cut = np.searchsorted(seq.times, t1, side="left")
     ti = seq.times[:cut]
     vs = seq.marks[:cut]
-    ends = np.stack([t1 - ti, np.maximum(t0 - ti, 0.0)])  # lags at t1 and t0
-    hi, lo = model.kernel.integrals(model.coeffs, ends, vs, u)
-    return float(model.mu[u]) * (t1 - t0) + float((hi - lo).sum())
+    spent = model.kernel.integrals(model.coeffs, t1 - ti, vs, u, start=np.maximum(t0 - ti, 0.0))
+    return float(model.mu[u]) * (t1 - t0) + float(spent.sum())
 
 
 def window_compensator(model: HawkesModel, seq: EventSequence) -> np.ndarray:
@@ -608,14 +618,14 @@ def exp_excitation_states(
 def kernel_lag_averages(model: HawkesModel, dt: float, n_lags: int) -> np.ndarray:
     """Average kernel value on each lag bin [k*dt, (k+1)*dt); shape (L, D, D).
 
-    Exact (mass differences over bin width), so comparing a fitted step
+    Exact (each bin's mass over its width), so comparing a fitted step
     kernel against a smooth reference carries no within-bin sampling bias.
     """
     if dt <= 0 or n_lags < 1:
         raise ValidationError("need dt > 0 and n_lags >= 1")
     dims = np.arange(model.dim)
     edges, v, u = np.ix_(np.arange(n_lags + 1) * dt, dims, dims)
-    return np.diff(model.kernel.integrals(model.coeffs, edges, v, u), axis=0) / dt
+    return model.kernel.integrals(model.coeffs, edges[1:], v, u, start=edges[:-1]) / dt
 
 
 def _pair_arrays(

@@ -164,6 +164,22 @@ class TestFit:
         assert rc == 0
         assert isinstance(load_model(out).kernel, DiscretizedKernel)
 
+    def test_mle_ode_report_carries_newton_counters(self, corpus_file, tmp_path):
+        reports = []
+        report = tmp_path / "r.json"
+        for _ in range(2):
+            rc = main(["fit", "--data", corpus_file, "--learner", "mle-ode",
+                       "--kernel", "grid", "--dt", "0.5", "--n-lags", "8",
+                       "--max-iters", "30", "--out", str(tmp_path / "m.json"),
+                       "--report", str(report)])
+            assert rc == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+        details = json.loads(reports[0])["details"]
+        assert details["newton_steps"] > 0
+        assert details["objective_evals"] >= details["newton_steps"]
+        assert details["clamp_count"] >= 0
+
     def test_incompatible_learner_kernel_pair_exits_2_with_guidance(
         self, corpus_file, tmp_path, capsys
     ):

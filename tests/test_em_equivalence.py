@@ -10,14 +10,15 @@ recorded array (entries that a penalty drives towards zero carry no
 relative precision of their own).
 
 RTOL is 1e-12, except for the two learners whose M-step is the projected
-Newton solve of ``_penalized_newton``.  That solve stops at the first step
-that lowers its objective by less than 1e-15 of its value, so whether a
-last, tiny step is taken can flip on a one-ulp change of its inputs, and
-the step moves the solution by up to about 1e-7 relative.  Any change of
-summation order upstream therefore moves these fits by that much: the
-recorded learners themselves, run on the same corpus with its sequences in
-reverse order, differ from their own golden values by up to 3e-10 in the
-trace and 1e-9 in ``A``.  Those two cases use NEWTON_RTOL.
+Newton solve of ``_Roughness``.  That solve accepts a step only if it lowers
+a column's objective by more than 1e-15 of its value, and stops a column
+whose predicted decrease is within that margin, so whether a last, tiny
+step is taken can flip on a one-ulp change of its inputs, and the step
+moves the solution by up to about 1e-7 relative.  Any change of summation
+order upstream therefore moves these fits by that much: the recorded
+learners themselves, run on the same corpus with its sequences in reverse
+order, differ from their own golden values by up to 3e-10 in the trace and
+1e-9 in ``A``.  Those two cases use NEWTON_RTOL.
 
 Rewrite the file only on purpose, from a checkout whose learners are the
 reference: ``PYTHONPATH=src python tests/test_em_equivalence.py --write``.

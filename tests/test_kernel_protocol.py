@@ -2,7 +2,8 @@
 
 Each kernel is a sum of ``n_components`` fixed components.  These tests pin
 each member against its definition: ``mass`` is the integral of
-``density``, ``mass(inf)`` gives the totals behind ``branching_matrix``, the
+``density`` (and ``mass(lag, start)`` its integral from ``start``),
+``mass(inf)`` gives the totals behind ``branching_matrix``, the
 contracted ``values`` and ``integrals`` equal the component expansion (for
 the grid kernel this checks its bin lookup and cumulative areas against its
 own indicator basis), and ``quantile`` samples a component's mass on
@@ -24,6 +25,8 @@ from hawkeskit.core import (
     UnsupportedKernelError,
     ValidationError,
     branching_matrix,
+    compensator,
+    kernel_lag_averages,
 )
 from hawkeskit.data import Corpus
 from hawkeskit.learn import fit_mle
@@ -125,6 +128,45 @@ def test_values_and_integrals_expand_over_components(name):
     full = kern.values(coeffs, lags[:, None], v[:, None], dims)
     assert full.shape == (lags.size, D)
     np.testing.assert_allclose(full[np.arange(lags.size), u], kern.values(coeffs, lags, v, u))
+
+
+@pytest.mark.parametrize("name", IDS)
+def test_mass_and_integrals_from_a_start(name):
+    kern = _kernel(name)
+    D = 3
+    coeffs = _coeffs(kern, D)
+    lags = _lags(kern)
+    rng = np.random.default_rng(3)
+    start = lags * rng.uniform(0.0, 1.0, lags.size)
+    start[:5] = lags[:5]  # empty windows
+    v, u = rng.integers(0, D, lags.size), rng.integers(0, D, lags.size)
+    np.testing.assert_allclose(
+        kern.mass(lags, start), kern.mass(lags) - kern.mass(start), rtol=1e-12, atol=1e-15
+    )
+    np.testing.assert_allclose(
+        kern.integrals(coeffs, lags, v, u, start=start),
+        kern.integrals(coeffs, lags, v, u) - kern.integrals(coeffs, start, v, u),
+        rtol=1e-12, atol=1e-15,
+    )
+    assert np.all(kern.mass(lags[:5], start[:5]) == 0.0)
+    # a zero start is the mass from zero, to the bit
+    assert np.array_equal(kern.mass(lags, 0.0), kern.mass(lags))
+    assert np.array_equal(kern.integrals(coeffs, lags, v, u, start=np.zeros_like(lags)),
+                          kern.integrals(coeffs, lags, v, u))
+
+
+def test_exponential_windows_far_into_the_decay_keep_relative_precision():
+    # one-bin windows [k, k+1] up to lag * decay = 38, where 1 - mass is
+    # below the spacing of doubles near 1
+    decay, dt, L = 1.0, 1.0, 39
+    model = HawkesModel(mu=np.array([0.0]), kernel=ExponentialKernel(decay), A=np.array([[0.5]]))
+    k = np.arange(L)
+    want = 0.5 * np.exp(-decay * k * dt) * -np.expm1(-decay * dt) / dt
+    avg = kernel_lag_averages(model, dt, L)[:, 0, 0]
+    np.testing.assert_allclose(avg, want, rtol=1e-12, atol=0.0)
+    seq = EventSequence(np.array([0.0]), np.array([0]), 0.0, 100.0, 1, "s")
+    comp = [compensator(model, seq, 0, float(a), float(a + dt)) for a in k]
+    np.testing.assert_allclose(comp, want * dt, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("name", IDS)
