@@ -12,7 +12,9 @@ Exit codes: 0 success, 2 usage or input validation, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
 
@@ -397,18 +399,33 @@ def _node_labels(corpus: Corpus) -> list[str] | None:
     return inverse
 
 
-def _write_intensity_csv(model: HawkesModel, corpus: Corpus, step: float, path: str):
+def _write_intensity_csv(
+    model: HawkesModel, corpus: Corpus, step: float, path: str, max_points: int
+):
+    """Sample every dimension's intensity every ``step`` over each sequence's window.
+
+    A grid longer than ``max_points`` per sequence is refused before any
+    sampling, as the simulators refuse more than ``max_events`` events.
+    """
+    if not math.isfinite(step):
+        raise ValidationError(f"--intensity-grid must be finite, got {step}")
     if step <= 0:
         raise ValidationError(f"--intensity-grid must be > 0, got {step}")
-    lines = ["seq_id,t,u,lambda"]
-    for seq in corpus:
-        n_steps = int(np.floor((seq.t_end - seq.t_start) / step + 1e-9))
-        ts = seq.t_start + step * np.arange(n_steps + 1)
+    # float counts, so a step tiny enough to overflow still compares
+    counts = [np.floor(seq.duration / step + 1e-9) + 1 for seq in corpus]
+    if counts and max(counts) > max_points:
+        raise ValidationError(
+            f"--intensity-grid {step!r} gives {max(counts):.4g} points per sequence, "
+            f"more than --max-events={max_points}"
+        )
+    # one format call per grid time writes its D rows
+    row = "".join(f"{{0}},{{1!r}},{u},{{{u + 2}!r}}\n" for u in range(model.dim))
+    text = ["seq_id,t,u,lambda\n"]
+    for seq, count in zip(corpus, counts):
+        ts = seq.t_start + step * np.arange(int(count))
         prof = intensity_profile(model, seq, ts)
-        for i, t in enumerate(ts):
-            for u in range(model.dim):
-                lines.append(f"{seq.id},{float(t)!r},{u},{float(prof[i, u])!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        text.extend(map(row.format, itertools.repeat(seq.id), ts.tolist(), *prof.T.tolist()))
+    atomic_write_text(path, "".join(text))
 
 
 def _cmd_simulate(r: dict) -> int:
@@ -425,10 +442,11 @@ def _cmd_simulate(r: dict) -> int:
         max_events=r["max_events"],
     )
     corpus = _METHODS[r["method"]](cfg)
-    save_corpus(corpus, r["out"])
+    # the grid first, so a refused grid leaves no corpus behind either
     if r["intensity_grid"] is not None:
         out = r["intensity_out"] or r["out"] + ".intensity.csv"
-        _write_intensity_csv(model, corpus, float(r["intensity_grid"]), out)
+        _write_intensity_csv(model, corpus, float(r["intensity_grid"]), out, cfg.max_events)
+    save_corpus(corpus, r["out"])
     return 0
 
 
@@ -628,9 +646,10 @@ def run_demo(out_dir: str, seed: int, config_echo: dict | None = None) -> dict:
     save_model(truth, join("truth_model.json"))
 
     # (a) one path plus its intensity samples
-    show = simulate_branch(SimConfig(truth, t_end=40.0, n_sequences=1, rng_seed=seed))
+    show_cfg = SimConfig(truth, t_end=40.0, n_sequences=1, rng_seed=seed)
+    show = simulate_branch(show_cfg)
     save_corpus(show, join("demo_path.json"))
-    _write_intensity_csv(truth, show, 0.25, join("intensity.csv"))
+    _write_intensity_csv(truth, show, 0.25, join("intensity.csv"), show_cfg.max_events)
 
     # (b) simulator scaling table (timings pinned for byte-stable output)
     rows = benchmark_simulators(

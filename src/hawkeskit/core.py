@@ -20,7 +20,8 @@ lags, v, u)`` and ``integrals(coeffs, lags, v, u, start=0)``; its ``support``
 branch sampler; and, for finite support, ``thinning_bound(coeffs)``.  Every
 primitive below uses only these, apart from one specialisation: the
 exponential kernel's O(n) recursion over decayed excitation states
-(``exp_weighted_excitation``) replaces pair sums over a whole sequence.
+(``exp_weighted_excitation``) replaces pair sums over a whole sequence or
+query grid.
 """
 
 from __future__ import annotations
@@ -524,13 +525,30 @@ def intensity(model: HawkesModel, seq: EventSequence, u: int, t: float) -> float
 def intensity_profile(
     model: HawkesModel, seq: EventSequence, ts: np.ndarray
 ) -> np.ndarray:
-    """Intensities of all dimensions at the query times; shape (len(ts), D)."""
+    """Intensities of all dimensions at the query times; shape (len(ts), D).
+
+    Queries may come in any order.  O((n + q) log(n + q)) for exponential
+    kernels, O(q + pairs within the support) for basis and grid kernels.
+    """
     _check_dims(model, seq)
     ts = np.asarray(ts, dtype=np.float64)
     if not np.all(np.isfinite(ts)):
         raise ValidationError("query times must be finite")
-    src, q = _pair_arrays(seq.times, model.kernel.support, ts)
-    dens = model.kernel.density(ts[q] - seq.times[src])
+    kern = model.kernel
+    if isinstance(kern, ExponentialKernel):
+        # queries join the event timeline with zero weight; the recursion's
+        # strict past keeps events tied with a query out of its intensity
+        n = len(seq)
+        merged = np.concatenate([seq.times, ts])
+        order = np.argsort(merged, kind="stable")
+        weights = np.zeros((merged.size, model.dim))
+        weights[np.arange(n), seq.marks] = 1.0
+        R = exp_weighted_excitation(merged[order], weights[order], kern.decay)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return model.mu + R[rank[n:]] @ model.A
+    src, q = _pair_arrays(seq.times, kern.support, ts)
+    dens = kern.density(ts[q] - seq.times[src])
     S = _pair_sums(dens, q, seq.marks[src], ts.size, model.dim)  # (C, len(ts), D)
     return model.mu + np.matmul(S, model.coeffs).sum(axis=0)
 
@@ -720,7 +738,10 @@ def log_likelihood(model: HawkesModel, seq: EventSequence) -> float:
     """Log-likelihood of the sequence under the model.
 
     Returns ``-inf`` (as a sentinel, not an error) when some event has zero
-    intensity under the model.
+    intensity under the model.  The learners' objectives (``fit_mle`` and the
+    EM loop it shares, ``exp_nll_and_grad``) floor each event's intensity at
+    1e-300 instead, so there the same event costs ``log(1e-300)`` (about
+    -690.8) and the objective stays finite.
     """
     _check_dims(model, seq)
     lam = event_intensities(model, seq)

@@ -8,13 +8,14 @@ splitting, subsampling, stitching, and event thinning.
 from __future__ import annotations
 
 import csv
+import json
 import warnings
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 import numpy as np
 
-from ._util import dump_json, load_json, make_rng
+from ._util import atomic_write_text, dump_json, load_json, make_rng
 from .core import (
     DiscretizedKernel,
     EventSequence,
@@ -207,21 +208,49 @@ def load_csv(
     return Corpus(tuple(seqs), d, label_map)
 
 
+# indent-2 layout of one [time, mark] pair inside a sequence's "events" list
+_EVENT_SEP = "\n        ],\n        [\n          "
+_TIME_MARK_SEP = ",\n          "
+
+
+def _events_json(s: EventSequence) -> str:
+    """The sequence's ``"events"`` value as ``json.dumps(..., indent=2)`` lays it out.
+
+    Finite floats encode as their ``repr`` and integers as ``str``, exactly
+    as ``json`` does; the join runs over the whole columns at once.
+    """
+    if not len(s):
+        return "[]"
+    times, marks = map(repr, s.times.tolist()), map(str, s.marks.tolist())
+    pairs = map(_TIME_MARK_SEP.join, zip(times, marks))
+    return "[\n        [\n          " + _EVENT_SEP.join(pairs) + "\n        ]\n      ]"
+
+
+def _sequence_json(s: EventSequence) -> str:
+    return (
+        "    {\n"
+        f'      "id": {json.dumps(s.id)},\n'
+        f'      "t_start": {json.dumps(s.t_start)},\n'
+        f'      "t_end": {json.dumps(s.t_end)},\n'
+        f'      "events": {_events_json(s)}\n'
+        "    }"
+    )
+
+
 def save_corpus(corpus: Corpus, path: str) -> None:
-    doc = {
-        "dim": corpus.dim,
-        "label_map": corpus.label_map,
-        "sequences": [
-            {
-                "id": s.id,
-                "t_start": s.t_start,
-                "t_end": s.t_end,
-                "events": [[float(t), int(m)] for t, m in zip(s.times, s.marks)],
-            }
-            for s in corpus.sequences
-        ],
-    }
-    dump_json(doc, path)
+    """Write the corpus as JSON, byte for byte ``json.dumps(doc, indent=2) + "\\n"``.
+
+    The header goes through ``json`` (so ids and label names escape as it
+    escapes them); the event arrays, nearly all of the bytes, are joined
+    from their columns instead of walking the pure-Python indent encoder.
+    """
+    # the header object ends in "\n}"; the sequences go in before that brace
+    head = json.dumps({"dim": corpus.dim, "label_map": corpus.label_map}, indent=2)
+    if corpus.sequences:
+        body = "[\n" + ",\n".join(map(_sequence_json, corpus.sequences)) + "\n  ]"
+    else:
+        body = "[]"
+    atomic_write_text(path, f'{head[:-2]},\n  "sequences": {body}\n}}\n')
 
 
 def load_corpus(path: str) -> Corpus:

@@ -420,6 +420,10 @@ def fit_mle(
     ``weights`` are optional per-sequence multiplicities (used by mixture
     clustering); ``init`` may carry (mu0, A0) to warm-start, with A0 in the
     fitted model's layout, e.g. a previous fit's ``model.mu`` and ``model.A``.
+
+    The objective floors each event's intensity at 1e-300, so an event with
+    zero intensity adds ``-log(1e-300)`` (about 690.8) to the negative
+    log-likelihood; ``core.log_likelihood`` returns ``-inf`` for it.
     """
     cfg = cfg or LearnConfig()
     start = time.perf_counter()

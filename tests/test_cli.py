@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,23 @@ class TestSimulate:
         assert len(rows) == 21 * 2
         lam = np.array([float(r[3]) for r in rows])
         assert np.all(lam >= 0.3 - 1e-12)  # never below the smaller baseline
+
+    @pytest.mark.parametrize(
+        "step,reason",
+        [("nan", "must be finite"), ("inf", "must be finite"), ("1e-300", "--max-events")],
+    )
+    def test_bad_intensity_grid_exits_2_and_writes_nothing(
+        self, model_file, tmp_path, capsys, step, reason
+    ):
+        out = str(tmp_path / "c.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way to the message
+            rc = main(["simulate", "--model", model_file, "--t-end", "10", "--seed", "4",
+                       "--out", out, "--intensity-grid", step])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--intensity-grid" in err and reason in err
+        assert os.listdir(tmp_path) == []
 
     def test_missing_model_file_exits_2(self, tmp_path):
         rc = main(["simulate", "--model", str(tmp_path / "nope.json"),

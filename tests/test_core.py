@@ -31,8 +31,8 @@ from hawkeskit.core import (
     window_compensator,
 )
 from hawkeskit.analyze import DistanceParams
-from hawkeskit.data import load_corpus
-from hawkeskit.learn import LearnConfig, Penalty
+from hawkeskit.data import Corpus, load_corpus
+from hawkeskit.learn import LearnConfig, Penalty, exp_nll_and_grad
 from hawkeskit.simulate import SimConfig
 
 
@@ -362,6 +362,58 @@ class TestDecayedPrefixSums:
         assert got[1, 0] == pytest.approx(0.0, abs=1e-300)
 
 
+class TestExpIntensityProfile:
+    """The merged-timeline recursion against a direct sum over (query, past event) pairs."""
+
+    DECAY = 1.5
+
+    def model(self):
+        return HawkesModel(
+            np.array([0.01, 0.02, 0.005]),
+            ExponentialKernel(self.DECAY),
+            np.array([[0.3, 0.1, 0.0], [0.2, 0.25, 0.05], [0.0, 0.4, 0.1]]),
+        )
+
+    def reference(self, model, seq, ts):
+        out = np.tile(model.mu, (len(ts), 1))
+        for i, t in enumerate(ts):
+            past = seq.times < t
+            dens = self.DECAY * np.exp(-self.DECAY * (t - seq.times[past]))
+            out[i] += dens @ model.A[seq.marks[past]]
+        return out
+
+    def sequence(self):
+        # a burst, a gap longer than the recursion's 200/decay block span, a tie
+        times = np.array([0.5, 1.0, 1.0, 1.75, 3.0, 400.0, 400.0, 400.25])
+        marks = np.array([0, 2, 1, 0, 1, 2, 0, 1])
+        return EventSequence(times, marks, 0.0, 700.0, 3)
+
+    @pytest.mark.parametrize(
+        "ts",
+        [
+            [3.5, 0.75, 400.5, 2.0, 1.25],  # unsorted
+            [1.0, 400.0, 0.5, 3.0, 400.25],  # tied with events
+            [0.0, 0.1, 0.49],  # before the first event
+            # more than one block span after an event, inside the gap and after the last
+            [3.0 + 201.0 / DECAY, 3.0 + 260.0 / DECAY, 399.9, 420.0, 400.25 + 201.0 / DECAY, 700.0],
+            [2.0, 2.0, 1.0, 1.0],  # repeated queries
+            [],
+        ],
+    )
+    def test_matches_pair_sum(self, ts):
+        model, seq = self.model(), self.sequence()
+        ts = np.array(ts, dtype=np.float64)
+        got = intensity_profile(model, seq, ts)
+        assert got.shape == (len(ts), 3)
+        np.testing.assert_allclose(got, self.reference(model, seq, ts), rtol=1e-13, atol=0)
+
+    def test_empty_sequence_gives_baseline(self):
+        model = self.model()
+        seq = EventSequence(np.empty(0), np.empty(0, dtype=np.int64), 0.0, 5.0, 3)
+        got = intensity_profile(model, seq, np.array([4.0, 0.0, 2.5]))
+        assert np.array_equal(got, np.tile(model.mu, (3, 1)))
+
+
 class TestValidation:
     def test_event_requires_nonnegative_fields(self):
         with pytest.raises(ValidationError):
@@ -453,6 +505,11 @@ class TestValidation:
             times=np.array([1.0]), marks=np.array([0]), t_start=0.0, t_end=2.0, dim=1
         )
         assert log_likelihood(model, seq) == float("-inf")
+        # the learners' objective floors the intensity at 1e-300 instead
+        with np.errstate(divide="ignore", invalid="ignore"):  # the gradient is undefined
+            nll, _, _ = exp_nll_and_grad(model, Corpus((seq,), 1))
+        expected = -math.log(1e-300) + float(window_compensator(model, seq).sum())
+        assert nll == pytest.approx(expected, rel=1e-12)
 
 
 @st.composite

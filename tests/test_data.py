@@ -72,6 +72,61 @@ class TestCorpusJson:
             load_corpus(str(p))
 
 
+def _reference_json(corpus):
+    """The corpus document as the stdlib encoder lays it out."""
+    doc = {
+        "dim": corpus.dim,
+        "label_map": corpus.label_map,
+        "sequences": [
+            {
+                "id": s.id,
+                "t_start": s.t_start,
+                "t_end": s.t_end,
+                "events": [[float(t), int(m)] for t, m in zip(s.times, s.marks)],
+            }
+            for s in corpus.sequences
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _seq(times, marks, dim=2, sid="s", t_start=0.0, t_end=10.0):
+    return EventSequence(np.array(times, dtype=np.float64), np.array(marks, dtype=np.int64),
+                         t_start, t_end, dim, sid)
+
+
+WRITER_CASES = {
+    "empty corpus": Corpus((), 3, None),
+    "empty sequence": Corpus((_seq([], []), _seq([1.5], [1], sid="t")), 2, None),
+    "label map": Corpus(
+        (_seq([0.25, 2.0], [0, 1]),), 2, {'say "hi"': 0, "über ☃\\": 1}
+    ),
+    "escaped ids": Corpus(
+        (_seq([1.0], [0], sid='a "q"\n\t\\'), _seq([2.0], [1], sid="é中\U0001f600")),
+        2, None,
+    ),
+    "integer t_start": Corpus((_seq([3.0, 4.5], [1, 0], t_start=0, t_end=7),), 2, None),
+    "extreme times": Corpus((_seq([0.0, 1e-300, 1e300], [0, 1, 0], t_end=1e300),), 2, None),
+    "simulated": make_corpus(n_seq=6, seed=3, dim=3),
+}
+
+
+class TestCorpusWriterBytes:
+    @pytest.mark.parametrize("name", sorted(WRITER_CASES))
+    def test_matches_stdlib_indent_2(self, name, tmp_path):
+        corpus = WRITER_CASES[name]
+        p = tmp_path / "c.json"
+        save_corpus(corpus, str(p))
+        assert p.read_bytes() == _reference_json(corpus).encode("utf-8")
+
+    @pytest.mark.parametrize("name", sorted(WRITER_CASES))
+    def test_load_then_save_reproduces_the_file(self, name, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_corpus(WRITER_CASES[name], str(first))
+        save_corpus(load_corpus(str(first)), str(second))
+        assert second.read_bytes() == first.read_bytes()
+
+
 class TestModelJson:
     @pytest.mark.parametrize(
         "kernel,A",
