@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from typing import Any
 
 import numpy as np
@@ -16,9 +15,14 @@ from numpy.random import PCG64, Generator, SeedSequence
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file + rename so readers never see partials."""
+    """Write text to path via a temp file + rename so readers never see partials.
+
+    The file gets the mode ``open(path, "w")`` would give: 0o666 less the
+    process umask, applied by the kernel at creation.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

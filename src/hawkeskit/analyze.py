@@ -79,14 +79,13 @@ def granger_graph(
 ) -> GrangerGraph:
     """Fit the configured learner and threshold the branching matrix.
 
-    Discretized templates go through the grid learner; continuous templates
+    Discretized templates go through the grid learner, which takes no
+    penalty (a penalized cfg raises ValidationError); continuous templates
     through direct EM with whatever penalty cfg carries.
     """
     if isinstance(kernel_template, DiscretizedKernel):
-        base = cfg or LearnConfig()
         report = fit_mle_ode(
-            corpus, kernel_template.dt, kernel_template.n_lags,
-            LearnConfig(base.max_iters, base.tol, rng_seed=base.rng_seed),
+            corpus, kernel_template.dt, kernel_template.n_lags, cfg
         )
     else:
         report = fit_mle(corpus, kernel_template, cfg)

@@ -616,6 +616,7 @@ def fit_mle_ode(
     cfg = cfg or LearnConfig()
     if cfg.penalty.kind != "none":
         raise ValidationError(
+            f"penalty {cfg.penalty.kind!r} is not supported on a grid kernel: "
             "fit_mle_ode uses curvature smoothing; structural penalties apply to fit_mle"
         )
     kernel = DiscretizedKernel(dt=dt, n_lags=n_lags)

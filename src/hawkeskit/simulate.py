@@ -6,9 +6,12 @@ Three samplers for the same model family:
   offspring generation by generation, each parent spawning children from its
   window-truncated kernel mass.  Requires a subcritical model.
 * ``simulate_ogata``: thinning against an adaptive upper bound on the total
-  intensity, refreshed after every proposal.  Works for every kernel.
+  intensity, refreshed after every proposal.  Works for every kernel; with
+  finite support the history lives in two arrays that grow by doubling.
 * ``simulate_exact_exp``: rejection-free interarrival inversion for
-  exponential kernels, using the Markov decay of the excitation state.
+  exponential kernels, using the Markov decay of the excitation state.  One
+  path for every dimension: O(D) plain-float work per event, randoms drawn
+  in (rows, D) blocks whose size doubles.
 
 All samplers derive one child seed per sequence from the config seed, so
 corpora are reproducible and sequences are independent.
@@ -16,6 +19,7 @@ corpora are reproducible and sequences are independent.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -151,11 +155,11 @@ def _ogata_one(model, T, rng, max_events, sid) -> EventSequence:
     mu = model.mu
     mu_total = float(mu.sum())
     kern = model.kernel
-    times: list[float] = []
-    marks: list[int] = []
     t = 0.0
 
     if isinstance(kern, ExponentialKernel):
+        times: list[float] = []
+        marks: list[int] = []
         omega = kern.decay
         R = np.zeros(D)  # per-source excitation state at current t
         AT = model.A.T  # (u, v) for fast lam = mu + AT @ R
@@ -192,14 +196,15 @@ def _ogata_one(model, T, rng, max_events, sid) -> EventSequence:
     coeffs = model.coeffs
     bound_contrib = kern.thinning_bound(coeffs)
 
-    ts_arr = np.empty(0)
-    ms_arr = np.empty(0, dtype=np.int64)
+    # history: the first n slots of two buffers that grow by doubling
+    ts_arr = np.empty(64)
+    ms_arr = np.empty(64, dtype=np.int64)
+    n = 0
     w0 = 0  # history window start: events older than `support` are spent
     while True:
-        n = ts_arr.size
         while w0 < n and ts_arr[w0] <= t - support:
             w0 += 1
-        lbar = mu_total + bound_contrib(t - ts_arr[w0:], ms_arr[w0:])
+        lbar = mu_total + bound_contrib(t - ts_arr[w0:n], ms_arr[w0:n])
         if lbar <= 0.0:
             break
         dt = rng.exponential(1.0 / lbar)
@@ -209,7 +214,7 @@ def _ogata_one(model, T, rng, max_events, sid) -> EventSequence:
         while w0 < n and ts_arr[w0] <= t_new - support:
             w0 += 1
         # intensities at t_new from the strict past inside the window
-        past = slice(w0, int(ts_arr.searchsorted(t_new)))
+        past = slice(w0, int(ts_arr[:n].searchsorted(t_new)))
         dens = kern.density(t_new - ts_arr[past])  # (C, W)
         lam = mu + dens.reshape(-1) @ coeffs[:, ms_arr[past], :].reshape(-1, D)
         total = float(lam.sum())
@@ -217,16 +222,16 @@ def _ogata_one(model, T, rng, max_events, sid) -> EventSequence:
         if v01 * lbar < total:
             u = int(np.searchsorted(np.cumsum(lam), v01 * lbar, side="right"))
             u = min(u, D - 1)
-            times.append(t_new)
-            marks.append(u)
-            ts_arr = np.array(times)
-            ms_arr = np.array(marks, dtype=np.int64)
-            if len(times) > max_events:
-                raise _overflow([ts_arr], [ms_arr], T, D, sid, max_events)
+            if n == ts_arr.size:
+                ts_arr = np.concatenate((ts_arr, np.empty_like(ts_arr)))
+                ms_arr = np.concatenate((ms_arr, np.empty_like(ms_arr)))
+            ts_arr[n] = t_new
+            ms_arr[n] = u
+            n += 1
+            if n > max_events:
+                raise _overflow([ts_arr[:n]], [ms_arr[:n]], T, D, sid, max_events)
         t = t_new
-    return EventSequence(
-        np.array(times), np.array(marks, dtype=np.int64), 0.0, T, D, sid
-    )
+    return EventSequence(ts_arr[:n].copy(), ms_arr[:n].copy(), 0.0, T, D, sid)
 
 
 def simulate_exact_exp(cfg: SimConfig) -> Corpus:
@@ -237,7 +242,10 @@ def simulate_exact_exp(cfg: SimConfig) -> Corpus:
     decaying-intensity survival function, which has a defect: with
     probability exp(-g_u / decay) the excitation never fires.  The earliest
     candidate across dimensions is the next event; the excitation state then
-    updates in O(D) with no history scan.
+    updates with no history scan.  One path serves every dimension: each
+    event costs O(D) plain-float work, and the randoms come in (rows, D)
+    blocks whose size doubles from 64 rows, so short paths draw little and
+    long ones make few numpy calls.
     """
     model = cfg.model
     if not isinstance(model.kernel, ExponentialKernel):
@@ -246,39 +254,54 @@ def simulate_exact_exp(cfg: SimConfig) -> Corpus:
             "use simulate_ogata or simulate_branch for other kernels"
         )
     rngs = spawn_rngs(cfg.rng_seed, cfg.n_sequences)
-    one = _exact_exp_one_scalar if model.dim == 1 else _exact_exp_one
     seqs = tuple(
-        one(model, cfg.t_end, rng, cfg.max_events, f"s{i}")
+        _exact_exp_one(model, cfg.t_end, rng, cfg.max_events, f"s{i}")
         for i, rng in enumerate(rngs)
     )
     return Corpus(seqs, model.dim)
 
 
+def _exact_exp_draws(rng, mu, omega):
+    """Per-event rows of (baseline waits, excitation thresholds).
+
+    A baseline wait is Exp(1) / mu[u] (infinite where mu[u] = 0).  The
+    excited part fires iff its threshold omega * Exp(1) is below the excited
+    intensity g[u]; that is the survival inversion u01 > exp(-g / omega) with
+    -log(u01) drawn as Exp(1).
+    """
+    pos = mu > 0
+    rate = np.where(pos, mu, 1.0)
+    rows = 64
+    while True:
+        e = rng.standard_exponential((2, rows, mu.size))
+        base = np.where(pos, e[0] / rate, np.inf)
+        yield from zip(base.tolist(), (omega * e[1]).tolist())
+        rows *= 2
+
+
 def _exact_exp_one(model, T, rng, max_events, sid) -> EventSequence:
     D = model.dim
-    omega = model.kernel.decay
-    mu = model.mu
-    mu_pos = mu > 0
-    safe_mu = np.where(mu_pos, mu, 1.0)
-    g = np.zeros(D)  # excited intensity per target dim
+    omega = float(model.kernel.decay)
+    jump = (omega * model.A).tolist()  # jump[u][v]: excitation an event in u adds to v
+    g = [0.0] * D  # excited intensity per target dim
     t = 0.0
     times: list[float] = []
     marks: list[int] = []
-    while True:
-        w_base = np.where(mu_pos, rng.exponential(1.0, D) / safe_mu, np.inf)
-        u01 = rng.random(D)
-        defect = np.exp(-g / omega)
-        live = u01 > defect
-        w_exc = np.full(D, np.inf)
-        if live.any():
-            w_exc[live] = -np.log1p(omega * np.log(u01[live]) / g[live]) / omega
-        w = np.minimum(w_base, w_exc)
-        u = int(np.argmin(w))
-        wu = float(w[u])
-        if not np.isfinite(wu) or t + wu > T:
+    for base, thr in _exact_exp_draws(rng, model.mu, omega):
+        w, u = math.inf, 0
+        for v in range(D):
+            wv = base[v]
+            if g[v] > thr[v]:
+                we = -math.log1p(-thr[v] / g[v]) / omega
+                if we < wv:
+                    wv = we
+            if wv < w:
+                w, u = wv, v
+        if w == math.inf or t + w > T:
             break
-        t += wu
-        g = g * np.exp(-omega * wu) + omega * model.A[u, :]
+        t += w
+        decay = math.exp(-omega * w)
+        g = [gv * decay + j for gv, j in zip(g, jump[u])]
         times.append(t)
         marks.append(u)
         if len(times) > max_events:
@@ -288,50 +311,6 @@ def _exact_exp_one(model, T, rng, max_events, sid) -> EventSequence:
             )
     return EventSequence(
         np.array(times), np.array(marks, dtype=np.int64), 0.0, T, D, sid
-    )
-
-
-_BLOCK = 8192
-
-
-def _exact_exp_one_scalar(model, T, rng, max_events, sid) -> EventSequence:
-    # 1-d fast path: plain floats and block-drawn randoms, same construction
-    import math
-
-    omega = float(model.kernel.decay)
-    mu = float(model.mu[0])
-    a = float(model.A[0, 0])
-    g = 0.0
-    t = 0.0
-    times: list[float] = []
-    exc = np.empty(0)
-    uni = np.empty(0)
-    i = _BLOCK  # force refill on first use
-    while True:
-        if i >= exc.size:
-            exc = rng.exponential(1.0, _BLOCK)
-            uni = rng.random(_BLOCK)
-            i = 0
-        w_base = exc[i] / mu if mu > 0 else math.inf
-        u01 = uni[i]
-        i += 1
-        if g > 0 and u01 > math.exp(-g / omega):
-            w_exc = -math.log1p(omega * math.log(u01) / g) / omega
-        else:
-            w_exc = math.inf
-        w = w_base if w_base < w_exc else w_exc
-        if w == math.inf or t + w > T:
-            break
-        t += w
-        g = g * math.exp(-omega * w) + omega * a
-        times.append(t)
-        if len(times) > max_events:
-            raise _overflow(
-                [np.array(times)], [np.zeros(len(times), dtype=np.int64)],
-                T, 1, sid, max_events,
-            )
-    return EventSequence(
-        np.array(times), np.zeros(len(times), dtype=np.int64), 0.0, T, 1, sid
     )
 
 

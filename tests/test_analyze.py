@@ -36,6 +36,7 @@ from hawkeskit.analyze import (
     tvhp_variation,
 )
 from hawkeskit.core import (
+    DiscretizedKernel,
     EventSequence,
     ExponentialKernel,
     HawkesModel,
@@ -248,6 +249,18 @@ class TestGranger:
         hi = self.fit_graph(threshold=0.2)
         assert np.all(hi.adjacency <= lo.adjacency)
         assert np.allclose(hi.infectivity, lo.infectivity)
+
+    def test_grid_template_rejects_a_penalty(self):
+        corpus = simulate_branch(SimConfig(
+            HawkesModel(mu=np.array([0.4, 0.4]), kernel=ExponentialKernel(decay=1.0),
+                        A=np.array([[0.45, 0.0], [0.0, 0.35]])),
+            t_end=50.0, n_sequences=4, rng_seed=1,
+        ))
+        grid = DiscretizedKernel(dt=0.5, n_lags=4)
+        with pytest.raises(ValidationError, match="'sparse'"):
+            granger_graph(corpus, grid, LearnConfig(penalty=Penalty("sparse", 50.0)))
+        graph = granger_graph(corpus, grid, LearnConfig(max_iters=3))
+        assert graph.dim == 2
 
     def test_graph_validation(self):
         inf = np.array([[0.2, 0.0], [0.1, 0.3]])

@@ -263,6 +263,14 @@ class TestGranger:
         assert nodes == ["0", "1"]
         assert set(edges) == {("0", "0"), ("1", "1")}
 
+    def test_grid_kernel_with_a_penalty_exits_2(self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        rc = main(["granger", "--data", corpus_file, "--kernel", "grid", "--penalty", "sparse",
+                   "--weight", "50", "--out", str(out)])
+        assert rc == 2
+        assert "'sparse'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_graph_json_round_trips(self, corpus_file, tmp_path):
         out = str(tmp_path / "g.json")
         rc = main(["granger", "--data", corpus_file, "--max-iters", "150",

@@ -1,6 +1,8 @@
 """File formats, CSV ingestion, and corpus surgery helpers."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hawkeskit.core import (
     HawkesModel,
     ValidationError,
 )
+from hawkeskit._util import atomic_write_text
 from hawkeskit.data import (
     Corpus,
     CsvSchema,
@@ -125,6 +128,29 @@ class TestCorpusWriterBytes:
         save_corpus(WRITER_CASES[name], str(first))
         save_corpus(load_corpus(str(first)), str(second))
         assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_mode_is_what_open_would_give(self, umask, mode, tmp_path):
+        old = os.umask(umask)
+        try:
+            save_corpus(make_corpus(), str(tmp_path / "c.json"))
+            atomic_write_text(str(tmp_path / "t.csv"), "a,b\n")
+        finally:
+            os.umask(old)
+        assert sorted(os.listdir(tmp_path)) == ["c.json", "t.csv"]
+        for name in ("c.json", "t.csv"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp(self, tmp_path):
+        p = tmp_path / "t.csv"
+        atomic_write_text(str(p), "old\n")
+        with pytest.raises(TypeError):
+            atomic_write_text(str(p), 123)
+        assert os.listdir(tmp_path) == ["t.csv"]
+        assert p.read_text() == "old\n"
 
 
 class TestModelJson:

@@ -122,6 +122,16 @@ class TestOverflowAndUnsupported:
         partial = info.value.partial
         assert partial is not None and len(partial) == 50
 
+    def test_exact_cap_raises_with_truncated_partial(self):
+        model = HawkesModel(
+            mu=np.array([5.0, 1.0]), kernel=ExponentialKernel(decay=1.0), A=np.zeros((2, 2))
+        )
+        with pytest.raises(SimulationOverflowError) as info:
+            simulate_exact_exp(SimConfig(model, t_end=1000.0, max_events=50, rng_seed=0))
+        partial = info.value.partial
+        assert partial is not None and len(partial) == 50
+        assert partial.dim == 2 and np.all(np.diff(partial.times) > 0)
+
     def test_branch_cap_raises_too(self):
         model = HawkesModel(
             mu=np.array([5.0]), kernel=ExponentialKernel(decay=1.0), A=np.array([[0.0]])
@@ -161,6 +171,22 @@ class TestCrossAgreement:
             [("branch", simulate_branch), ("ogata", simulate_ogata), ("exact", simulate_exact_exp)],
         )
         self.assert_pairwise(stats)
+
+    def test_exact_vs_branch_per_dimension_at_d5(self):
+        # mu[1] = 0: dimension 1 fires only by excitation, so the exact
+        # sampler's baseline wait there is infinite
+        A = np.full((5, 5), 0.05) + np.diag([0.3, 0.2, 0.1, 0.25, 0.15])
+        model = HawkesModel(
+            mu=np.array([0.4, 0.0, 0.3, 0.2, 0.5]), kernel=ExponentialKernel(decay=1.5), A=A
+        )
+        stats = []
+        for fn in (simulate_branch, simulate_exact_exp):
+            corpus = fn(SimConfig(model, t_end=40.0, n_sequences=150, rng_seed=21))
+            counts = np.array([np.bincount(s.marks, minlength=5) for s in corpus], float)
+            stats.append((counts.mean(axis=0), counts.std(axis=0, ddof=1) / np.sqrt(150)))
+        (m1, se1), (m2, se2) = stats
+        assert np.all(np.abs(m1 - m2) <= 4.0 * np.hypot(se1, se2)), (m1, m2)
+        assert m2[1] > 0
 
     def test_basis_branch_vs_ogata_agree(self):
         stats = self.run_counts(
