@@ -46,17 +46,20 @@ def load_json(path: str) -> Any:
 def read_csv_rows(path: str) -> tuple[list[str], list[list[str]]]:
     """Split a simple comma-separated file into (header, data rows).
 
-    Only handles the quoting-free tables this package emits.
+    Only handles the quoting-free tables this package emits; an empty file
+    or a row of the wrong width raises ``FormatError``.
     """
+    from .data import FormatError  # data imports this module
+
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
     if not lines:
-        raise ValueError(f"{path}: empty table")
+        raise FormatError(f"{path}: empty table")
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
     for i, row in enumerate(rows):
         if len(row) != len(header):
-            raise ValueError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
+            raise FormatError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
     return header, rows
 
 

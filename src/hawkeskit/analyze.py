@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text, dump_json, load_json, logsumexp, make_rng
+from ._util import atomic_write_text, dump_json, load_json, logsumexp, make_rng, read_csv_rows
 from .core import (
     DiscretizedKernel,
     EventSequence,
@@ -23,7 +23,7 @@ from .core import (
     _expected_coeff_shape,
     branching_matrix,
 )
-from .data import Corpus, FormatError
+from .data import Corpus, FormatError, _is_int
 from .learn import (
     LearnConfig,
     _Converge,
@@ -426,17 +426,14 @@ def save_distance_csv(matrix: np.ndarray, ids: list[str], path: str) -> None:
 
 
 def load_distance_csv(path: str) -> tuple[list[str], np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    header = lines[0].split(",")
+    header, rows = read_csv_rows(path)
     if header[0] != "":
         raise FormatError(f"{path}: expected empty corner cell")
     ids = header[1:]
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        rows.append([float(c) for c in cells[1:]])
-    mat = np.asarray(rows, dtype=np.float64)
+    try:
+        mat = np.array([[float(c) for c in row[1:]] for row in rows], dtype=np.float64)
+    except ValueError as exc:
+        raise FormatError(f"{path}: non-numeric distance ({exc})") from exc
     if mat.shape != (len(ids), len(ids)):
         raise FormatError(f"{path}: matrix shape does not match id count")
     return ids, mat
@@ -661,15 +658,16 @@ def save_tvhp(model: TvhpModel, path: str) -> None:
 def load_tvhp(path: str) -> TvhpModel:
     doc = load_json(path)
     try:
+        dim = doc["dim"]
         model = TvhpModel(
             mu=np.asarray(doc["mu"], dtype=np.float64),
             grid=np.asarray(doc["grid"], dtype=np.float64),
             A=np.asarray(doc["A"], dtype=np.float64),
             decay=float(doc["decay"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed document ({exc})") from exc
-    if model.dim != int(doc["dim"]):
+    if not _is_int(dim) or dim != model.dim:
         raise FormatError(f"{path}: dim field does not match mu length")
     return model
 
@@ -688,14 +686,17 @@ def save_tvhp_csv(model: TvhpModel, path: str) -> None:
 
 def load_tvhp_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Rebuild (grid, node coefficients) from the long-form table."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if lines[0] != "s,v,u,a":
+    header, rows = read_csv_rows(path)
+    if header != ["s", "v", "u", "a"]:
         raise FormatError(f"{path}: expected header s,v,u,a")
-    recs = []
-    for ln in lines[1:]:
-        s, v, u, a = ln.split(",")
-        recs.append((float(s), int(v), int(u), float(a)))
+    if not rows:
+        raise FormatError(f"{path}: no node rows")
+    try:
+        recs = [(float(s), int(v), int(u), float(a)) for s, v, u, a in rows]
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed node row ({exc})") from exc
+    if min(min(r[1], r[2]) for r in recs) < 0:
+        raise FormatError(f"{path}: negative node index")
     grid = sorted({r[0] for r in recs})
     D = 1 + max(max(r[1], r[2]) for r in recs)
     A = np.zeros((len(grid), D, D))

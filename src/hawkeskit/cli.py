@@ -81,96 +81,11 @@ _PENALTY_BY_FLAG = {
     "lowrank": "low_rank",
 }
 
-# Built-in defaults, applied after CLI flags and any --config file.
-_COMMON_DEFAULTS = {
-    "seed": 0,
-    "config": None,
-}
-_KERNEL_DEFAULTS = {
-    "kernel": "exp",
-    "decay": 1.0,
-    "centers": "0.5,1.5,3.0",
-    "bandwidth": 0.5,
-    "support": 10.0,
-    "dt": 0.25,
-    "n_lags": 20,
-}
-_LEARN_DEFAULTS = {
-    "penalty": "none",
-    "weight": 0.1,
-    "max_iters": 200,
-    "tol": 1e-6,
-}
-_DEFAULTS = {
-    "simulate": {
-        **_COMMON_DEFAULTS,
-        "method": "branch",
-        "n": 1,
-        "max_events": 1_000_000,
-        "intensity_grid": None,
-        "intensity_out": None,
-    },
-    "fit": {
-        **_COMMON_DEFAULTS,
-        **_KERNEL_DEFAULTS,
-        **_LEARN_DEFAULTS,
-        "learner": "mle",
-        "ridge": 0.0,
-        "alpha": 10.0,
-        "report": None,
-    },
-    "granger": {
-        **_COMMON_DEFAULTS,
-        **_KERNEL_DEFAULTS,
-        **_LEARN_DEFAULTS,
-        "threshold": 0.01,
-        "dot": None,
-    },
-    "cluster": {
-        **_COMMON_DEFAULTS,
-        **_KERNEL_DEFAULTS,
-        **_LEARN_DEFAULTS,
-        "method": "mixture",
-        "time_cost": 1.0,
-        "mark_cost": 1.0,
-        "indel_cost": 1.0,
-    },
-    "distance": {
-        **_COMMON_DEFAULTS,
-        "time_cost": 1.0,
-        "mark_cost": 1.0,
-        "indel_cost": 1.0,
-    },
-    "tvhp": {
-        **_COMMON_DEFAULTS,
-        "decay": 1.0,
-        "beta": 1.0,
-        "max_iters": 200,
-        "tol": 1e-6,
-        "csv": None,
-    },
-    "eval": {
-        **_COMMON_DEFAULTS,
-        **_KERNEL_DEFAULTS,
-        **_LEARN_DEFAULTS,
-        "learners": "mle",
-        "ridge": 1e-3,
-        "alpha": 10.0,
-        "truth": None,
-        "real_timing": False,
-    },
-    "benchmark": {
-        **_COMMON_DEFAULTS,
-        "methods": "branch,ogata,exact-exp",
-        "n": 1,
-        "max_events": 1_000_000,
-        "deterministic_timing": False,
-    },
-    "demo": {**_COMMON_DEFAULTS},
-}
+_GRID_LEARNERS = ("mle-ode", "ls")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's subparser, by command name."""
     p = argparse.ArgumentParser(
         prog="hawkeskit",
         description="Simulate, fit, and analyze mutually exciting event streams.",
@@ -178,32 +93,45 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-        sp.add_argument("--config", default=None, help="JSON file of flag defaults")
+        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+        sp.add_argument(
+            "--config", default=None, help="JSON object of flag values; typed flags win"
+        )
 
-    def kernel_flags(sp):
-        sp.add_argument("--kernel", choices=["exp", "basis", "grid"], default=None)
-        sp.add_argument("--decay", type=float, default=None, help="exp kernel decay rate")
-        sp.add_argument("--centers", default=None, help="comma list of basis centers")
-        sp.add_argument("--bandwidth", type=float, default=None, help="basis width")
-        sp.add_argument("--support", type=float, default=None, help="basis truncation lag")
-        sp.add_argument("--dt", type=float, default=None, help="grid kernel lag width")
-        sp.add_argument("--n-lags", type=int, default=None, help="grid kernel lag count")
+    def kernel_flags(sp, kernel):
+        sp.add_argument("--kernel", choices=["exp", "basis", "grid"], default=kernel)
+        sp.add_argument("--decay", type=float, default=1.0, help="exp kernel decay rate")
+        sp.add_argument("--centers", default="0.5,1.5,3.0", help="comma list of basis centers")
+        sp.add_argument("--bandwidth", type=float, default=0.5, help="basis width")
+        sp.add_argument("--support", type=float, default=10.0, help="basis truncation lag")
+        sp.add_argument("--dt", type=float, default=0.25, help="grid kernel lag width")
+        sp.add_argument("--n-lags", type=int, default=20, help="grid kernel lag count")
 
     def learn_flags(sp):
-        sp.add_argument(
-            "--penalty", choices=sorted(_PENALTY_BY_FLAG), default=None
-        )
-        sp.add_argument("--weight", type=float, default=None, help="penalty weight")
-        sp.add_argument("--max-iters", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
+        sp.add_argument("--penalty", choices=sorted(_PENALTY_BY_FLAG), default="none")
+        sp.add_argument("--weight", type=float, default=0.1, help="penalty weight")
+        sp.add_argument("--max-iters", type=int, default=200)
+        sp.add_argument("--tol", type=float, default=1e-6)
+
+    def learner_flags(sp, ridge):
+        # --kernel has no default: mle fits exp unless told basis, the
+        # lag-grid learners fit the grid of --dt/--n-lags
+        kernel_flags(sp, None)
+        learn_flags(sp)
+        sp.add_argument("--ridge", type=float, default=ridge, help="ls regularizer")
+        sp.add_argument("--alpha", type=float, default=10.0, help="mle-ode curvature weight")
+
+    def distance_flags(sp):
+        sp.add_argument("--time-cost", type=float, default=1.0)
+        sp.add_argument("--mark-cost", type=float, default=1.0)
+        sp.add_argument("--indel-cost", type=float, default=1.0)
 
     sp = sub.add_parser("simulate", help="draw sequences from a model file")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--method", choices=sorted(_METHODS), default=None)
+    sp.add_argument("--method", choices=sorted(_METHODS), default="branch")
     sp.add_argument("--t-end", type=float, required=True)
-    sp.add_argument("--n", type=int, default=None, help="number of sequences")
-    sp.add_argument("--max-events", type=int, default=None)
+    sp.add_argument("--n", type=int, default=1, help="number of sequences")
+    sp.add_argument("--max-events", type=int, default=1_000_000)
     sp.add_argument("--out", required=True, help="corpus JSON destination")
     sp.add_argument(
         "--intensity-grid",
@@ -218,51 +146,44 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fit", help="estimate a model from a corpus")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--learner", choices=["mle", "mle-ode", "ls"], default=None)
-    kernel_flags(sp)
-    learn_flags(sp)
-    sp.add_argument("--ridge", type=float, default=None, help="ls regularizer")
-    sp.add_argument("--alpha", type=float, default=None, help="mle-ode curvature weight")
+    sp.add_argument("--learner", choices=["mle", *_GRID_LEARNERS], default="mle")
+    learner_flags(sp, ridge=0.0)
     sp.add_argument("--out", required=True, help="model JSON destination")
     sp.add_argument("--report", default=None, help="fit report JSON destination")
     common(sp)
 
     sp = sub.add_parser("granger", help="threshold the fitted branching matrix")
     sp.add_argument("--data", required=True)
-    kernel_flags(sp)
+    kernel_flags(sp, "exp")
     learn_flags(sp)
-    sp.add_argument("--threshold", type=float, default=None)
+    sp.add_argument("--threshold", type=float, default=0.01)
     sp.add_argument("--out", required=True, help="graph JSON destination")
     sp.add_argument("--dot", default=None, help="optional DOT destination")
     common(sp)
 
     sp = sub.add_parser("cluster", help="group sequences by model or by distance")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--method", choices=["mixture", "distance"], default=None)
+    sp.add_argument("--method", choices=["mixture", "distance"], default="mixture")
     sp.add_argument("--k", type=int, required=True)
-    kernel_flags(sp)
+    kernel_flags(sp, "exp")
     learn_flags(sp)
-    sp.add_argument("--time-cost", type=float, default=None)
-    sp.add_argument("--mark-cost", type=float, default=None)
-    sp.add_argument("--indel-cost", type=float, default=None)
+    distance_flags(sp)
     sp.add_argument("--out", required=True, help="clustering JSON destination")
     common(sp)
 
     sp = sub.add_parser("distance", help="pairwise alignment distance matrix")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--time-cost", type=float, default=None)
-    sp.add_argument("--mark-cost", type=float, default=None)
-    sp.add_argument("--indel-cost", type=float, default=None)
+    distance_flags(sp)
     sp.add_argument("--out", required=True, help="distance CSV destination")
     common(sp)
 
     sp = sub.add_parser("tvhp", help="fit node infectivities over a time grid")
     sp.add_argument("--data", required=True)
     sp.add_argument("--grid", required=True, help="comma list of node times")
-    sp.add_argument("--decay", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None, help="drift penalty weight")
-    sp.add_argument("--max-iters", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--decay", type=float, default=1.0)
+    sp.add_argument("--beta", type=float, default=1.0, help="drift penalty weight")
+    sp.add_argument("--max-iters", type=int, default=200)
+    sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--out", required=True, help="model JSON destination")
     sp.add_argument("--csv", default=None, help="optional long-form CSV destination")
     common(sp)
@@ -270,26 +191,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="fit on train, score learners on test")
     sp.add_argument("--train", required=True)
     sp.add_argument("--test", required=True)
-    sp.add_argument("--learners", default=None, help="comma list from {mle,mle-ode,ls}")
-    kernel_flags(sp)
-    learn_flags(sp)
-    sp.add_argument("--ridge", type=float, default=None)
-    sp.add_argument("--alpha", type=float, default=None)
+    sp.add_argument("--learners", default="mle", help="comma list from {mle,mle-ode,ls}")
+    learner_flags(sp, ridge=1e-3)
     sp.add_argument("--truth", default=None, help="reference model JSON for error columns")
-    sp.add_argument("--real-timing", action="store_true", default=None)
     sp.add_argument("--out", required=True, help="comparison CSV destination")
     common(sp)
 
     sp = sub.add_parser("benchmark", help="time each simulator over horizons")
     sp.add_argument("--model", required=True)
     sp.add_argument("--horizons", required=True, help="comma list of end times")
-    sp.add_argument("--methods", default=None, help="comma list of simulator names")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--max-events", type=int, default=None)
+    sp.add_argument(
+        "--methods", default="branch,ogata,exact-exp", help="comma list of simulator names"
+    )
+    sp.add_argument("--n", type=int, default=1)
+    sp.add_argument("--max-events", type=int, default=1_000_000)
     sp.add_argument(
         "--deterministic-timing",
         action="store_true",
-        default=None,
         help="write 0.0 timings for byte-stable output",
     )
     sp.add_argument("--out", required=True, help="benchmark CSV destination")
@@ -299,67 +217,77 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output directory")
     common(sp)
 
-    return p
+    return p, sub.choices
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Apply precedence CLI flag > config file > built-in default."""
-    values = dict(vars(args))
-    command = values.pop("command")
-    defaults = _DEFAULTS[command]
-    config = {}
-    if values.get("config"):
-        try:
-            loaded = load_json(values["config"])
-        except OSError as exc:
-            raise ValidationError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise FormatError("config file must hold a JSON object")
-        config = loaded
-    unknown = set(config) - set(values)
+def _config_tokens(sp: argparse.ArgumentParser, path: str) -> list[str]:
+    """A --config file's keys as ``--flag=value`` tokens for ``sp`` to parse.
+
+    A switch takes a JSON boolean, a numeric flag a JSON number, any other
+    flag a string or number; argparse then checks each value as it checks
+    the same value typed on the command line.
+    """
+    doc = _read(load_json, path, "config")
+    if not isinstance(doc, dict):
+        raise FormatError("config file must hold a JSON object")
+    flags = {a.dest: a for a in sp._actions if a.option_strings}
+    del flags["help"], flags["config"]
+    unknown = sorted(set(doc) - set(flags))
     if unknown:
-        raise ValidationError(
-            f"config keys not recognized for {command!r}: {sorted(unknown)}"
-        )
-    resolved = {"command": command}
-    for key, val in values.items():
-        if val is None and key in config:
-            val = config[key]
-        if val is None and key in defaults:
-            val = defaults[key]
-        resolved[key] = val
-    return resolved
+        raise ValidationError(f"config keys not recognized for {sp.prog!r}: {unknown}")
+    tokens = []
+    for key, val in doc.items():
+        flag = flags[key]
+        if flag.nargs == 0:
+            if not isinstance(val, bool):
+                raise ValidationError(f"config key {key!r} is a switch: give true or false")
+            if val:
+                tokens.append(flag.option_strings[0])
+            continue
+        numeric = flag.type in (int, float)
+        is_number = isinstance(val, (int, float)) and not isinstance(val, bool)
+        if not is_number and (numeric or not isinstance(val, str)):
+            kind = "a number" if numeric else "a string or number"
+            raise ValidationError(f"config key {key!r} takes {kind}, got {json.dumps(val)}")
+        tokens.append(f"{flag.option_strings[0]}={val}")
+    return tokens
+
+
+def _parse(argv: list[str] | None) -> dict:
+    """Flag values by dest; a --config file's keys go in ahead of the user's flags."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        # argparse keeps the last value given, so the user's own flags win
+        tokens = _config_tokens(commands[args.command], args.config)
+        args = parser.parse_args([argv[0], *tokens, *argv[1:]])
+    return vars(args)
 
 
 def _echoable(resolved: dict) -> dict:
     return {k: v for k, v in sorted(resolved.items()) if k != "config"}
 
 
+def _read(load, path: str, what: str):
+    """``load(path)``, with an unreadable file, non-UTF-8 text or invalid JSON as a usage error."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def _read_corpus(path: str) -> Corpus:
-    try:
-        if path.endswith(".csv"):
-            return load_csv(path)
-        return load_corpus(path)
-    except OSError as exc:
-        raise ValidationError(f"cannot read corpus {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-
-
-def _read_model(path: str) -> HawkesModel:
-    try:
-        return load_model(path)
-    except OSError as exc:
-        raise ValidationError(f"cannot read model {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    return _read(load_csv if path.endswith(".csv") else load_corpus, path, "corpus")
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
-        vals = [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
+        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ValidationError(f"{flag} expects comma-separated numbers: {exc}") from exc
     if not vals:
@@ -367,8 +295,7 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return vals
 
 
-def _kernel_from(r: dict):
-    kind = r["kernel"]
+def _kernel_from(kind: str, r: dict):
     if kind == "exp":
         return ExponentialKernel(decay=r["decay"])
     if kind == "basis":
@@ -376,18 +303,52 @@ def _kernel_from(r: dict):
         return GaussianBasisKernel(
             centers=np.asarray(centers), bandwidth=r["bandwidth"], support=r["support"]
         )
-    if kind == "grid":
-        return DiscretizedKernel(dt=r["dt"], n_lags=r["n_lags"])
-    raise ValidationError(f"unknown kernel {kind!r}")
+    return DiscretizedKernel(dt=r["dt"], n_lags=r["n_lags"])
 
 
-def _learn_cfg(r: dict) -> LearnConfig:
+def _learn_cfg(r: dict, penalty: Penalty = Penalty()) -> LearnConfig:
     return LearnConfig(
-        max_iters=r["max_iters"],
-        tol=r["tol"],
-        penalty=Penalty(_PENALTY_BY_FLAG[r["penalty"]], r["weight"]),
-        rng_seed=r["seed"],
+        max_iters=r["max_iters"], tol=r["tol"], penalty=penalty, rng_seed=r["seed"]
     )
+
+
+def _penalty(r: dict) -> Penalty:
+    return Penalty(_PENALTY_BY_FLAG[r["penalty"]], r["weight"])
+
+
+def _kernel_family(name: str, r: dict) -> str:
+    """The kernel family learner ``name`` fits: --kernel, else exp or grid."""
+    return r["kernel"] or ("grid" if name in _GRID_LEARNERS else "exp")
+
+
+def _fitter(name: str, r: dict):
+    """The ``corpus -> FitReport`` callable for learner ``name``, shared by fit and eval.
+
+    mle fits --kernel exp or basis; mle-ode and ls fit the lag grid of
+    --dt/--n-lags with their own regularizer in place of --penalty.  A flag
+    that contradicts the learner is a usage error, raised before any input
+    is read.
+    """
+    family = _kernel_family(name, r)
+    if name == "mle":
+        if family == "grid":
+            raise ValidationError(
+                "--learner mle takes --kernel exp or basis; "
+                "use --learner mle-ode or ls for grid kernels"
+            )
+        kernel, cfg = _kernel_from(family, r), _learn_cfg(r, _penalty(r))
+        return lambda corpus: fit_mle(corpus, kernel, cfg)
+    if name not in _GRID_LEARNERS:
+        raise ValidationError(f"unknown learner {name!r}; valid: mle, mle-ode, ls")
+    if family != "grid":
+        raise ValidationError(f"{name} fits a lag-grid kernel; pass --kernel grid or no --kernel")
+    if r["penalty"] != "none":
+        own = "its curvature penalty (--alpha)" if name == "mle-ode" else "only --ridge"
+        raise ValidationError(f"{name} supports {own}; --penalty must be none")
+    cfg = _learn_cfg(r)
+    if name == "ls":
+        return lambda corpus: fit_ls(corpus, r["dt"], r["n_lags"], ridge=r["ridge"], cfg=cfg)
+    return lambda corpus: fit_mle_ode(corpus, r["dt"], r["n_lags"], cfg, alpha=r["alpha"])
 
 
 def _node_labels(corpus: Corpus) -> list[str] | None:
@@ -429,11 +390,7 @@ def _write_intensity_csv(
 
 
 def _cmd_simulate(r: dict) -> int:
-    if r["method"] not in _METHODS:
-        raise ValidationError(
-            f"unknown method {r['method']!r}; valid: {sorted(_METHODS)}"
-        )
-    model = _read_model(r["model"])
+    model = _read(load_model, r["model"], "model")
     cfg = SimConfig(
         model=model,
         t_end=r["t_end"],
@@ -445,7 +402,7 @@ def _cmd_simulate(r: dict) -> int:
     # the grid first, so a refused grid leaves no corpus behind either
     if r["intensity_grid"] is not None:
         out = r["intensity_out"] or r["out"] + ".intensity.csv"
-        _write_intensity_csv(model, corpus, float(r["intensity_grid"]), out, cfg.max_events)
+        _write_intensity_csv(model, corpus, r["intensity_grid"], out, cfg.max_events)
     save_corpus(corpus, r["out"])
     return 0
 
@@ -471,47 +428,21 @@ def _json_safe(v):
     return v
 
 
-def _run_fit(r: dict, corpus: Corpus):
-    learner = r["learner"]
-    if learner == "mle":
-        if r["kernel"] == "grid":
-            raise ValidationError(
-                "--learner mle takes --kernel exp or basis; "
-                "use --learner mle-ode or ls for grid kernels"
-            )
-        return fit_mle(corpus, _kernel_from(r), _learn_cfg(r))
-    if learner == "mle-ode":
-        if r["kernel"] not in (None, "grid"):
-            raise ValidationError("mle-ode fits a lag-grid kernel; pass --kernel grid")
-        cfg = LearnConfig(max_iters=r["max_iters"], tol=r["tol"], rng_seed=r["seed"])
-        if r["penalty"] != "none":
-            raise ValidationError(
-                "mle-ode has its own curvature penalty (--alpha); --penalty must be none"
-            )
-        return fit_mle_ode(corpus, r["dt"], r["n_lags"], cfg, alpha=r["alpha"])
-    if learner == "ls":
-        if r["kernel"] not in (None, "grid"):
-            raise ValidationError("ls fits a lag-grid kernel; pass --kernel grid")
-        cfg = LearnConfig(max_iters=r["max_iters"], tol=r["tol"], rng_seed=r["seed"])
-        if r["penalty"] != "none":
-            raise ValidationError("ls supports only --ridge; --penalty must be none")
-        return fit_ls(corpus, r["dt"], r["n_lags"], ridge=r["ridge"], cfg=cfg)
-    raise ValidationError(f"unknown learner {learner!r}")
-
-
 def _cmd_fit(r: dict) -> int:
-    corpus = _read_corpus(r["data"])
-    report = _run_fit(r, corpus)
+    fit = _fitter(r["learner"], r)
+    report = fit(_read_corpus(r["data"]))
     save_model(report.model, r["out"])
     if r["report"]:
-        dump_json(_fit_report_doc(report, r), r["report"])
+        # the echo names the kernel family that was fitted
+        echo = {**r, "kernel": _kernel_family(r["learner"], r)}
+        dump_json(_fit_report_doc(report, echo), r["report"])
     return 0
 
 
 def _cmd_granger(r: dict) -> int:
     corpus = _read_corpus(r["data"])
     graph = granger_graph(
-        corpus, _kernel_from(r), _learn_cfg(r), threshold=r["threshold"]
+        corpus, _kernel_from(r["kernel"], r), _learn_cfg(r, _penalty(r)), threshold=r["threshold"]
     )
     save_granger(graph, r["out"])
     if r["dot"]:
@@ -530,7 +461,8 @@ def _distance_params(r: dict) -> DistanceParams:
 def _cmd_cluster(r: dict) -> int:
     corpus = _read_corpus(r["data"])
     if r["method"] == "mixture":
-        res = cluster_mixture(corpus, r["k"], _kernel_from(r), _learn_cfg(r))
+        kernel, cfg = _kernel_from(r["kernel"], r), _learn_cfg(r, _penalty(r))
+        res = cluster_mixture(corpus, r["k"], kernel, cfg)
     else:
         res = cluster_distance(
             corpus, r["k"], _distance_params(r), rng_seed=r["seed"]
@@ -560,54 +492,26 @@ def _cmd_distance(r: dict) -> int:
 def _cmd_tvhp(r: dict) -> int:
     corpus = _read_corpus(r["data"])
     grid = _parse_float_list(r["grid"], "--grid")
-    cfg = LearnConfig(max_iters=r["max_iters"], tol=r["tol"], rng_seed=r["seed"])
-    fit = fit_tvhp(corpus, grid, decay=r["decay"], cfg=cfg, beta=r["beta"])
+    fit = fit_tvhp(corpus, grid, decay=r["decay"], cfg=_learn_cfg(r), beta=r["beta"])
     save_tvhp(fit.model, r["out"])
     if r["csv"]:
         save_tvhp_csv(fit.model, r["csv"])
     return 0
 
 
-def _eval_specs(r: dict):
-    specs = []
-    for name in str(r["learners"]).split(","):
-        name = name.strip()
-        if name == "mle":
-            kernel = _kernel_from({**r, "kernel": "exp" if r["kernel"] == "grid" else r["kernel"]})
-            cfg = _learn_cfg(r)
-            specs.append((name, lambda c, k=kernel, g=cfg: fit_mle(c, k, g)))
-        elif name == "mle-ode":
-            cfg = LearnConfig(max_iters=r["max_iters"], tol=r["tol"], rng_seed=r["seed"])
-            specs.append(
-                (name, lambda c, g=cfg: fit_mle_ode(c, r["dt"], r["n_lags"], g, alpha=r["alpha"]))
-            )
-        elif name == "ls":
-            cfg = LearnConfig(max_iters=r["max_iters"], tol=r["tol"], rng_seed=r["seed"])
-            specs.append(
-                (name, lambda c, g=cfg: fit_ls(c, r["dt"], r["n_lags"], ridge=r["ridge"], cfg=g))
-            )
-        else:
-            raise ValidationError(f"unknown learner {name!r} in --learners")
-    if not specs:
-        raise ValidationError("--learners must name at least one learner")
-    return specs
-
-
 def _cmd_eval(r: dict) -> int:
+    specs = [(name, _fitter(name, r)) for name in map(str.strip, r["learners"].split(","))]
     train = _read_corpus(r["train"])
     test = _read_corpus(r["test"])
-    truth = _read_model(r["truth"]) if r["truth"] else None
-    rows = compare_learners(
-        train, test, _eval_specs(r), truth=truth, real_timing=bool(r["real_timing"])
-    )
-    write_compare_csv(rows, r["out"])
+    truth = _read(load_model, r["truth"], "model") if r["truth"] else None
+    write_compare_csv(compare_learners(train, test, specs, truth=truth), r["out"])
     return 0
 
 
 def _cmd_benchmark(r: dict) -> int:
-    model = _read_model(r["model"])
+    model = _read(load_model, r["model"], "model")
     horizons = _parse_float_list(r["horizons"], "--horizons")
-    methods = tuple(m.strip() for m in str(r["methods"]).split(",") if m.strip())
+    methods = tuple(m.strip() for m in r["methods"].split(",") if m.strip())
     rows = benchmark_simulators(
         model,
         horizons,
@@ -615,7 +519,7 @@ def _cmd_benchmark(r: dict) -> int:
         n_sequences=r["n"],
         max_events=r["max_events"],
         methods=methods,
-        real_timing=not bool(r["deterministic_timing"]),
+        real_timing=not r["deterministic_timing"],
     )
     write_benchmark_csv(rows, r["out"])
     return 0
@@ -783,11 +687,9 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        resolved = _resolve(args)
-        return _DISPATCH[resolved["command"]](resolved)
+        r = _parse(argv)
+        return _DISPATCH[r["command"]](r)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -253,13 +253,33 @@ def save_corpus(corpus: Corpus, path: str) -> None:
     atomic_write_text(path, f'{head[:-2]},\n  "sequences": {body}\n}}\n')
 
 
+def _is_int(x) -> bool:
+    """True for a JSON integer (a Python int that is not a bool)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_label_map(label_map, dim: int) -> None:
+    if label_map is None:
+        return
+    if not isinstance(label_map, dict):
+        raise TypeError(f"label_map must be null or an object, got {type(label_map).__name__}")
+    idx = list(label_map.values())
+    if not all(_is_int(i) and 0 <= i < dim for i in idx) or len(set(idx)) != len(idx):
+        raise ValueError(f"label_map must map names to distinct ints in [0, {dim}), got {idx}")
+
+
 def load_corpus(path: str) -> Corpus:
     doc = load_json(path)
     try:
-        d = int(doc["dim"])
+        d = doc["dim"]
+        if not _is_int(d):
+            raise TypeError(f"dim must be an integer, got {d!r}")
         label_map = doc["label_map"]
+        _check_label_map(label_map, d)
         seqs = []
         for s in doc["sequences"]:
+            if not isinstance(s["id"], str):
+                raise TypeError(f"sequence id must be a string, got {s['id']!r}")
             ev = s["events"]
             times = np.array([e[0] for e in ev], dtype=np.float64)
             marks = np.array([e[1] for e in ev])
@@ -290,6 +310,8 @@ def _kernel_to_doc(kernel: KernelSpec) -> dict:
 
 
 def _kernel_from_doc(doc: dict) -> KernelSpec:
+    if not isinstance(doc, dict):
+        raise TypeError(f"kernel must be an object, got {doc!r}")
     tag = doc.get("type")
     if tag == "exponential":
         return ExponentialKernel(decay=doc["decay"])
@@ -317,16 +339,16 @@ def save_model(model: HawkesModel, path: str) -> None:
 def load_model(path: str) -> HawkesModel:
     doc = load_json(path)
     try:
-        kernel = _kernel_from_doc(doc["kernel"])
+        dim = doc["dim"]
         model = HawkesModel(
             mu=np.asarray(doc["mu"], dtype=np.float64),
-            kernel=kernel,
+            kernel=_kernel_from_doc(doc["kernel"]),
             A=np.asarray(doc["A"], dtype=np.float64),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed model document ({exc})") from exc
-    if model.dim != int(doc["dim"]):
-        raise FormatError(f"{path}: dim field {doc['dim']} != mu length {model.dim}")
+    if not _is_int(dim) or dim != model.dim:
+        raise FormatError(f"{path}: dim field {dim!r} != mu length {model.dim}")
     return model
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -43,7 +44,8 @@ from hawkeskit.core import (
     ValidationError,
     log_likelihood,
 )
-from hawkeskit.data import Corpus
+from hawkeskit._util import read_csv_rows
+from hawkeskit.data import Corpus, FormatError
 from hawkeskit.learn import LearnConfig, Penalty, fit_mle
 from hawkeskit.simulate import SimConfig, simulate_branch
 
@@ -414,3 +416,48 @@ class TestClusterResultValidation:
                 models=(),
                 mixing=np.array([0.5, 0.5]),
             )
+
+
+_TVHP = {"dim": 1, "decay": 1.0, "mu": [0.4], "grid": [0.0, 10.0], "A": [[[0.2]], [[0.3]]]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {k: v for k, v in _TVHP.items() if k != "dim"},
+        {**_TVHP, "dim": "x"},
+        {**_TVHP, "dim": 1.5},
+        {**_TVHP, "mu": ["a"]},
+        {**_TVHP, "A": [[[0.2]], [[0.3, 0.1]]]},
+        {**_TVHP, "decay": "fast"},
+    ],
+    ids=["no-dim", "string-dim", "float-dim", "string-mu", "ragged-A", "string-decay"],
+)
+def test_malformed_tvhp_document_is_a_format_error(doc, tmp_path):
+    p = tmp_path / "tv.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(FormatError):
+        load_tvhp(str(p))
+
+
+@pytest.mark.parametrize(
+    "loader,text",
+    [
+        (load_distance_csv, ""),
+        (load_distance_csv, ",a,b\na,0.0,x\nb,1.0,0.0\n"),
+        (load_distance_csv, ",a,b\na,0.0\nb,1.0,0.0\n"),
+        (load_tvhp_csv, ""),
+        (load_tvhp_csv, "s,v,u,a\n"),
+        (load_tvhp_csv, "s,v,u,a\n0.0,0,zero,0.1\n"),
+        (load_tvhp_csv, "s,v,u,a\n0.0,-1,0,0.5\n1.0,0,0,0.1\n"),
+        (read_csv_rows, ""),
+        (read_csv_rows, "a,b\n1\n"),
+    ],
+    ids=["distance-empty", "distance-cell", "distance-short-row", "tvhp-empty",
+         "tvhp-no-rows", "tvhp-cell", "tvhp-negative-index", "rows-empty", "rows-short"],
+)
+def test_malformed_csv_is_a_format_error(loader, text, tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text(text)
+    with pytest.raises(FormatError):
+        loader(str(p))

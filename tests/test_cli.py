@@ -542,3 +542,169 @@ class TestInstalledScript:
         for cmd in ("simulate", "fit", "granger", "cluster", "distance",
                     "tvhp", "eval", "benchmark", "demo"):
             assert cmd in proc.stdout
+
+
+def _exit_code(argv):
+    """main's status, or argparse's when it refuses a value before main runs a command."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _argv(command, model, corpus, out):
+    return {
+        "simulate": ["simulate", "--model", model, "--t-end", "10", "--out", out("c.json")],
+        "fit": ["fit", "--data", corpus, "--max-iters", "5", "--out", out("m.json"),
+                "--report", out("r.json")],
+        "cluster": ["cluster", "--data", corpus, "--k", "2", "--max-iters", "5",
+                    "--out", out("cl.json")],
+        "eval": ["eval", "--train", corpus, "--test", corpus, "--max-iters", "5",
+                 "--out", out("e.csv")],
+        "benchmark": ["benchmark", "--model", model, "--horizons", "5", "--out", out("b.csv")],
+        "distance": ["distance", "--data", corpus, "--out", out("d.csv")],
+        "granger": ["granger", "--data", corpus, "--max-iters", "5", "--out", out("g.json"),
+                    "--dot", out("g.dot")],
+    }[command]
+
+
+def _corpus_doc(**fields):
+    doc = {"dim": 2, "label_map": None,
+           "sequences": [{"id": "s0", "t_start": 0.0, "t_end": 5.0,
+                          "events": [[1.0, 0], [2.0, 1]]}]}
+    doc.update(fields)
+    return doc
+
+
+_MODEL = {"dim": 2, "mu": [0.3, 0.6], "kernel": {"type": "exponential", "decay": 1.0},
+          "A": [[0.4, 0.1], [0.2, 0.3]]}
+
+_MALFORMED = [
+    # config values go through argparse's types and choices, or are refused by name
+    ("fit", "config", {"max_iters": "5"}, "string-int"),
+    ("fit", "config", {"weight": "a"}, "string-float"),
+    ("fit", "config", {"seed": 1.5}, "float-int"),
+    ("fit", "config", {"seed": "x"}, "string-seed"),
+    ("fit", "config", {"seed": True}, "bool-int"),
+    ("simulate", "config", {"n": "3"}, "string-n"),
+    ("fit", "config", {"penalty": "bogus"}, "bad-choice"),
+    ("fit", "config", {"kernel": "grid", "learner": "mle-ode", "n_lags": 2.5}, "float-n-lags"),
+    ("cluster", "config", {"method": "bogus"}, "cluster-method"),
+    ("eval", "config", {"real_timing": "no"}, "removed-switch"),
+    ("fit", "config", {"tol": None}, "null"),
+    ("fit", "config", {"max_iters": [5]}, "list"),
+    ("benchmark", "config", {"deterministic_timing": "yes"}, "string-switch"),
+    # model documents
+    ("simulate", "model", {k: v for k, v in _MODEL.items() if k != "dim"}, "no-dim"),
+    ("simulate", "model", {**_MODEL, "dim": "x"}, "string-dim"),
+    ("simulate", "model", {**_MODEL, "mu": ["a", 0.1]}, "string-mu"),
+    ("simulate", "model", {**_MODEL, "A": [[0.4, 0.1], [0.2]]}, "ragged-A"),
+    ("simulate", "model", {**_MODEL, "kernel": "exp"}, "string-kernel"),
+    # corpus documents
+    ("fit", "corpus", _corpus_doc(dim=2.5), "float-dim"),
+    ("distance", "corpus", _corpus_doc(sequences=[
+        {"id": 7, "t_start": 0.0, "t_end": 5.0, "events": [[1.0, 0]]}]), "int-id"),
+    ("granger", "corpus", _corpus_doc(label_map=["a", "b"]), "list-label-map"),
+    ("granger", "corpus", _corpus_doc(label_map={"a": 0, "b": 5}), "label-out-of-range"),
+    ("granger", "corpus", _corpus_doc(label_map={"a": 0, "b": 0}), "label-repeated"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,kind,doc", [case[:3] for case in _MALFORMED],
+    ids=[f"{case[1]}-{case[3]}" for case in _MALFORMED],
+)
+def test_malformed_config_model_or_corpus_exits_2_writing_nothing(
+    command, kind, doc, model_file, corpus_file, tmp_path
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = lambda name: str(out_dir / name)
+    argv = _argv(command, str(bad) if kind == "model" else model_file,
+                 str(bad) if kind == "corpus" else corpus_file, out)
+    if kind == "config":
+        argv += ["--config", str(bad)]
+    assert _exit_code(argv) == 2
+    assert os.listdir(out_dir) == []
+
+
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--learners", "mle", "--kernel", "grid"], "mle-ode or ls"),
+        (["--learners", "mle-ode", "--penalty", "sparse"], "--penalty must be none"),
+        (["--learners", "mle-ode", "--kernel", "basis"], "--kernel grid"),
+        (["--learners", "mle,ls", "--kernel", "exp"], "--kernel grid"),
+    ],
+)
+def test_eval_refuses_flags_its_learner_cannot_use(flags, named, corpus_file, tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    rc = main(["eval", "--train", corpus_file, "--test", corpus_file, *flags,
+               "--out", str(out)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_corpus_that_is_not_utf8_exits_2(suffix, tmp_path, capsys):
+    data = tmp_path / ("events" + suffix)
+    data.write_bytes(b"seq_id,time,mark\ns0,1.0,0\n\xff\xfe,2.0,1\n")
+    out = tmp_path / "m.json"
+    assert main(["fit", "--data", str(data), "--out", str(out)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_conflict_is_refused_before_reading_input(tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    rc = main(["eval", "--train", missing, "--test", missing, "--learners", "mle",
+               "--kernel", "grid", "--out", str(tmp_path / "e.csv")])
+    assert rc == 2
+    assert "mle-ode" in capsys.readouterr().err
+
+
+def test_grid_learner_without_kernel_flag_matches_kernel_grid(corpus_file, tmp_path):
+    runs = []
+    for kernel in ([], ["--kernel", "grid"]):
+        out, report = tmp_path / "m.json", tmp_path / "r.json"
+        rc = main(["fit", "--data", corpus_file, "--learner", "ls", *kernel,
+                   "--dt", "0.5", "--n-lags", "10", "--out", str(out), "--report", str(report)])
+        assert rc == 0
+        runs.append((out.read_bytes(), report.read_bytes()))
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][1])["config"]["kernel"] == "grid"
+
+
+def test_config_carrying_every_fit_flag_matches_the_same_flags(corpus_file, tmp_path):
+    out, report = str(tmp_path / "m.json"), str(tmp_path / "r.json")
+    values = {
+        "data": corpus_file, "learner": "mle", "kernel": "basis", "decay": 2.0,
+        "centers": "0.5,2.0", "bandwidth": 0.75, "support": 6.0, "dt": 0.5, "n_lags": 12,
+        "penalty": "sparse", "weight": 0.25, "max_iters": 12, "tol": 1e-7,
+        "ridge": 0.01, "alpha": 3.0, "out": out, "report": report, "seed": 4,
+    }
+    flags = [tok for key, val in values.items()
+             for tok in ("--" + key.replace("_", "-"), str(val))]
+    assert main(["fit", *flags]) == 0
+    expected = open(out, "rb").read(), open(report, "rb").read()
+    os.remove(out)
+    os.remove(report)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert main(["fit", "--data", corpus_file, "--out", out, "--config", str(cfg)]) == 0
+    assert (open(out, "rb").read(), open(report, "rb").read()) == expected
+    assert json.loads(expected[1])["config"]["kernel"] == "basis"
+
+
+def test_config_switch_takes_a_json_boolean(model_file, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"deterministic_timing": True, "methods": "branch"}))
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert main(["benchmark", "--model", model_file, "--horizons", "5",
+                 "--config", str(cfg), "--out", a]) == 0
+    assert main(["benchmark", "--model", model_file, "--horizons", "5",
+                 "--methods", "branch", "--deterministic-timing", "--out", b]) == 0
+    assert open(a, "rb").read() == open(b, "rb").read()
