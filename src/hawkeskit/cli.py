@@ -614,7 +614,7 @@ def run_demo(out_dir: str, seed: int, config_echo: dict | None = None) -> dict:
         ("mle-ode", lambda c: fit_mle_ode(c, 0.25, 20, cfg, alpha=10.0)),
         ("ls", lambda c: fit_ls(c, 0.25, 20, ridge=1e-3, cfg=cfg)),
     ]
-    rows = compare_learners(train, test, specs, truth=truth, real_timing=False)
+    rows = compare_learners(train, test, specs, truth=truth)
     write_compare_csv(rows, join("compare.csv"))
 
     # (f) excitation graph from a sparse fit

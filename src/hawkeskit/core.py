@@ -332,8 +332,9 @@ class DiscretizedKernel:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValidationError(f"dt must be > 0, got {self.dt}")
-        if not self.n_lags >= 1:
-            raise ValidationError(f"n_lags must be >= 1, got {self.n_lags}")
+        n = self.n_lags
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValidationError(f"n_lags must be an integer >= 1, got {n!r}")
 
     @property
     def n_components(self) -> int:

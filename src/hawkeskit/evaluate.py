@@ -5,7 +5,6 @@ side-by-side learner comparison tables.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .core import (
     event_compensators,
     log_likelihood,
 )
-from .data import Corpus
+from .data import Corpus, FormatError
 from .learn import estimation_error
 
 
@@ -111,14 +110,13 @@ def compare_learners(
     corpus_test: Corpus,
     specs,
     truth: HawkesModel | None = None,
-    real_timing: bool = False,
 ) -> list[dict]:
     """Fit each (name, fit_fn) pair on train, score on test, one row per pair.
 
     fit_fn takes the training corpus and returns a FitReport.  A learner
     raising a package error gets its name in the error column and the run
-    continues; other exceptions propagate.  With real_timing=False the
-    timing column is fixed at 0.0 so emitted tables are byte-stable.
+    continues; other exceptions propagate.  The timing column is fixed at
+    0.0 so emitted tables are byte-stable.
     """
     rows = []
     for name, fit_fn in specs:
@@ -131,15 +129,12 @@ def compare_learners(
             "iterations": None,
             "error": "",
         }
-        start = time.perf_counter()
         try:
             report = fit_fn(corpus_train)
         except HawkesError as exc:
             row["error"] = type(exc).__name__
             rows.append(row)
             continue
-        if real_timing:
-            row["wall_time_s"] = time.perf_counter() - start
         row["iterations"] = report.iterations
         row["per_event_ll"] = heldout_loglik(report.model, corpus_test)["per_event"]
         if truth is not None:
@@ -168,12 +163,15 @@ def write_compare_csv(rows: list[dict], path: str) -> None:
 def read_compare_csv(path: str) -> list[dict]:
     header, raw = read_csv_rows(path)
     if header != _COMPARE_HEADER:
-        raise ValidationError(f"{path}: unexpected comparison header {header}")
+        raise FormatError(f"{path}: unexpected comparison header {header}")
     rows = []
-    for cells in raw:
-        rec = dict(zip(header, cells))
-        for key in ("per_event_ll", "mu_relerr", "kernel_relerr", "wall_time_s"):
-            rec[key] = float(rec[key]) if rec[key] != "" else None
-        rec["iterations"] = int(rec["iterations"]) if rec["iterations"] != "" else None
-        rows.append(rec)
+    try:
+        for cells in raw:
+            rec = dict(zip(header, cells))
+            for key in ("per_event_ll", "mu_relerr", "kernel_relerr", "wall_time_s"):
+                rec[key] = float(rec[key]) if rec[key] != "" else None
+            rec["iterations"] = int(rec["iterations"]) if rec["iterations"] != "" else None
+            rows.append(rec)
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed comparison row ({exc})") from exc
     return rows

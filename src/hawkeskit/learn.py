@@ -10,11 +10,13 @@ finite-support kernel, by summing its C component densities over lag pairs
 and its component masses over events.  An expectation pass
 attributes each event to the baseline or to one past event; the attribution
 totals N feed the learner's minimization step, which is passed to the loop
-together with the matching penalty term of the recorded objective: closed
-form or structural penalty (``_mstep``), or under a quadratic roughness
-penalty (``_Roughness``) one projected Newton solve over all (source, target)
-columns at once, batched in numpy.  Each step is exact or majorized, which
-keeps the recorded penalized objective nonincreasing.
+together with the matching penalty term of the recorded objective: a
+structural penalty (``_mstep``) or a quadratic roughness (``_Roughness``).
+Where the step is a convex quadratic plus sum(-N log x + E x) over x >= 0,
+as under the low-rank trace bound and every roughness penalty, one batched
+projected Newton, ``_projected_newton``, solves all columns at once.  Each
+step is exact or majorized, which keeps the recorded penalized objective
+nonincreasing.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     DiscretizedKernel,
@@ -48,9 +51,9 @@ from ._util import make_rng
 
 _PENALTY_KINDS = ("none", "sparse", "group_sparse", "low_rank")
 
-# the projected Newton M-steps (low rank, roughness): the roughness iteration
-# cap, backtracking halvings, and the relative margin by which a step must
-# lower a column's surrogate to be accepted
+# ``_projected_newton``, the M-step of low rank and of every roughness
+# penalty: its iteration cap, backtracking halvings, and the relative margin
+# by which a step must lower a column's surrogate to be accepted
 _NEWTON_ITERS = 12
 _NEWTON_HALVINGS = 40
 _ACCEPT_RTOL = 1e-15
@@ -334,69 +337,114 @@ def _mstep_group(N, Gb, A_old, k):
 def _mstep_lowrank(N, Gb, A_old, k):
     # variational trace bound of the nuclear norm: with M from the current
     # iterate, k*||B||_* <= k/2 (tr(B' M^-1 B) + tr(M)); the quadratic couples
-    # rows within each target column, solved by projected Newton per column
-    C, D, _ = N.shape
+    # the rows of each target column u, so column u is x = A[:, :, u], C
+    # blocks over the D sources with b = B[:, u], and Q = M^-1
     B_old = A_old.sum(axis=0)
     S = B_old @ B_old.T
     d, V = np.linalg.eigh(S)
     sig = np.sqrt(np.maximum(d, 0.0))
     eps = 1e-13 * max(float(sig.max()), 1e-3)
     Q = (V / np.maximum(sig, eps)[None, :]) @ V.T  # M_eps^{-1}, symmetric PD
-    A_new = np.empty_like(N)
-    for u in range(D):
-        A_new[:, :, u] = _lowrank_column(
-            N[:, :, u], Gb[:, :, u], A_old[:, :, u], Q, k
-        )
-    return A_new
+    cols = partial(np.transpose, axes=(2, 0, 1))
+    x = _projected_newton(cols(A_old), cols(N), cols(Gb), Q, k)[0]
+    return np.ascontiguousarray(x.transpose(1, 2, 0))
 
 
-def _lowrank_column(Ncol, Gcol, x0, Q, k):
-    # Ncol, Gcol, x: (C, D) over (component, source); b = column of B.
-    # Start exactly at the current iterate so descent is exact; only repair
-    # entries an earlier clamp left at zero against their log barrier.
-    C, D = Ncol.shape
-    x = np.maximum(x0, 0.0)
-    bad = (Ncol > 0) & (x <= 0)
-    x[bad] = 1e-12
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] . b[i] for each row of (m, n) arrays, one BLAS dot per row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    def obj(xx):
-        if np.any(xx[Ncol > 0] <= 0):
-            return np.inf
-        with np.errstate(divide="ignore"):
-            logs = np.where(Ncol > 0, -Ncol * np.log(np.maximum(xx, 1e-300)), 0.0)
-        b = xx.sum(axis=0)
-        return float(logs.sum() + (Gcol * xx).sum() + 0.5 * k * b @ Q @ b)
 
-    f = obj(x)
-    eye_small = 1e-12
-    for _ in range(30):
-        b = x.sum(axis=0)
-        grad = Gcol + k * (Q @ b)[None, :]
-        grad = grad - np.where(Ncol > 0, Ncol / np.maximum(x, 1e-300), 0.0)
-        curv = np.where(Ncol > 0, Ncol / np.maximum(x * x, 1e-300), 0.0)
-        # Hessian over flattened (c, v): diag(curv) + k * (1_C 1_C') ⊗ Q
-        H = np.kron(np.ones((C, C)), k * Q) + np.diag(curv.ravel() + eye_small)
-        try:
-            step = np.linalg.solve(H, -grad.ravel()).reshape(C, D)
-        except np.linalg.LinAlgError:
-            step = -grad
-        margin = _ACCEPT_RTOL * max(1.0, abs(f))
+def _surrogate(x, N, E, Q, k):
+    """Column surrogates of x (m, C, K); inf where x leaves the log's domain."""
+    pos = N > 0
+    logs = np.where(pos, -N * np.log(np.maximum(x, 1e-300)), 0.0)
+    b = x.sum(axis=1)
+    bQ = np.matmul((0.5 * k * b)[:, None, :], Q)[:, 0, :]
+    f = logs.sum(axis=(1, 2)) + (E * x).sum(axis=(1, 2)) + _rowdot(bQ, b)
+    f[np.any(pos & (x <= 0), axis=(1, 2))] = np.inf
+    return f
+
+
+def _projected_newton(x, N, E, Q, k):
+    """Minimize sum(-N log x + E x) + 0.5 k b'Qb over x >= 0, per column.
+
+    x, N and E have shape (m, C, K): m independent columns of C blocks over
+    K rows, with b = x[i].sum(axis=0), so a column's Hessian is
+    kron(11', kQ) + diag(curvature).  Starting from x, an iteration solves
+    every active column's Newton system in one batched call, stops a column
+    whose predicted decrease (half its Newton decrement) is within the
+    acceptance margin, and backtracks the rest; a column leaves the active
+    set when it stops or when no step lowers its surrogate.  No step that
+    raises a surrogate is accepted.  Each column's products round as in a
+    per-column solve: k * (Q b) in the gradient, never b @ (kQ);
+    ((k/2) b Q) . b in the surrogate; one dot for the decrement.  The
+    low-rank golden trace and reference test pin that rounding.
+
+    Returns (x, clamps, newton_steps, objective_evals), the counts summed
+    over columns: entries pinned at zero from below, accepted steps, and
+    surrogate evaluations (each column's starting value included).
+    """
+    m, C, K = x.shape
+    # C order, so that every sum over a column's entries runs in one order
+    N = np.ascontiguousarray(N)
+    E = np.ascontiguousarray(E)
+    x = np.maximum(np.ascontiguousarray(x), 0.0)
+    # restart entries an earlier clamp left at zero against their log barrier
+    x[(N > 0) & (x <= 0)] = 1e-12
+    f = _surrogate(x, N, E, Q, k)
+    evals, clamps, steps = m, 0, 0
+    kQ = np.tile(k * Q, (C, C))  # kron(11', kQ)
+    eye = np.eye(C * K)
+    active = np.arange(m)
+    for _ in range(_NEWTON_ITERS):
+        xa, Na = x[active], N[active]
+        grad = E[active] + k * np.matmul(Q, xa.sum(axis=1)[:, :, None]).transpose(0, 2, 1)
+        grad = grad - np.where(Na > 0, Na / np.maximum(xa, 1e-300), 0.0)
+        curv = np.where(Na > 0, Na / np.maximum(xa * xa, 1e-300), 0.0)
+        H = kQ + (curv.reshape(-1, C * K) + 1e-12)[:, :, None] * eye
+        step = _newton_directions(H, grad.reshape(-1, C * K)).reshape(grad.shape)
+        margin = _ACCEPT_RTOL * np.maximum(1.0, np.abs(f[active]))
         # stop where a full step's predicted decrease is within the margin
-        if -0.5 * float(grad.ravel() @ step.ravel()) <= margin:
-            break
-        improved = False
+        go = -0.5 * _rowdot(grad.reshape(-1, C * K), step.reshape(-1, C * K)) > margin
+        cols, step, bar = active[go], step[go], f[active[go]] - margin[go]
+        moved = []
         t = 1.0
         for _ in range(_NEWTON_HALVINGS):
-            cand = np.clip(x + t * step, 0.0, None)
-            fc = obj(cand)
-            if fc < f - margin:
-                x, f = cand, fc
-                improved = True
+            if cols.size == 0:
                 break
+            cand = x[cols] + t * step
+            low = cand < 0
+            cand[low] = 0.0
+            fc = _surrogate(cand, N[cols], E[cols], Q, k)
+            evals += cols.size
+            ok = fc < bar
+            acc = cols[ok]
+            x[acc], f[acc] = cand[ok], fc[ok]
+            clamps += int(np.count_nonzero(low[ok] & (N[acc] == 0)))
+            moved.append(acc)
+            cols, step, bar = cols[~ok], step[~ok], bar[~ok]
             t *= 0.5
-        if not improved:
+        active = np.concatenate(moved) if moved else cols[:0]
+        steps += active.size
+        if active.size == 0:
             break
-    return x
+    return x, clamps, steps, evals
+
+
+def _newton_directions(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve H[k] s[k] = -grad[k] for a (m, n, n) stack; -grad where H[k] is singular."""
+    try:
+        # b as (m, n, 1): stacked-matrix semantics under numpy 1.x and 2.x alike
+        return np.linalg.solve(H, -grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        step = -grad
+        for k in range(len(H)):
+            try:
+                step[k] = np.linalg.solve(H[k], -grad[k])
+            except np.linalg.LinAlgError:
+                pass
+        return step
 
 
 def _structural(pen: Penalty):
@@ -499,15 +547,8 @@ def _diff_gram(L: int, order: int) -> np.ndarray:
 
 class _Roughness:
     """Quadratic roughness 0.5 * sum_{v,u} A[:, v, u]' P A[:, v, u] along the
-    channel axis, with its M-step: one projected Newton solve over all D²
-    columns A[:, v, u] at once.
-
-    Each column minimizes sum(-N log x + E x) + 0.5 x'Px over x >= 0, with
-    E = G[:, v].  An iteration solves every active column's Newton system in
-    one batched call, stops a column whose predicted decrease (half its
-    Newton decrement) is within the acceptance margin, and backtracks the
-    rest; a column leaves the active set when it stops or when no step
-    lowers its surrogate.  No step that raises a surrogate is accepted.
+    channel axis, with its M-step: ``_projected_newton`` over the D² columns
+    A[:, v, u], each a single block (C = 1) with E = G[:, v], Q = P and k = 1.
 
     Counters, summed over columns and M-steps: ``clamps`` entries pinned at
     zero from below, ``newton_steps`` accepted steps, ``objective_evals``
@@ -530,71 +571,15 @@ class _Roughness:
             "objective_evals": self.objective_evals,
         }
 
-    def _surrogate(self, x, N, E):
-        """Column surrogates of x (m, C); inf where x leaves the log's domain."""
-        self.objective_evals += len(x)
-        pos = N > 0
-        logs = np.where(pos, -N * np.log(np.maximum(x, 1e-300)), 0.0)
-        f = logs.sum(axis=1) + (E * x).sum(axis=1) + 0.5 * ((x @ self.P) * x).sum(axis=1)
-        f[np.any(pos & (x <= 0), axis=1)] = np.inf
-        return f
-
     def mstep(self, N: np.ndarray, G: np.ndarray, A: np.ndarray) -> np.ndarray:
         C, D, _ = A.shape
-        P = self.P
-        N = N.transpose(1, 2, 0).reshape(D * D, C)  # column k = v * D + u
-        E = np.repeat(G.T, D, axis=0)
-        x = np.maximum(A.transpose(1, 2, 0).reshape(D * D, C), 0.0)
-        # restart entries an earlier clamp left at zero against their log barrier
-        x[(N > 0) & (x <= 0)] = 1e-12
-        f = self._surrogate(x, N, E)
-        eye = np.eye(C)
-        active = np.arange(D * D)
-        for _ in range(_NEWTON_ITERS):
-            xa, Na = x[active], N[active]
-            grad = E[active] + xa @ P - np.where(Na > 0, Na / np.maximum(xa, 1e-300), 0.0)
-            curv = np.where(Na > 0, Na / np.maximum(xa * xa, 1e-300), 0.0)
-            step = _newton_directions(P + (curv + 1e-12)[:, :, None] * eye, grad)
-            margin = _ACCEPT_RTOL * np.maximum(1.0, np.abs(f[active]))
-            # stop where a full step's predicted decrease is within the margin
-            go = -0.5 * (grad * step).sum(axis=1) > margin
-            cols, step, bar = active[go], step[go], f[active[go]] - margin[go]
-            moved = []
-            t = 1.0
-            for _ in range(_NEWTON_HALVINGS):
-                if cols.size == 0:
-                    break
-                cand = x[cols] + t * step
-                low = cand < 0
-                cand[low] = 0.0
-                fc = self._surrogate(cand, N[cols], E[cols])
-                ok = fc < bar
-                acc = cols[ok]
-                x[acc], f[acc] = cand[ok], fc[ok]
-                self.clamps += int(np.count_nonzero(low[ok] & (N[acc] == 0)))
-                moved.append(acc)
-                cols, step, bar = cols[~ok], step[~ok], bar[~ok]
-                t *= 0.5
-            active = np.concatenate(moved) if moved else cols[:0]
-            self.newton_steps += active.size
-            if active.size == 0:
-                break
+        cols = lambda a: a.transpose(1, 2, 0).reshape(D * D, 1, C)  # column v * D + u
+        E = np.repeat(G.T, D, axis=0)[:, None, :]
+        x, clamps, steps, evals = _projected_newton(cols(A), cols(N), E, self.P, 1.0)
+        self.clamps += clamps
+        self.newton_steps += steps
+        self.objective_evals += evals
         return np.ascontiguousarray(x.reshape(D, D, C).transpose(2, 0, 1))
-
-
-def _newton_directions(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve H[k] s[k] = -grad[k] for a (m, C, C) stack; -grad where H[k] is singular."""
-    try:
-        # b as (m, C, 1): stacked-matrix semantics under numpy 1.x and 2.x alike
-        return np.linalg.solve(H, -grad[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        step = -grad
-        for k in range(len(H)):
-            try:
-                step[k] = np.linalg.solve(H[k], -grad[k])
-            except np.linalg.LinAlgError:
-                pass
-        return step
 
 
 def fit_mle_ode(
@@ -705,11 +690,11 @@ def fit_ls(
         k_rows = K - L
         if k_rows <= 0:
             continue
+        # column 1 + v * L + (l - 1) holds dt * X[v, r + L - l] on row r
+        lagged = dt * sliding_window_view(X, L, axis=1)[:, :k_rows, ::-1]
         Z = np.empty((k_rows, p))
         Z[:, 0] = dt
-        for v in range(D):
-            for l in range(1, L + 1):
-                Z[:, 1 + v * L + (l - 1)] = dt * X[v, L - l : K - l]
+        Z[:, 1:] = lagged.transpose(1, 0, 2).reshape(k_rows, D * L)
         Y = X[:, L:].T  # (k_rows, D)
         gram += Z.T @ Z
         rhs += Z.T @ Y
@@ -737,10 +722,7 @@ def fit_ls(
     clamps = int(np.count_nonzero(theta < 0))
     theta = np.clip(theta, 0.0, None)
     mu = theta[0]
-    phi = np.zeros((L, D, D))
-    for v in range(D):
-        for l in range(1, L + 1):
-            phi[l - 1, v, :] = theta[1 + v * L + (l - 1)]
+    phi = np.ascontiguousarray(theta[1:].reshape(D, L, D).transpose(1, 0, 2))
     # mean squared residual plus ridge, as the recorded objective
     fit_sse = float(
         (sse_const - 2.0 * (rhs * theta).sum(axis=0)

@@ -36,7 +36,7 @@ from .core import (
     branching_matrix,
     spectral_radius,
 )
-from .data import Corpus
+from .data import Corpus, FormatError
 
 
 class SimulationOverflowError(HawkesError):
@@ -378,19 +378,22 @@ def write_benchmark_csv(rows: list[dict], path: str) -> None:
 def read_benchmark_csv(path: str) -> list[dict]:
     header, raw = read_csv_rows(path)
     if header != ["method", "t_end", "seed", "wall_time_s", "event_count"]:
-        raise ValidationError(f"{path}: unexpected benchmark header {header}")
+        raise FormatError(f"{path}: unexpected benchmark header {header}")
     rows = []
-    for cells in raw:
-        count: object = cells[4]
-        if count not in ("n/a",) and not str(count).startswith("error:"):
-            count = int(count)
-        rows.append(
-            {
-                "method": cells[0],
-                "t_end": float(cells[1]),
-                "seed": int(cells[2]),
-                "wall_time_s": float(cells[3]),
-                "event_count": count,
-            }
-        )
+    try:
+        for cells in raw:
+            count: object = cells[4]
+            if count not in ("n/a",) and not str(count).startswith("error:"):
+                count = int(count)
+            rows.append(
+                {
+                    "method": cells[0],
+                    "t_end": float(cells[1]),
+                    "seed": int(cells[2]),
+                    "wall_time_s": float(cells[3]),
+                    "event_count": count,
+                }
+            )
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed benchmark row ({exc})") from exc
     return rows

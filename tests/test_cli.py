@@ -135,6 +135,18 @@ class TestSimulate:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
+    def test_fractional_lag_count_in_model_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "grid.json"
+        bad.write_text(json.dumps({
+            "dim": 1, "mu": [0.3], "kernel": {"type": "discretized", "dt": 0.5, "n_lags": 2.5},
+            "A": [[[0.2]], [[0.1]]],
+        }))
+        out = tmp_path / "x.json"
+        rc = main(["simulate", "--model", str(bad), "--t-end", "10", "--out", str(out)])
+        assert rc == 2
+        assert "n_lags must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_horizon_exits_2(self, model_file, tmp_path):
         rc = main(["simulate", "--model", model_file, "--t-end", "-5",
                    "--out", str(tmp_path / "x.json")])

@@ -323,6 +323,14 @@ class TestKernels:
         with pytest.raises(ValidationError):
             DiscretizedKernel(dt=0.5, n_lags=0)
 
+    @pytest.mark.parametrize("n_lags", [2.0, 2.5, 0.5, True, "3"])
+    def test_grid_needs_an_integer_lag_count(self, n_lags):
+        with pytest.raises(ValidationError, match="n_lags must be an integer"):
+            DiscretizedKernel(dt=0.5, n_lags=n_lags)
+
+    def test_numpy_integer_lag_count_is_accepted(self):
+        assert DiscretizedKernel(dt=0.5, n_lags=np.int64(3)).n_components == 3
+
 
 class TestDecayedPrefixSums:
     def brute(self, times, weights, decay):

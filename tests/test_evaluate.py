@@ -11,6 +11,7 @@ from hawkeskit import (
     Corpus,
     EventSequence,
     ExponentialKernel,
+    FormatError,
     HawkesModel,
     LearnConfig,
     RankDeficiencyError,
@@ -236,17 +237,6 @@ class TestCompare:
         with pytest.raises(RuntimeError):
             compare_learners(train, test, [("boom", explode)])
 
-    def test_real_timing_flag_populates_the_timing_column(self, split_corpora):
-        _, train, test = split_corpora
-        specs = [
-            ("em", lambda c: fit_mle(
-                c, ExponentialKernel(decay=1.0),
-                LearnConfig(max_iters=10),
-            )),
-        ]
-        (row,) = compare_learners(train, test, specs, real_timing=True)
-        assert row["wall_time_s"] > 0.0
-
     def test_csv_round_trip(self, split_corpora, tmp_path):
         truth, train, test = split_corpora
 
@@ -284,5 +274,15 @@ class TestCompare:
     def test_reader_rejects_foreign_headers(self, tmp_path):
         path = tmp_path / "not_compare.csv"
         path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(FormatError, match="unexpected comparison header"):
+            read_compare_csv(str(path))
+
+    @pytest.mark.parametrize("cells", ["em,x,0.1,0.2,0,5,", "em,-1.0,0.1,0.2,0,2.5,"])
+    def test_reader_rejects_a_cell_that_is_not_a_number(self, tmp_path, cells):
+        path = tmp_path / "compare.csv"
+        path.write_text(
+            "name,per_event_ll,mu_relerr,kernel_relerr,wall_time_s,iterations,error\n"
+            + cells + "\n"
+        )
+        with pytest.raises(FormatError, match="malformed comparison row"):
             read_compare_csv(str(path))

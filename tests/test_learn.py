@@ -311,7 +311,46 @@ class TestGridLearner:
         assert np.allclose(direct.model.mu, smooth.model.mu, rtol=1e-4)
 
 
+def ref_ls_coefficients(corpus, dt, L, ridge):
+    """fit_ls's (mu, phi), with the design matrix and phi filled by loops."""
+    D = corpus.dim
+    p = 1 + D * L
+    gram, rhs, rows = np.zeros((p, p)), np.zeros((p, D)), 0
+    for seq in corpus:
+        K = int(seq.duration / dt)
+        edges = seq.t_start + np.arange(K + 1) * dt
+        X = np.stack(
+            [np.histogram(seq.times[seq.marks == v], bins=edges)[0] for v in range(D)]
+        ).astype(np.float64)
+        Z = np.empty((K - L, p))
+        Z[:, 0] = dt
+        for v in range(D):
+            for l in range(1, L + 1):
+                Z[:, 1 + v * L + (l - 1)] = dt * X[v, L - l : K - l]
+        gram += Z.T @ Z
+        rhs += Z.T @ X[:, L:].T
+        rows += K - L
+    reg = np.ones(p)
+    reg[0] = 0.0
+    theta = np.linalg.solve(gram / rows + ridge * np.diag(reg), rhs / rows)
+    theta = np.clip(theta, 0.0, None)
+    phi = np.zeros((L, D, D))
+    for v in range(D):
+        for l in range(1, L + 1):
+            phi[l - 1, v, :] = theta[1 + v * L + (l - 1)]
+    return theta[0], phi
+
+
 class TestLeastSquares:
+    @pytest.mark.parametrize("L", [1, 5, 12])
+    @pytest.mark.parametrize("truth", [truth_1d, truth_2d])
+    def test_matches_loop_reference_bit_for_bit(self, truth, L):
+        corpus = sim_corpus(truth(), 40.0, 3, seed=17)
+        rep = fit_ls(corpus, 0.25, L, ridge=1e-3)
+        mu, phi = ref_ls_coefficients(corpus, 0.25, L, 1e-3)
+        assert np.array_equal(rep.model.mu, mu)
+        assert np.array_equal(rep.model.A, phi)
+
     def test_duplicating_corpus_changes_nothing(self):
         corpus = sim_corpus(truth_2d(), 60.0, 8, seed=14)
         doubled = Corpus(

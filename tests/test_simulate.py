@@ -15,6 +15,7 @@ from hawkeskit.core import (
     UnsupportedKernelError,
     ValidationError,
 )
+from hawkeskit.data import FormatError
 from hawkeskit.simulate import (
     SimConfig,
     SimulationOverflowError,
@@ -224,6 +225,23 @@ class TestBenchmark:
             rows = benchmark_simulators(exp2(), [15.0], rng_seed=3, real_timing=False)
             write_benchmark_csv(rows, p)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ("method,t_end,seed,wall_time_s,event_count\nbranch,abc,0,0.0,12\n",
+             "malformed benchmark row"),
+            ("method,t_end,seed,wall_time_s,event_count\nbranch,10,0,0.0,1.5\n",
+             "malformed benchmark row"),
+            ("method,horizon,seed,wall_time_s,event_count\nbranch,10,0,0.0,12\n",
+             "unexpected benchmark header"),
+        ],
+    )
+    def test_reader_raises_format_error(self, tmp_path, text, named):
+        path = tmp_path / "bench.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=named):
+            read_benchmark_csv(str(path))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
