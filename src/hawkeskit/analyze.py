@@ -35,7 +35,6 @@ from .learn import (
     _fit_from_stats,
     _init_params,
     _kernel_stats,
-    _stable_sum,
     _structural,
     fit_mle,
     fit_mle_ode,
@@ -209,6 +208,11 @@ class ClusterResult:
             raise ValidationError("assignments must be the responsibility argmax")
 
 
+def _round_objective(lse: np.ndarray, penalties: list[float]) -> float:
+    """A mixture round's objective: -sum(lse) plus every cluster's penalty."""
+    return -float(lse.sum()) + float(np.sum(penalties))
+
+
 def cluster_mixture(
     corpus: Corpus,
     K: int,
@@ -257,8 +261,7 @@ def cluster_mixture(
         logw = np.log(np.maximum(mixing, 1e-300))[None, :] + ll
         lse = logsumexp(logw, axis=1)
         resp = np.exp(logw - lse[:, None])
-        pen_total = math.fsum(penalty(A_k) for (_, A_k) in params)
-        obj = -_stable_sum(lse) + pen_total
+        obj = _round_objective(lse, [penalty(A_k) for (_, A_k) in params])
         trace.append(obj)
         col = resp.sum(axis=0)
         if np.any(col < 1e-12):

@@ -84,6 +84,17 @@ _PENALTY_BY_FLAG = {
 _GRID_LEARNERS = ("mle-ode", "ls")
 
 
+def _seed(text: str) -> int:
+    """The --seed type: numpy seeds its generators from integers >= 0 only."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each command's subparser, by command name."""
     p = argparse.ArgumentParser(
@@ -93,7 +104,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+        sp.add_argument("--seed", type=_seed, default=0, help="RNG seed, an integer >= 0")
         sp.add_argument(
             "--config", default=None, help="JSON object of flag values; typed flags win"
         )
@@ -244,7 +255,7 @@ def _config_tokens(sp: argparse.ArgumentParser, path: str) -> list[str]:
             if val:
                 tokens.append(flag.option_strings[0])
             continue
-        numeric = flag.type in (int, float)
+        numeric = flag.type in (int, float, _seed)
         is_number = isinstance(val, (int, float)) and not isinstance(val, bool)
         if not is_number and (numeric or not isinstance(val, str)):
             kind = "a number" if numeric else "a string or number"

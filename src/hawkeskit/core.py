@@ -56,6 +56,15 @@ class StabilityWarning(UserWarning):
 NEG_INF = float("-inf")
 
 
+def _check_int(name: str, value, lo: int) -> None:
+    """Raise ValidationError unless ``value`` is an integer >= ``lo``.
+
+    Python and numpy integers pass; bools and floats, even integral ones, do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise ValidationError(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Event:
     """A single timestamped event with an integer mark (dimension index)."""
@@ -332,9 +341,7 @@ class DiscretizedKernel:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValidationError(f"dt must be > 0, got {self.dt}")
-        n = self.n_lags
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValidationError(f"n_lags must be an integer >= 1, got {n!r}")
+        _check_int("n_lags", self.n_lags, 1)
 
     @property
     def n_components(self) -> int:

@@ -33,6 +33,7 @@ from .core import (
     HawkesModel,
     UnsupportedKernelError,
     ValidationError,
+    _check_int,
     branching_matrix,
     spectral_radius,
 )
@@ -58,10 +59,9 @@ class SimConfig:
     def __post_init__(self):
         if not 0 < self.t_end < np.inf:
             raise ValidationError(f"t_end must be finite and > 0, got {self.t_end}")
-        if self.n_sequences < 0:
-            raise ValidationError(f"n_sequences must be >= 0, got {self.n_sequences}")
-        if self.max_events < 1:
-            raise ValidationError(f"max_events must be >= 1, got {self.max_events}")
+        _check_int("n_sequences", self.n_sequences, 0)
+        _check_int("rng_seed", self.rng_seed, 0)
+        _check_int("max_events", self.max_events, 1)
 
 
 def _finish(times_parts, marks_parts, T, dim, sid) -> EventSequence:

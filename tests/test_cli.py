@@ -598,6 +598,9 @@ _MALFORMED = [
     ("fit", "config", {"seed": 1.5}, "float-int"),
     ("fit", "config", {"seed": "x"}, "string-seed"),
     ("fit", "config", {"seed": True}, "bool-int"),
+    ("fit", "config", {"seed": -1}, "negative-seed"),
+    ("cluster", "config", {"seed": -1}, "cluster-negative-seed"),
+    ("simulate", "config", {"seed": -1}, "simulate-negative-seed"),
     ("simulate", "config", {"n": "3"}, "string-n"),
     ("fit", "config", {"penalty": "bogus"}, "bad-choice"),
     ("fit", "config", {"kernel": "grid", "learner": "mle-ode", "n_lags": 2.5}, "float-n-lags"),
@@ -639,6 +642,20 @@ def test_malformed_config_model_or_corpus_exits_2_writing_nothing(
     if kind == "config":
         argv += ["--config", str(bad)]
     assert _exit_code(argv) == 2
+    assert os.listdir(out_dir) == []
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate", "fit", "cluster", "eval", "benchmark", "distance", "granger"]
+)
+def test_negative_seed_flag_exits_2_writing_nothing(
+    command, model_file, corpus_file, tmp_path, capsys
+):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = _argv(command, model_file, corpus_file, lambda name: str(out_dir / name))
+    assert _exit_code([*argv, "--seed", "-1"]) == 2
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
     assert os.listdir(out_dir) == []
 
 

@@ -395,6 +395,31 @@ class TestLeastSquares:
         assert np.all(rep.model.A >= 0.0)
 
 
+class TestLearnConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("rng_seed", -1),
+            ("rng_seed", 1.5),
+            ("rng_seed", True),
+            ("max_iters", 0),
+            ("max_iters", 2.5),
+            ("max_iters", 3.0),
+            ("max_iters", True),
+        ],
+    )
+    def test_seed_or_iteration_cap_that_is_not_an_integer_at_its_minimum_is_refused(
+        self, field, value
+    ):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer >= "):
+            LearnConfig(**{field: value})
+
+    def test_numpy_integers_are_accepted(self):
+        corpus = sim_corpus(truth_1d(), 30.0, 2, 0)
+        cfg = LearnConfig(max_iters=np.int64(3), rng_seed=np.int64(2))
+        assert fit_mle(corpus, ExponentialKernel(decay=1.0), cfg).iterations <= 3
+
+
 class TestEstimationError:
     def test_identical_models_are_zero_error(self):
         m = truth_2d()

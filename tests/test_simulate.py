@@ -1,5 +1,6 @@
 """Samplers: determinism, degenerate reductions, mutual agreement."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -89,6 +90,36 @@ class TestContract:
         assert 11452 <= corpus.n_events <= 12548
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("rng_seed", -1),
+            ("rng_seed", 1.5),
+            ("rng_seed", True),
+            ("n_sequences", -1),
+            ("n_sequences", 2.5),
+            ("n_sequences", True),
+            ("n_sequences", 2.0),
+            ("max_events", 0),
+            ("max_events", 2.5),
+            ("max_events", False),
+        ],
+    )
+    def test_count_or_seed_that_is_not_an_integer_at_its_minimum_is_refused(
+        self, field, value
+    ):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer >= "):
+            SimConfig(exp2(), t_end=5.0, **{field: value})
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = SimConfig(
+            exp2(), t_end=5.0, n_sequences=np.int64(2), rng_seed=np.int32(0),
+            max_events=np.int64(1000),
+        )
+        assert len(simulate_ogata(cfg)) == 2
+
+
 class TestBranchSpecific:
     def test_unstable_model_is_a_precondition_failure(self):
         with warnings.catch_warnings():
@@ -132,6 +163,21 @@ class TestOverflowAndUnsupported:
         partial = info.value.partial
         assert partial is not None and len(partial) == 50
         assert partial.dim == 2 and np.all(np.diff(partial.times) > 0)
+
+    @pytest.mark.parametrize("make_model", [basis1, disc1], ids=["basis", "grid"])
+    def test_finite_support_cap_keeps_the_uncapped_prefix(self, make_model):
+        # the thinning loop draws the same randoms up to the cap, so the
+        # partial is exactly the first max_events events of an uncapped run
+        cfg = SimConfig(make_model(), t_end=200.0, rng_seed=4)
+        full = simulate_ogata(cfg)[0]
+        assert len(full) > 60
+        with pytest.raises(SimulationOverflowError) as info:
+            simulate_ogata(dataclasses.replace(cfg, max_events=60))
+        partial = info.value.partial
+        assert partial is not None and len(partial) == 60
+        assert np.array_equal(partial.times, full.times[:60])
+        assert np.array_equal(partial.marks, full.marks[:60])
+        assert (partial.t_end, partial.dim, partial.id) == (200.0, 1, "s0")
 
     def test_branch_cap_raises_too(self):
         model = HawkesModel(
