@@ -20,17 +20,20 @@ from .core import (
     HawkesModel,
     KernelSpec,
     ValidationError,
+    _check_int,
     _expected_coeff_shape,
     branching_matrix,
 )
 from .data import Corpus, FormatError, _is_int
 from .learn import (
+    FitReport,
     LearnConfig,
     _Converge,
     _EmStats,
     _Roughness,
     _check_corpus_dim,
     _diff_gram,
+    _em_report,
     _exp_features,
     _fit_from_stats,
     _init_params,
@@ -189,6 +192,7 @@ class ClusterResult:
     objective_trace: tuple[float, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "objective_trace", tuple(self.objective_trace))
         resp = np.asarray(self.responsibilities, dtype=np.float64)
         assign = np.asarray(self.assignments, dtype=np.int64)
         mixing = np.asarray(self.mixing, dtype=np.float64)
@@ -230,8 +234,8 @@ def cluster_mixture(
     """
     cfg = cfg or LearnConfig()
     n_seq = len(corpus)
-    if K < 1:
-        raise ValidationError(f"K must be >= 1, got {K}")
+    _check_int("K", K, 1)
+    _check_int("inner_iters", inner_iters, 1)
     if n_seq < K:
         raise ValidationError(f"corpus has {n_seq} sequences, fewer than K={K}")
     layout = _expected_coeff_shape(kernel_template, corpus.dim)
@@ -292,7 +296,7 @@ def cluster_mixture(
         assignments=assignments,
         models=tuple(models),
         mixing=resp.mean(axis=0) / max(float(resp.mean(axis=0).sum()), 1e-300),
-        objective_trace=tuple(trace),
+        objective_trace=trace,
     )
 
 
@@ -456,8 +460,9 @@ def cluster_distance(
     alternates nearest-medoid assignment with per-cluster medoid refresh.
     """
     n = len(corpus)
-    if K < 1:
-        raise ValidationError(f"K must be >= 1, got {K}")
+    _check_int("K", K, 1)
+    _check_int("rng_seed", rng_seed, 0)
+    _check_int("max_iters", max_iters, 1)
     if K > n:
         raise ValidationError(f"K={K} exceeds corpus size {n}")
     dm = distance_matrix(corpus, params)
@@ -550,16 +555,6 @@ class TvhpModel:
         return int(self.grid.size)
 
 
-@dataclass
-class TvhpFit:
-    model: TvhpModel
-    objective_trace: tuple[float, ...]
-    converged: bool
-    iterations: int
-    wall_time: float
-    details: dict
-
-
 def _tvhp_stats(corpus: Corpus, grid: np.ndarray, decay: float) -> _EmStats:
     """Exponential features with one channel per grid node.
 
@@ -592,7 +587,7 @@ def fit_tvhp(
     decay: float,
     cfg: LearnConfig | None = None,
     beta: float = 1.0,
-) -> TvhpFit:
+) -> FitReport:
     """EM for node infectivities with a squared-difference drift penalty.
 
     Each event's excitation evidence lands on the two grid nodes bracketing
@@ -618,14 +613,7 @@ def fit_tvhp(
     init = _init_params(stats, cfg.rng_seed, 0.1 / stats.dim)
     mu, A, trace, converged = _fit_from_stats(stats, cfg, init, smooth.mstep, smooth.value)
     model = TvhpModel(mu=mu, grid=grid, A=A, decay=decay)
-    return TvhpFit(
-        model=model,
-        objective_trace=tuple(trace),
-        converged=converged,
-        iterations=len(trace) - 1,
-        wall_time=time.perf_counter() - start,
-        details={**smooth.counters(), "beta": beta},
-    )
+    return _em_report(model, trace, converged, start, **smooth.counters(), beta=beta)
 
 
 def tvhp_log_likelihood(model: TvhpModel, corpus: Corpus) -> float:

@@ -647,8 +647,9 @@ def kernel_lag_averages(model: HawkesModel, dt: float, n_lags: int) -> np.ndarra
     Exact (each bin's mass over its width), so comparing a fitted step
     kernel against a smooth reference carries no within-bin sampling bias.
     """
-    if dt <= 0 or n_lags < 1:
-        raise ValidationError("need dt > 0 and n_lags >= 1")
+    _check_int("n_lags", n_lags, 1)
+    if not dt > 0:
+        raise ValidationError(f"dt must be > 0, got {dt}")
     dims = np.arange(model.dim)
     edges, v, u = np.ix_(np.arange(n_lags + 1) * dt, dims, dims)
     return model.kernel.integrals(model.coeffs, edges[1:], v, u, start=edges[:-1]) / dt

@@ -25,6 +25,7 @@ from .core import (
     HawkesModel,
     KernelSpec,
     ValidationError,
+    _check_int,
 )
 
 
@@ -359,6 +360,7 @@ def split_train_test(corpus: Corpus, ratio: float, rng_seed: int) -> tuple[Corpu
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValidationError(f"ratio must be in [0, 1], got {ratio}")
+    _check_int("rng_seed", rng_seed, 0)
     n = len(corpus)
     n_train = int(round(ratio * n))
     rng = make_rng(rng_seed)
@@ -375,6 +377,7 @@ def subsample(corpus: Corpus, fraction: float, rng_seed: int) -> Corpus:
     """Keep each sequence independently with probability ``fraction``."""
     if not 0.0 <= fraction <= 1.0:
         raise ValidationError(f"fraction must be in [0, 1], got {fraction}")
+    _check_int("rng_seed", rng_seed, 0)
     rng = make_rng(rng_seed)
     keep = rng.random(len(corpus)) < fraction
     kept = tuple(s for s, k in zip(corpus.sequences, keep) if k)
@@ -407,6 +410,7 @@ def thin_events(seq: EventSequence, keep_prob: float, rng_seed: int) -> EventSeq
     """Keep each event independently with probability ``keep_prob``; window unchanged."""
     if not 0.0 <= keep_prob <= 1.0:
         raise ValidationError(f"keep_prob must be in [0, 1], got {keep_prob}")
+    _check_int("rng_seed", rng_seed, 0)
     rng = make_rng(rng_seed)
     keep = rng.random(len(seq)) < keep_prob
     return replace(seq, times=seq.times[keep], marks=seq.marks[keep])

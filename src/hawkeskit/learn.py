@@ -25,6 +25,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -48,6 +49,9 @@ from .core import (
     kernel_lag_averages,
 )
 from ._util import make_rng
+
+if TYPE_CHECKING:
+    from .analyze import TvhpModel
 
 _PENALTY_KINDS = ("none", "sparse", "group_sparse", "low_rank")
 
@@ -93,12 +97,21 @@ class LearnConfig:
 
 @dataclass
 class FitReport:
-    model: HawkesModel
+    """What a learner returns; ``model`` is a ``TvhpModel`` from ``fit_tvhp``."""
+
+    model: HawkesModel | TvhpModel
     objective_trace: tuple[float, ...]
     converged: bool
     iterations: int
     wall_time: float
     details: dict = field(default_factory=dict)
+
+
+def _em_report(model, trace, converged, start, **details) -> FitReport:
+    """An EM learner's report: one trace entry per iteration after the first,
+    wall time from ``start``, a ``time.perf_counter()`` reading."""
+    return FitReport(model, tuple(trace), converged, len(trace) - 1,
+                     time.perf_counter() - start, details)
 
 
 class _Converge:
@@ -483,13 +496,7 @@ def fit_mle(
         stats, cfg, init, *_structural(cfg.penalty), weights=weights
     )
     model = HawkesModel(mu=mu, kernel=kernel_template, A=A.reshape(layout))
-    return FitReport(
-        model=model,
-        objective_trace=tuple(trace),
-        converged=converged,
-        iterations=len(trace) - 1,
-        wall_time=time.perf_counter() - start,
-    )
+    return _em_report(model, trace, converged, start)
 
 
 def _warm_start(stats: _EmStats, want: tuple[int, ...], init):
@@ -627,14 +634,7 @@ def fit_mle_ode(
     init = _init_params(stats, cfg.rng_seed, 0.1 / (D * L * dt))
     mu, phi, trace, converged = _fit_from_stats(stats, cfg, init, smooth.mstep, smooth.value)
     model = HawkesModel(mu=mu, kernel=kernel, A=phi)
-    return FitReport(
-        model=model,
-        objective_trace=tuple(trace),
-        converged=converged,
-        iterations=len(trace) - 1,
-        wall_time=time.perf_counter() - start,
-        details={**smooth.counters(), "alpha": alpha},
-    )
+    return _em_report(model, trace, converged, start, **smooth.counters(), alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +656,7 @@ def fit_ls(
     """
     if bin_width <= 0:
         raise ValidationError(f"bin_width must be > 0, got {bin_width}")
-    if lags < 1:
-        raise ValidationError(f"lags must be >= 1, got {lags}")
+    _check_int("lags", lags, 1)
     if ridge < 0:
         raise ValidationError(f"ridge must be >= 0, got {ridge}")
     if len(corpus) == 0:

@@ -13,8 +13,11 @@ Three samplers for the same model family:
   path for every dimension: O(D) plain-float work per event, randoms drawn
   in (rows, D) blocks whose size doubles.
 
-All samplers derive one child seed per sequence from the config seed, so
-corpora are reproducible and sequences are independent.
+All three run through one driver, ``_sample``: it derives one child seed
+per sequence from the config seed (so corpora are reproducible and
+sequences independent), names the sequences ``s0``, ``s1``, ..., and
+enforces ``max_events``.  Each per-sequence sampler only returns its times
+and marks in time order, stopping once it holds more than the cap.
 """
 
 from __future__ import annotations
@@ -41,7 +44,15 @@ from .data import Corpus, FormatError
 
 
 class SimulationOverflowError(HawkesError):
-    """A sequence hit the max_events cap; ``partial`` holds what was kept."""
+    """A sequence exceeded the max_events cap.
+
+    The message names the sequence id (``s0``, ``s1``, ...); ``partial`` is
+    that sequence cut to its first max_events events in time order.  Thinning
+    and the exact sampler draw the same randoms up to the cap, so theirs is
+    the uncapped run's prefix; the branch sampler stops after the generation
+    that crosses the cap, so its partial is the earliest max_events events of
+    the generations drawn so far.
+    """
 
     def __init__(self, message: str, partial: EventSequence | None = None):
         super().__init__(message)
@@ -64,60 +75,53 @@ class SimConfig:
         _check_int("max_events", self.max_events, 1)
 
 
-def _finish(times_parts, marks_parts, T, dim, sid) -> EventSequence:
-    times = np.concatenate(times_parts) if times_parts else np.empty(0)
-    marks = np.concatenate(marks_parts) if marks_parts else np.empty(0, dtype=np.int64)
-    idx = np.argsort(times, kind="stable")
-    return EventSequence(times[idx], marks[idx].astype(np.int64), 0.0, T, dim, sid)
+def _sample(cfg: SimConfig, one) -> Corpus:
+    """Run ``one(model, T, rng, max_events) -> (times, marks)`` per sequence.
 
-
-def _overflow(times_parts, marks_parts, T, dim, sid, cap) -> SimulationOverflowError:
-    seq = _finish(times_parts, marks_parts, T, dim, sid)
-    trunc = EventSequence(seq.times[:cap], seq.marks[:cap], 0.0, T, dim, sid)
-    return SimulationOverflowError(
-        f"sequence {sid!r} exceeded max_events={cap}", partial=trunc
-    )
+    Sequence i gets the i-th child seed of ``cfg.rng_seed`` and the id
+    ``f"s{i}"``; the first sequence holding more than max_events events
+    raises SimulationOverflowError with its first max_events events.
+    """
+    model, T, cap = cfg.model, cfg.t_end, cfg.max_events
+    seqs = []
+    for i, rng in enumerate(spawn_rngs(cfg.rng_seed, cfg.n_sequences)):
+        times, marks = one(model, T, rng, cap)
+        seq = EventSequence(times[:cap], marks[:cap], 0.0, T, model.dim, f"s{i}")
+        if times.size > cap:
+            raise SimulationOverflowError(
+                f"sequence {seq.id!r} exceeded max_events={cap}", partial=seq
+            )
+        seqs.append(seq)
+    return Corpus(tuple(seqs), model.dim)
 
 
 def simulate_branch(cfg: SimConfig) -> Corpus:
     """Sample sequences by the immigrant/offspring cluster construction."""
-    model = cfg.model
-    rho = spectral_radius(branching_matrix(model))
+    rho = spectral_radius(branching_matrix(cfg.model))
     if rho >= 1.0:
         raise ValidationError(
             f"branch sampler requires spectral radius < 1, got {rho:.4f}: "
             "offspring cascade may not terminate"
         )
-    rngs = spawn_rngs(cfg.rng_seed, cfg.n_sequences)
-    seqs = tuple(
-        _branch_one(model, cfg.t_end, rng, cfg.max_events, f"s{i}")
-        for i, rng in enumerate(rngs)
-    )
-    return Corpus(seqs, model.dim)
+    return _sample(cfg, _branch_one)
 
 
-def _branch_one(model, T, rng, max_events, sid) -> EventSequence:
-    D = model.dim
-    times_parts: list[np.ndarray] = []
-    marks_parts: list[np.ndarray] = []
-    total = 0
-
+def _branch_one(model, T, rng, max_events):
+    """Generation by generation until a generation is empty or the cap is
+    crossed; the stable sort keeps each generation's draw order on ties."""
     imm_t, imm_m = [], []
-    for u in range(D):
+    for u in range(model.dim):
         n = int(rng.poisson(model.mu[u] * T))
         imm_t.append(rng.uniform(0.0, T, size=n))
         imm_m.append(np.full(n, u, dtype=np.int64))
-    cur_t = np.concatenate(imm_t)
-    cur_m = np.concatenate(imm_m)
-
-    while cur_t.size:
-        times_parts.append(cur_t)
-        marks_parts.append(cur_m)
-        total += cur_t.size
-        if total > max_events:
-            raise _overflow(times_parts, marks_parts, T, D, sid, max_events)
-        cur_t, cur_m = _offspring(model, cur_t, cur_m, T, rng)
-    return _finish(times_parts, marks_parts, T, D, sid)
+    gens = [(np.concatenate(imm_t), np.concatenate(imm_m))]
+    total = gens[0][0].size
+    while gens[-1][0].size and total <= max_events:
+        gens.append(_offspring(model, *gens[-1], T, rng))
+        total += gens[-1][0].size
+    times, marks = (np.concatenate(parts) for parts in zip(*gens))
+    idx = np.argsort(times, kind="stable")
+    return times[idx], marks[idx]
 
 
 def _offspring(model, pt, pm, T, rng):
@@ -141,16 +145,10 @@ def _offspring(model, pt, pm, T, rng):
 
 def simulate_ogata(cfg: SimConfig) -> Corpus:
     """Sample by thinning with a per-proposal refreshed intensity bound."""
-    model = cfg.model
-    rngs = spawn_rngs(cfg.rng_seed, cfg.n_sequences)
-    seqs = tuple(
-        _ogata_one(model, cfg.t_end, rng, cfg.max_events, f"s{i}")
-        for i, rng in enumerate(rngs)
-    )
-    return Corpus(seqs, model.dim)
+    return _sample(cfg, _ogata_one)
 
 
-def _ogata_one(model, T, rng, max_events, sid) -> EventSequence:
+def _ogata_one(model, T, rng, max_events):
     D = model.dim
     mu = model.mu
     mu_total = float(mu.sum())
@@ -183,14 +181,9 @@ def _ogata_one(model, T, rng, max_events, sid) -> EventSequence:
                 marks.append(u)
                 R[u] += omega
                 if len(times) > max_events:
-                    raise _overflow(
-                        [np.array(times)], [np.array(marks, dtype=np.int64)],
-                        T, D, sid, max_events,
-                    )
+                    break
             t = t_new
-        return EventSequence(
-            np.array(times), np.array(marks, dtype=np.int64), 0.0, T, D, sid
-        )
+        return np.array(times), np.array(marks, dtype=np.int64)
 
     support = kern.support
     coeffs = model.coeffs
@@ -229,9 +222,9 @@ def _ogata_one(model, T, rng, max_events, sid) -> EventSequence:
             ms_arr[n] = u
             n += 1
             if n > max_events:
-                raise _overflow([ts_arr[:n]], [ms_arr[:n]], T, D, sid, max_events)
+                break
         t = t_new
-    return EventSequence(ts_arr[:n].copy(), ms_arr[:n].copy(), 0.0, T, D, sid)
+    return ts_arr[:n].copy(), ms_arr[:n].copy()
 
 
 def simulate_exact_exp(cfg: SimConfig) -> Corpus:
@@ -247,18 +240,12 @@ def simulate_exact_exp(cfg: SimConfig) -> Corpus:
     blocks whose size doubles from 64 rows, so short paths draw little and
     long ones make few numpy calls.
     """
-    model = cfg.model
-    if not isinstance(model.kernel, ExponentialKernel):
+    if not isinstance(cfg.model.kernel, ExponentialKernel):
         raise UnsupportedKernelError(
             "exact sampler requires an exponential kernel; "
             "use simulate_ogata or simulate_branch for other kernels"
         )
-    rngs = spawn_rngs(cfg.rng_seed, cfg.n_sequences)
-    seqs = tuple(
-        _exact_exp_one(model, cfg.t_end, rng, cfg.max_events, f"s{i}")
-        for i, rng in enumerate(rngs)
-    )
-    return Corpus(seqs, model.dim)
+    return _sample(cfg, _exact_exp_one)
 
 
 def _exact_exp_draws(rng, mu, omega):
@@ -279,7 +266,7 @@ def _exact_exp_draws(rng, mu, omega):
         rows *= 2
 
 
-def _exact_exp_one(model, T, rng, max_events, sid) -> EventSequence:
+def _exact_exp_one(model, T, rng, max_events):
     D = model.dim
     omega = float(model.kernel.decay)
     jump = (omega * model.A).tolist()  # jump[u][v]: excitation an event in u adds to v
@@ -305,13 +292,8 @@ def _exact_exp_one(model, T, rng, max_events, sid) -> EventSequence:
         times.append(t)
         marks.append(u)
         if len(times) > max_events:
-            raise _overflow(
-                [np.array(times)], [np.array(marks, dtype=np.int64)],
-                T, D, sid, max_events,
-            )
-    return EventSequence(
-        np.array(times), np.array(marks, dtype=np.int64), 0.0, T, D, sid
-    )
+            break
+    return np.array(times), np.array(marks, dtype=np.int64)
 
 
 _METHODS = {

@@ -46,7 +46,7 @@ from hawkeskit.core import (
 )
 from hawkeskit._util import read_csv_rows
 from hawkeskit.data import Corpus, FormatError
-from hawkeskit.learn import LearnConfig, Penalty, fit_mle
+from hawkeskit.learn import FitReport, LearnConfig, Penalty, fit_mle
 from hawkeskit.simulate import SimConfig, simulate_branch
 
 
@@ -319,6 +319,15 @@ class TestTvhp:
         assert np.array_equal(f1.model.A, f2.model.A)
         tr = np.asarray(f1.objective_trace)
         assert np.all(np.diff(tr) <= 1e-10)
+
+    def test_fit_is_a_fit_report_with_its_counters(self):
+        _, corpus = self.stationary_corpus(n=6)
+        fit = fit_tvhp(corpus, [0.0, 30.0, 60.0], 1.0, LearnConfig(max_iters=8), beta=2.0)
+        assert isinstance(fit, FitReport) and isinstance(fit.model, TvhpModel)
+        assert fit.iterations == len(fit.objective_trace) - 1 >= 1
+        assert isinstance(fit.objective_trace, tuple)
+        assert {"clamp_count", "newton_steps", "objective_evals", "beta"} <= set(fit.details)
+        assert fit.details["beta"] == 2.0 and fit.details["objective_evals"] > 0
 
     def test_huge_drift_penalty_recovers_stationary_fit(self):
         _, corpus = self.stationary_corpus()

@@ -152,9 +152,10 @@ class TestSimulate:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
-    def test_event_overflow_exits_3_without_partial_file(self, model_file, tmp_path):
+    @pytest.mark.parametrize("method", ["branch", "ogata", "exact-exp"])
+    def test_event_overflow_exits_3_without_partial_file(self, model_file, tmp_path, method):
         out = tmp_path / "x.json"
-        rc = main(["simulate", "--model", model_file, "--t-end", "500",
+        rc = main(["simulate", "--model", model_file, "--t-end", "500", "--method", method,
                    "--max-events", "10", "--out", str(out)])
         assert rc == 3
         assert not out.exists()

@@ -193,6 +193,47 @@ class TestOverflowAndUnsupported:
             simulate_exact_exp(SimConfig(disc1(), t_end=10.0))
 
 
+class TestSamplingDriver:
+    @pytest.mark.parametrize("simulate", [simulate_ogata, simulate_exact_exp])
+    def test_exponential_cap_keeps_the_uncapped_prefix(self, simulate):
+        cfg = SimConfig(exp2(), t_end=200.0, rng_seed=4)
+        full = simulate(cfg)[0]
+        assert len(full) > 60
+        with pytest.raises(SimulationOverflowError) as info:
+            simulate(dataclasses.replace(cfg, max_events=60))
+        partial = info.value.partial
+        assert partial is not None and len(partial) == 60
+        assert np.array_equal(partial.times, full.times[:60])
+        assert np.array_equal(partial.marks, full.marks[:60])
+        assert (partial.t_end, partial.dim, partial.id) == (200.0, 2, "s0")
+
+    def test_branch_partial_is_a_time_ordered_subset_of_the_uncapped_run(self):
+        cfg = SimConfig(exp2(), t_end=200.0, rng_seed=4)
+        full = simulate_branch(cfg)[0]
+        assert len(full) > 60
+        with pytest.raises(SimulationOverflowError) as info:
+            simulate_branch(dataclasses.replace(cfg, max_events=60))
+        partial = info.value.partial
+        assert partial is not None and len(partial) == 60
+        assert np.all(np.diff(partial.times) >= 0)
+        drawn = set(zip(full.times.tolist(), full.marks.tolist()))
+        assert set(zip(partial.times.tolist(), partial.marks.tolist())) <= drawn
+
+    @pytest.mark.parametrize(
+        "simulate, seed",
+        [(simulate_branch, 1), (simulate_ogata, 4), (simulate_exact_exp, 0)],
+        ids=["branch", "ogata", "exact"],
+    )
+    def test_overflow_in_the_second_sequence_names_s1(self, simulate, seed):
+        cfg = SimConfig(exp2(), t_end=60.0, n_sequences=3, rng_seed=seed)
+        n0, n1, _ = (len(s) for s in simulate(cfg))
+        assert n1 > n0  # s0 fits under a cap of n0, s1 does not
+        with pytest.raises(SimulationOverflowError, match="'s1'") as info:
+            simulate(dataclasses.replace(cfg, max_events=n0))
+        assert info.value.partial.id == "s1"
+        assert len(info.value.partial) == n0
+
+
 class TestCrossAgreement:
     def run_counts(self, model, methods, t_end=60.0, n=150, seed=21):
         out = {}
