@@ -3,11 +3,14 @@ EM for step kernels on a lag grid, and binned least squares.
 
 fit_mle, fit_mle_ode, and (in analyze) fit_tvhp and cluster_mixture run one
 EM loop, ``_fit_from_stats``, over one statistics class, ``_EmStats``.  The
-statistics hold per-event excitation features R (C, n, D) and per-sequence
+statistics hold per-event excitation features R, stored event-major as
+(n, C·D) with column c·D + v for channel c and source v, and per-sequence
 exposures G (n_seq, C, D), built either by the exponential recursion over
 per-event channel weights (exponential kernel; TVHP grid nodes) or, for a
 finite-support kernel, by summing its C component densities over lag pairs
-and its component masses over events.  An expectation pass
+and its component masses over events.  The event-major layout makes the
+intensity of every event one row gather of the coefficients and the
+attribution totals one matrix product over all events.  An expectation pass
 attributes each event to the baseline or to one past event; the attribution
 totals N feed the learner's minimization step, which is passed to the loop
 together with the matching penalty term of the recorded objective: a
@@ -43,7 +46,6 @@ from .core import (
     _expected_coeff_shape,
     _exposures,
     _pair_arrays,
-    _pair_sums,
     branching_matrix,
     exp_weighted_excitation,
     kernel_lag_averages,
@@ -139,34 +141,40 @@ def _exp_features(seq: EventSequence, W: np.ndarray, decay: float):
     """Features of an exponential decay over per-event channel weights.
 
     W has shape (n, C, D) and places each event on channels and its source
-    dimension.  Returns R (C, n, D) with
-    R[c, j, v] = sum_{t_i < t_j} W[i, c, v] * decay * exp(-decay * (t_j - t_i))
+    dimension.  Returns R (n, C·D), the recursion's output as it is, with
+    R[j, c·D + v] = sum_{t_i < t_j} W[i, c, v] * decay * exp(-decay * (t_j - t_i)),
     and exposures G (C, D) weighting each W[i] by its mass left in the window.
     """
     n, C, D = W.shape
     R = exp_weighted_excitation(seq.times, W.reshape(n, C * D), decay)
     mass = 1.0 - np.exp(-decay * (seq.t_end - seq.times))
-    return R.reshape(n, C, D).transpose(1, 0, 2), (W * mass[:, None, None]).sum(axis=0)
+    return R, (W * mass[:, None, None]).sum(axis=0)
 
 
 def _lag_features(seq: EventSequence, kernel: KernelSpec, D: int):
     """Features of a finite-support kernel, summed over lag pairs.
 
-    R adds each pair's component densities (for a grid kernel, one count at
-    the pair's lag bin); G adds each event's component mass left in the
-    window (for a grid kernel, the bin widths that fit).
+    R (n, C·D) adds each pair's component densities (for a grid kernel, one
+    count at the pair's lag bin), one ``np.bincount`` per component in pair
+    order; G adds each event's component mass left in the window (for a grid
+    kernel, the bin widths that fit).
     """
+    n = len(seq)
     src, tgt = _pair_arrays(seq.times, kernel.support)
     dens = kernel.density(seq.times[tgt] - seq.times[src])
-    return _pair_sums(dens, tgt, seq.marks[src], len(seq), D), _exposures(kernel, seq, D)
+    idx = tgt * D + seq.marks[src]
+    R = np.empty((n, len(dens), D))
+    for c, w in enumerate(dens):
+        R[:, c, :] = np.bincount(idx, weights=w, minlength=n * D).reshape(n, D)
+    return R.reshape(n, len(dens) * D), _exposures(kernel, seq, D)
 
 
 class _EmStats:
     """Per-corpus quantities that never change across EM iterations.
 
-    ``features(seq)`` returns one sequence's features R (C, n, D) and
+    ``features(seq)`` returns one sequence's features R (n, C·D) and
     exposures G (C, D), so that lambda_j = mu[u_j] + sum_{c,v} A[c,v,u_j] *
-    R[c,j,v] and the compensator is T * sum(mu) + sum_{c,v,u} A[c,v,u] *
+    R[j, c·D + v] and the compensator is T * sum(mu) + sum_{c,v,u} A[c,v,u] *
     G[c,v].  Exposures and durations are stored per sequence so callers can
     reweight sequences without recomputation.
     """
@@ -176,9 +184,9 @@ class _EmStats:
             raise ValidationError("corpus is empty")
         self.dim = D = corpus.dim
         parts = [features(seq) for seq in corpus]
-        self.R = np.concatenate([R for R, _ in parts], axis=1)
+        self.R = np.concatenate([R for R, _ in parts])
         self.G_s = np.stack([G for _, G in parts])
-        self.C = self.R.shape[0]
+        self.C = self.G_s.shape[1]
         self.T_s = np.array([seq.duration for seq in corpus], dtype=np.float64)
         self.counts_s = np.stack(
             [np.bincount(seq.marks, minlength=D) for seq in corpus]
@@ -190,8 +198,8 @@ class _EmStats:
     def weighted(self, weights: np.ndarray | None):
         n_seq = self.T_s.size
         w = np.ones(n_seq) if weights is None else np.asarray(weights, dtype=np.float64)
-        if w.shape != (n_seq,) or np.any(w < 0):
-            raise ValidationError("weights must be nonnegative, one per sequence")
+        if w.shape != (n_seq,) or not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise ValidationError("weights must be finite and nonnegative, one per sequence")
         G = np.einsum("s,scv->cv", w, self.G_s)
         T_w = float(w @ self.T_s)
         counts_w = w @ self.counts_s
@@ -199,12 +207,22 @@ class _EmStats:
         return G, T_w, counts_w, ev_w
 
     def rates(self, mu: np.ndarray, A: np.ndarray) -> np.ndarray:
-        """Event intensities lambda_j under coefficients A of shape (C, D, D)."""
-        return mu[self.marks] + np.einsum("cjv,cvj->j", self.R, A[:, :, self.marks])
+        """Event intensities lambda_j under coefficients A of shape (C, D, D).
+
+        Row u of At = A.reshape(C·D, D).T holds target u's coefficients in
+        R's column order, so each event gathers one contiguous row (by
+        ``take``, which measured 2-3x faster than fancy indexing here).
+        """
+        At = np.ascontiguousarray(A.reshape(-1, self.dim).T)
+        return mu[self.marks] + np.einsum("jk,jk->j", self.R, At.take(self.marks, axis=0))
 
     def contract(self, w: np.ndarray) -> np.ndarray:
-        """S[c, v, u] = sum_j R[c, j, v] * w[j] * [u_j = u], shape (C, D, D)."""
-        return np.matmul((self.R * w[:, None]).transpose(0, 2, 1), self.onehot)
+        """S[c, v, u] = sum_j R[j, c·D + v] * w[j] * [u_j = u], shape (C, D, D).
+
+        One matrix product over all n events: (R * w)' @ onehot.
+        """
+        S = (self.R * w[:, None]).T @ self.onehot
+        return S.reshape(self.C, self.dim, self.dim)
 
     def nll(self, mu, A, lam, ev_w, G, T_w) -> float:
         # the 1e-300 floor is the one guard against zero intensity at an event.
@@ -366,14 +384,16 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _surrogate(x, N, E, Q, k):
-    """Column surrogates of x (m, C, K); inf where x leaves the log's domain."""
-    pos = N > 0
+def _surrogate(x, N, E, Q, k, pos):
+    """Column surrogates of x (m, C, K); inf where x leaves the log's domain.
+
+    ``pos`` is the mask N > 0, built once per solve.
+    """
     logs = np.where(pos, -N * np.log(np.maximum(x, 1e-300)), 0.0)
     b = x.sum(axis=1)
     bQ = np.matmul((0.5 * k * b)[:, None, :], Q)[:, 0, :]
     f = logs.sum(axis=(1, 2)) + (E * x).sum(axis=(1, 2)) + _rowdot(bQ, b)
-    f[np.any(pos & (x <= 0), axis=(1, 2))] = np.inf
+    f[(pos & (x <= 0)).any(axis=(1, 2))] = np.inf
     return f
 
 
@@ -401,18 +421,21 @@ def _projected_newton(x, N, E, Q, k):
     N = np.ascontiguousarray(N)
     E = np.ascontiguousarray(E)
     x = np.maximum(np.ascontiguousarray(x), 0.0)
-    # restart entries an earlier clamp left at zero against their log barrier
-    x[(N > 0) & (x <= 0)] = 1e-12
-    f = _surrogate(x, N, E, Q, k)
-    evals, clamps, steps = m, 0, 0
+    # constants of the solve, built once: the log terms' support and the
+    # Hessian's coupling and diagonal
+    pos = N > 0
     kQ = np.tile(k * Q, (C, C))  # kron(11', kQ)
     eye = np.eye(C * K)
+    # restart entries an earlier clamp left at zero against their log barrier
+    x[pos & (x <= 0)] = 1e-12
+    f = _surrogate(x, N, E, Q, k, pos)
+    evals, clamps, steps = m, 0, 0
     active = np.arange(m)
     for _ in range(_NEWTON_ITERS):
-        xa, Na = x[active], N[active]
+        xa, Na, pa = x[active], N[active], pos[active]
         grad = E[active] + k * np.matmul(Q, xa.sum(axis=1)[:, :, None]).transpose(0, 2, 1)
-        grad = grad - np.where(Na > 0, Na / np.maximum(xa, 1e-300), 0.0)
-        curv = np.where(Na > 0, Na / np.maximum(xa * xa, 1e-300), 0.0)
+        grad = grad - np.where(pa, Na / np.maximum(xa, 1e-300), 0.0)
+        curv = np.where(pa, Na / np.maximum(xa * xa, 1e-300), 0.0)
         H = kQ + (curv.reshape(-1, C * K) + 1e-12)[:, :, None] * eye
         step = _newton_directions(H, grad.reshape(-1, C * K)).reshape(grad.shape)
         margin = _ACCEPT_RTOL * np.maximum(1.0, np.abs(f[active]))
@@ -427,7 +450,7 @@ def _projected_newton(x, N, E, Q, k):
             cand = x[cols] + t * step
             low = cand < 0
             cand[low] = 0.0
-            fc = _surrogate(cand, N[cols], E[cols], Q, k)
+            fc = _surrogate(cand, N[cols], E[cols], Q, k, pos[cols])
             evals += cols.size
             ok = fc < bar
             acc = cols[ok]

@@ -96,6 +96,13 @@ class TestMleExponential:
         assert np.allclose(a.model.mu, b.model.mu, atol=1e-10)
         assert np.allclose(a.model.A, b.model.A, atol=1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_are_refused_up_front(self, bad):
+        corpus = sim_corpus(truth_2d(), 20.0, 3, seed=3)
+        with pytest.raises(ValidationError, match="weights must be finite"):
+            fit_mle(corpus, ExponentialKernel(decay=1.0), LearnConfig(max_iters=5),
+                    weights=[bad, 1.0, 1.0])
+
     def test_basis_kernel_fit_runs_and_descends(self):
         truth = HawkesModel(
             mu=np.array([0.4]),
