@@ -23,8 +23,9 @@ from .core import (
     _check_int,
     _expected_coeff_shape,
     branching_matrix,
+    exp_weighted_excitation,
 )
-from .data import Corpus, FormatError, _is_int
+from .data import Corpus, FormatError, _has_bool, _is_int
 from .learn import (
     FitReport,
     LearnConfig,
@@ -34,7 +35,6 @@ from .learn import (
     _check_corpus_dim,
     _diff_gram,
     _em_report,
-    _exp_features,
     _fit_from_stats,
     _init_params,
     _kernel_stats,
@@ -576,7 +576,9 @@ def _tvhp_stats(corpus: Corpus, grid: np.ndarray, decay: float) -> _EmStats:
         rows = np.arange(n)
         W[rows, pos, seq.marks] += 1.0 - frac
         W[rows, pos + 1, seq.marks] += frac
-        return _exp_features(seq, W, decay)
+        R = exp_weighted_excitation(seq.times, W.reshape(n, n_nodes * D), decay)
+        mass = 1.0 - np.exp(-decay * (seq.t_end - seq.times))
+        return R, (W * mass[:, None, None]).sum(axis=0)
 
     return _EmStats(corpus, features)
 
@@ -650,6 +652,8 @@ def load_tvhp(path: str) -> TvhpModel:
     doc = load_json(path)
     try:
         dim = doc["dim"]
+        if _has_bool(doc):
+            raise TypeError("a boolean where a number belongs")
         model = TvhpModel(
             mu=np.asarray(doc["mu"], dtype=np.float64),
             grid=np.asarray(doc["grid"], dtype=np.float64),

@@ -18,10 +18,11 @@ lags.shape``; their contractions with the coefficients, ``values(coeffs,
 lags, v, u)`` and ``integrals(coeffs, lags, v, u, start=0)``; its ``support``
 (``inf`` for the exponential kernel); ``quantile(comp, u01, upper)`` for the
 branch sampler; and, for finite support, ``thinning_bound(coeffs)``.  Every
-primitive below uses only these, apart from one specialisation: the
-exponential kernel's O(n) recursion over decayed excitation states
-(``exp_weighted_excitation``) replaces pair sums over a whole sequence or
-query grid.
+primitive below uses only these.  The sum over past events has one builder,
+``_excitation``, the one place that decides its layout, features (q, C·D)
+with column c·D + v, and how to build them: the exponential kernel's O(n)
+recursion (``exp_weighted_excitation``), else pair sums within the support.
+Intensity grids, exponential event intensities and every EM statistic read it.
 """
 
 from __future__ import annotations
@@ -542,23 +543,8 @@ def intensity_profile(
     ts = np.asarray(ts, dtype=np.float64)
     if not np.all(np.isfinite(ts)):
         raise ValidationError("query times must be finite")
-    kern = model.kernel
-    if isinstance(kern, ExponentialKernel):
-        # queries join the event timeline with zero weight; the recursion's
-        # strict past keeps events tied with a query out of its intensity
-        n = len(seq)
-        merged = np.concatenate([seq.times, ts])
-        order = np.argsort(merged, kind="stable")
-        weights = np.zeros((merged.size, model.dim))
-        weights[np.arange(n), seq.marks] = 1.0
-        R = exp_weighted_excitation(merged[order], weights[order], kern.decay)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        return model.mu + R[rank[n:]] @ model.A
-    src, q = _pair_arrays(seq.times, kern.support, ts)
-    dens = kern.density(ts[q] - seq.times[src])
-    S = _pair_sums(dens, q, seq.marks[src], ts.size, model.dim)  # (C, len(ts), D)
-    return model.mu + np.matmul(S, model.coeffs).sum(axis=0)
+    F = _excitation(model.kernel, seq, ts)
+    return model.mu + F @ model.coeffs.reshape(-1, model.dim)
 
 
 def compensator(
@@ -581,7 +567,7 @@ def compensator(
 def window_compensator(model: HawkesModel, seq: EventSequence) -> np.ndarray:
     """Compensator of every dimension over the full observation window; shape (D,)."""
     _check_dims(model, seq)
-    G = _exposures(model.kernel, seq, model.dim)
+    G = _exposures(model.kernel, seq)
     return model.mu * (seq.t_end - seq.t_start) + np.einsum("cv,cvu->u", G, model.coeffs)
 
 
@@ -629,18 +615,6 @@ def exp_weighted_excitation(
     return R
 
 
-def exp_excitation_states(
-    times: np.ndarray, marks: np.ndarray, dim: int, decay: float
-) -> np.ndarray:
-    """Pre-event excitation per source dimension for an exponential kernel.
-
-    ``R[j, v] = sum_{t_i < t_j, m_i = v} decay * exp(-decay * (t_j - t_i))``,
-    so ``lambda_u(t_j) = mu[u] + sum_v A[v, u] * R[j, v]``.
-    """
-    onehot = (marks[:, None] == np.arange(dim)[None, :]).astype(np.float64)
-    return exp_weighted_excitation(times, onehot, decay)
-
-
 def kernel_lag_averages(model: HawkesModel, dt: float, n_lags: int) -> np.ndarray:
     """Average kernel value on each lag bin [k*dt, (k+1)*dt); shape (L, D, D).
 
@@ -677,21 +651,62 @@ def _pair_arrays(
     return sources, targets
 
 
-def _pair_sums(
-    weights: np.ndarray, rows: np.ndarray, cols: np.ndarray, n_rows: int, dim: int
+def _onehot(marks: np.ndarray, dim: int) -> np.ndarray:
+    """(n, dim) indicator of each event's mark."""
+    return (marks[:, None] == np.arange(dim)[None, :]).astype(np.float64)
+
+
+def _excitation(
+    kernel: KernelSpec, seq: EventSequence, at: np.ndarray | None = None
 ) -> np.ndarray:
-    """Sums of pair weights (C, P) at each pair's (row, col): shape (C, n_rows, dim).
+    """Excitation features at the query times ``at`` (default: the events).
 
-    One ``np.bincount`` per component adds the pairs in order.
+    Returns F of shape (q, C·D) with column c·D + v:
+    ``F[j, c·D + v] = sum_{t_i < q_j, m_i = v} density_c(q_j - t_i)``, so
+    that lambda(q_j) = mu + F[j] @ coeffs.reshape(C·D, D).  History is
+    strictly past: events tied with a query add nothing to it.
     """
-    idx = rows * dim + cols
-    sums = [np.bincount(idx, weights=w, minlength=n_rows * dim) for w in weights]
-    return np.stack(sums).reshape(len(weights), n_rows, dim)
+    times, dim = seq.times, seq.dim
+    if isinstance(kernel, ExponentialKernel):
+        onehot = _onehot(seq.marks, dim)
+        if at is None:
+            return exp_weighted_excitation(times, onehot, kernel.decay)
+        # queries join the event timeline with zero weight; the recursion's
+        # strict past keeps events tied with a query out of its features
+        n = times.size
+        merged = np.concatenate([times, at])
+        order = np.argsort(merged, kind="stable")
+        weights = np.concatenate([onehot, np.zeros((at.size, dim))])
+        R = exp_weighted_excitation(merged[order], weights[order], kernel.decay)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return R[rank[n:]]
+    q = times if at is None else at
+    src, tgt = _pair_arrays(times, kernel.support, at)
+    dens = kernel.density(q[tgt] - times[src])
+    # one bincount per component, adding the pairs in order
+    idx = tgt * dim + seq.marks[src]
+    F = np.empty((q.size, kernel.n_components, dim))
+    for c, w in enumerate(dens):
+        F[:, c, :] = np.bincount(idx, weights=w, minlength=q.size * dim).reshape(q.size, dim)
+    return F.reshape(q.size, kernel.n_components * dim)
 
 
-def _exposures(kernel: KernelSpec, seq: EventSequence, dim: int) -> np.ndarray:
+def _excited(F: np.ndarray, coeffs: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """Each row's excitation of its own mark: ``F[j] @ coeffs.reshape(C·D, D)[:, marks[j]]``.
+
+    Row u of At holds target u's coefficients in F's column order, so each
+    row gathers one contiguous row (by ``take``, which measured 2-3x faster
+    than fancy indexing here).
+    """
+    At = np.ascontiguousarray(coeffs.reshape(F.shape[1], -1).T)
+    return np.einsum("jk,jk->j", F, At.take(marks, axis=0))
+
+
+def _exposures(kernel: KernelSpec, seq: EventSequence) -> np.ndarray:
     """Component mass left in the window after each event, per source: (C, D)."""
-    return _pair_sums(kernel.mass(seq.t_end - seq.times), 0, seq.marks, 1, dim)[:, 0]
+    mass = kernel.mass(seq.t_end - seq.times)
+    return np.stack([np.bincount(seq.marks, weights=m, minlength=seq.dim) for m in mass])
 
 
 def event_intensities(model: HawkesModel, seq: EventSequence) -> np.ndarray:
@@ -701,11 +716,10 @@ def event_intensities(model: HawkesModel, seq: EventSequence) -> np.ndarray:
     if n == 0:
         return np.empty(0)
     times, marks = seq.times, seq.marks
-    lam = model.mu[marks].astype(np.float64)
+    lam = model.mu[marks]
     kern = model.kernel
     if isinstance(kern, ExponentialKernel):
-        R = exp_excitation_states(times, marks, model.dim, kern.decay)
-        return lam + np.einsum("jv,jv->j", R, model.A[:, marks].T)
+        return lam + _excited(_excitation(kern, seq), model.coeffs, marks)
     src, tgt = _pair_arrays(times, kern.support)
     vals = kern.values(model.coeffs, times[tgt] - times[src], marks[src], marks[tgt])
     return lam + np.bincount(tgt, weights=vals, minlength=n)
@@ -732,8 +746,8 @@ def event_compensators(model: HawkesModel, seq: EventSequence) -> np.ndarray:
     if isinstance(kern, ExponentialKernel):
         # full mass of the strict past, less the part not yet spent
         past = np.searchsorted(times, times, side="left")
-        R = exp_excitation_states(times, marks, model.dim, kern.decay)
-        unspent = np.einsum("jv,jv->j", R, model.A[:, marks].T) / kern.decay
+        R = _excitation(kern, seq)
+        unspent = _excited(R, model.coeffs, marks) / kern.decay
         return out + cum[past, marks] - unspent
     # finite support: events at least one support back add their full mass,
     # pairs inside it the kernel's mass up to their lag

@@ -259,6 +259,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _has_bool(x) -> bool:
+    """True if a parsed JSON value holds a boolean, which numpy reads as 0 or 1."""
+    if isinstance(x, (list, dict)):
+        return any(map(_has_bool, x.values() if isinstance(x, dict) else x))
+    return isinstance(x, bool)
+
+
 def _check_label_map(label_map, dim: int) -> None:
     if label_map is None:
         return
@@ -282,11 +289,12 @@ def load_corpus(path: str) -> Corpus:
             if not isinstance(s["id"], str):
                 raise TypeError(f"sequence id must be a string, got {s['id']!r}")
             ev = s["events"]
-            times = np.array([e[0] for e in ev], dtype=np.float64)
-            marks = np.array([e[1] for e in ev])
-            seqs.append(
-                EventSequence(times, marks, s["t_start"], s["t_end"], d, s["id"])
-            )
+            times, marks = [e[0] for e in ev], [e[1] for e in ev]
+            window = (s["t_start"], s["t_end"])
+            if bool in {*map(type, times), *map(type, marks), *map(type, window)}:
+                raise TypeError(f"sequence {s['id']!r}: a boolean where a number belongs")
+            seqs.append(EventSequence(np.array(times, dtype=np.float64), np.array(marks),
+                                      *window, d, s["id"]))
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise FormatError(f"{path}: malformed corpus document ({exc})") from exc
     return Corpus(tuple(seqs), d, label_map)
@@ -341,6 +349,8 @@ def load_model(path: str) -> HawkesModel:
     doc = load_json(path)
     try:
         dim = doc["dim"]
+        if _has_bool(doc):
+            raise TypeError("a boolean where a number belongs")
         model = HawkesModel(
             mu=np.asarray(doc["mu"], dtype=np.float64),
             kernel=_kernel_from_doc(doc["kernel"]),

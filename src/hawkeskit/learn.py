@@ -5,20 +5,20 @@ fit_mle, fit_mle_ode, and (in analyze) fit_tvhp and cluster_mixture run one
 EM loop, ``_fit_from_stats``, over one statistics class, ``_EmStats``.  The
 statistics hold per-event excitation features R, stored event-major as
 (n, C·D) with column c·D + v for channel c and source v, and per-sequence
-exposures G (n_seq, C, D), built either by the exponential recursion over
-per-event channel weights (exponential kernel; TVHP grid nodes) or, for a
-finite-support kernel, by summing its C component densities over lag pairs
-and its component masses over events.  The event-major layout makes the
-intensity of every event one row gather of the coefficients and the
-attribution totals one matrix product over all events.  An expectation pass
-attributes each event to the baseline or to one past event; the attribution
-totals N feed the learner's minimization step, which is passed to the loop
-together with the matching penalty term of the recorded objective: a
-structural penalty (``_mstep``) or a quadratic roughness (``_Roughness``).
-Where the step is a convex quadratic plus sum(-N log x + E x) over x >= 0,
-as under the low-rank trace bound and every roughness penalty, one batched
-projected Newton, ``_projected_newton``, solves all columns at once.  Each
-step is exact or majorized, which keeps the recorded penalized objective
+exposures G (n_seq, C, D).  For a kernel's coefficients both come from
+``core``: R is ``core._excitation`` at the events, the features intensity
+grids read too, and G is ``core._exposures``; TVHP builds its own with one
+channel per grid node.  The layout makes the intensity of every event one
+row gather of the coefficients (``core._excited``) and the attribution
+totals one matrix product over all events.  An expectation pass attributes
+each event to the baseline or to one past event; the attribution totals N
+feed the learner's minimization step, which is passed to the loop together
+with the matching penalty term of the recorded objective: a structural
+penalty (``_mstep``) or a quadratic roughness (``_Roughness``).  Where the
+step is a convex quadratic plus sum(-N log x + E x) over x >= 0, as under
+the low-rank trace bound and every roughness penalty, one batched projected
+Newton, ``_projected_newton``, solves all columns at once.  Each step is
+exact or majorized, which keeps the recorded penalized objective
 nonincreasing.
 """
 
@@ -35,7 +35,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     DiscretizedKernel,
-    EventSequence,
     ExponentialKernel,
     HawkesError,
     HawkesModel,
@@ -43,11 +42,12 @@ from .core import (
     UnsupportedKernelError,
     ValidationError,
     _check_int,
+    _excitation,
+    _excited,
     _expected_coeff_shape,
     _exposures,
-    _pair_arrays,
+    _onehot,
     branching_matrix,
-    exp_weighted_excitation,
     kernel_lag_averages,
 )
 from ._util import make_rng
@@ -133,42 +133,6 @@ class _Converge:
 # sufficient statistics and the EM loop shared by every EM learner
 
 
-def _onehot(marks: np.ndarray, D: int) -> np.ndarray:
-    return (marks[:, None] == np.arange(D)[None, :]).astype(np.float64)
-
-
-def _exp_features(seq: EventSequence, W: np.ndarray, decay: float):
-    """Features of an exponential decay over per-event channel weights.
-
-    W has shape (n, C, D) and places each event on channels and its source
-    dimension.  Returns R (n, C·D), the recursion's output as it is, with
-    R[j, c·D + v] = sum_{t_i < t_j} W[i, c, v] * decay * exp(-decay * (t_j - t_i)),
-    and exposures G (C, D) weighting each W[i] by its mass left in the window.
-    """
-    n, C, D = W.shape
-    R = exp_weighted_excitation(seq.times, W.reshape(n, C * D), decay)
-    mass = 1.0 - np.exp(-decay * (seq.t_end - seq.times))
-    return R, (W * mass[:, None, None]).sum(axis=0)
-
-
-def _lag_features(seq: EventSequence, kernel: KernelSpec, D: int):
-    """Features of a finite-support kernel, summed over lag pairs.
-
-    R (n, C·D) adds each pair's component densities (for a grid kernel, one
-    count at the pair's lag bin), one ``np.bincount`` per component in pair
-    order; G adds each event's component mass left in the window (for a grid
-    kernel, the bin widths that fit).
-    """
-    n = len(seq)
-    src, tgt = _pair_arrays(seq.times, kernel.support)
-    dens = kernel.density(seq.times[tgt] - seq.times[src])
-    idx = tgt * D + seq.marks[src]
-    R = np.empty((n, len(dens), D))
-    for c, w in enumerate(dens):
-        R[:, c, :] = np.bincount(idx, weights=w, minlength=n * D).reshape(n, D)
-    return R.reshape(n, len(dens) * D), _exposures(kernel, seq, D)
-
-
 class _EmStats:
     """Per-corpus quantities that never change across EM iterations.
 
@@ -207,14 +171,8 @@ class _EmStats:
         return G, T_w, counts_w, ev_w
 
     def rates(self, mu: np.ndarray, A: np.ndarray) -> np.ndarray:
-        """Event intensities lambda_j under coefficients A of shape (C, D, D).
-
-        Row u of At = A.reshape(C·D, D).T holds target u's coefficients in
-        R's column order, so each event gathers one contiguous row (by
-        ``take``, which measured 2-3x faster than fancy indexing here).
-        """
-        At = np.ascontiguousarray(A.reshape(-1, self.dim).T)
-        return mu[self.marks] + np.einsum("jk,jk->j", self.R, At.take(self.marks, axis=0))
+        """Event intensities lambda_j under coefficients A of shape (C, D, D)."""
+        return mu[self.marks] + _excited(self.R, A, self.marks)
 
     def contract(self, w: np.ndarray) -> np.ndarray:
         """S[c, v, u] = sum_j R[j, c·D + v] * w[j] * [u_j = u], shape (C, D, D).
@@ -245,13 +203,7 @@ class _EmStats:
 
 def _kernel_stats(corpus, kernel: KernelSpec) -> _EmStats:
     """Statistics for EM on a kernel's coefficients, C = n_components."""
-    D = corpus.dim
-    if isinstance(kernel, ExponentialKernel):
-        return _EmStats(
-            corpus,
-            lambda seq: _exp_features(seq, _onehot(seq.marks, D)[:, None, :], kernel.decay),
-        )
-    return _EmStats(corpus, lambda seq: _lag_features(seq, kernel, D))
+    return _EmStats(corpus, lambda seq: (_excitation(kernel, seq), _exposures(kernel, seq)))
 
 
 def _check_corpus_dim(dim: int, corpus) -> None:
@@ -603,6 +555,9 @@ class _Roughness:
         C, D, _ = A.shape
         cols = lambda a: a.transpose(1, 2, 0).reshape(D * D, 1, C)  # column v * D + u
         E = np.repeat(G.T, D, axis=0)[:, None, :]
+        # a source with no exposure has N = E = 0, so zero minimises its columns'
+        # surrogate 0.5 x'Px (P PSD); the solve would stop anywhere in P's null space
+        A = np.where((G.sum(axis=0) == 0)[None, :, None], 0.0, A)
         x, clamps, steps, evals = _projected_newton(cols(A), cols(N), E, self.P, 1.0)
         self.clamps += clamps
         self.newton_steps += steps
@@ -692,6 +647,8 @@ def fit_ls(
                 f"sequence {seq.id!r}: window {seq.duration:g} shorter than "
                 f"(lags+1)*bin_width = {(L + 1) * dt:g}"
             )
+        if not seq.duration / dt < np.iinfo(np.intp).max:  # before any allocation; inf, NaN too
+            raise ValidationError(f"sequence {seq.id!r}: too many bins of width {dt:g} to index")
     p = 1 + D * L
     gram = np.zeros((p, p))
     rhs = np.zeros((p, D))

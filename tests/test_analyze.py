@@ -439,8 +439,12 @@ _TVHP = {"dim": 1, "decay": 1.0, "mu": [0.4], "grid": [0.0, 10.0], "A": [[[0.2]]
         {**_TVHP, "mu": ["a"]},
         {**_TVHP, "A": [[[0.2]], [[0.3, 0.1]]]},
         {**_TVHP, "decay": "fast"},
+        {**_TVHP, "mu": [True]},
+        {**_TVHP, "decay": True},
+        {**_TVHP, "A": [[[0.2]], [[False]]]},
     ],
-    ids=["no-dim", "string-dim", "float-dim", "string-mu", "ragged-A", "string-decay"],
+    ids=["no-dim", "string-dim", "float-dim", "string-mu", "ragged-A", "string-decay",
+         "bool-mu", "bool-decay", "bool-A"],
 )
 def test_malformed_tvhp_document_is_a_format_error(doc, tmp_path):
     p = tmp_path / "tv.json"

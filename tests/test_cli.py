@@ -616,6 +616,14 @@ _MALFORMED = [
     ("simulate", "model", {**_MODEL, "mu": ["a", 0.1]}, "string-mu"),
     ("simulate", "model", {**_MODEL, "A": [[0.4, 0.1], [0.2]]}, "ragged-A"),
     ("simulate", "model", {**_MODEL, "kernel": "exp"}, "string-kernel"),
+    ("simulate", "model", {**_MODEL, "mu": [True, 0.6]}, "bool-mu"),
+    ("simulate", "model", {**_MODEL, "kernel": {"type": "exponential", "decay": True}},
+     "bool-decay"),
+    ("simulate", "model", {**_MODEL, "kernel": {"type": "discretized", "dt": True, "n_lags": 2},
+                           "A": [[[0.1, 0.0], [0.0, 0.1]]] * 2}, "bool-dt"),
+    ("simulate", "model", {**_MODEL, "kernel": {"type": "basis", "centers": [0.5],
+                                                "bandwidth": True, "support": 3.0},
+                           "A": [[[0.1, 0.0], [0.0, 0.1]]]}, "bool-bandwidth"),
     # corpus documents
     ("fit", "corpus", _corpus_doc(dim=2.5), "float-dim"),
     ("distance", "corpus", _corpus_doc(sequences=[
@@ -623,6 +631,18 @@ _MALFORMED = [
     ("granger", "corpus", _corpus_doc(label_map=["a", "b"]), "list-label-map"),
     ("granger", "corpus", _corpus_doc(label_map={"a": 0, "b": 5}), "label-out-of-range"),
     ("granger", "corpus", _corpus_doc(label_map={"a": 0, "b": 0}), "label-repeated"),
+    ("fit", "corpus", _corpus_doc(sequences=[
+        {"id": "s0", "t_start": 0.0, "t_end": 5.0, "events": [[True, 0], [2.0, 1]]}]),
+     "bool-time"),
+    ("fit", "corpus", _corpus_doc(sequences=[
+        {"id": "s0", "t_start": 0.0, "t_end": 5.0, "events": [[1.0, 0], [2.0, True]]}]),
+     "bool-mark-true"),
+    ("fit", "corpus", _corpus_doc(sequences=[
+        {"id": "s0", "t_start": 0.0, "t_end": 5.0, "events": [[1.0, False], [2.0, 1]]}]),
+     "bool-mark-false"),
+    ("fit", "corpus", _corpus_doc(sequences=[
+        {"id": "s0", "t_start": False, "t_end": 5.0, "events": [[1.0, 0], [2.0, 1]]}]),
+     "bool-t-start"),
 ]
 
 

@@ -7,7 +7,10 @@ attribution; one sequence has ``t_start == t_end`` and no events; and the
 other two repeat some of their event times.  Every learner must return a
 finite fit with ``mu == 0`` on the silent dimension and without a numpy
 RuntimeWarning (turned into an error here), while ``fit_ls``, which bins
-each window, must refuse the zero-length one with a ValidationError.
+each window, must refuse the zero-length one with a ValidationError.  The
+roughness-penalized learners (``fit_mle_ode``, ``fit_tvhp`` and grid
+``granger_graph``) must also give the silent source no outgoing
+coefficient: with no exposure, zero minimises its columns' surrogate.
 """
 
 import numpy as np
@@ -81,11 +84,15 @@ def test_fit_mle(corpus, kernel, penalty):
 def test_fit_mle_ode(corpus):
     rep = fit_mle_ode(corpus, 0.5, 6, LearnConfig(max_iters=30), alpha=1.0)
     _check_fit(rep.model.mu, rep.model.A)
+    assert np.all(rep.model.A[:, SILENT, :] == 0.0)
+    assert np.all(np.diff(rep.objective_trace) <= 0.0)
 
 
 def test_fit_tvhp(corpus):
     rep = fit_tvhp(corpus, np.linspace(0.0, T_END, 4), 1.0, LearnConfig(max_iters=30))
     _check_fit(rep.model.mu, rep.model.A)
+    assert np.all(rep.model.A[:, SILENT, :] == 0.0)
+    assert np.all(np.diff(rep.objective_trace) <= 0.0)
 
 
 def test_cluster_mixture(corpus):
@@ -99,8 +106,9 @@ def test_cluster_mixture(corpus):
 def test_granger_graph(corpus, kernel):
     graph = granger_graph(corpus, kernel, LearnConfig(max_iters=30))
     assert np.all(np.isfinite(graph.infectivity))
-    # no dimension that fires is drawn into the silent one
+    # no dimension that fires is drawn into the silent one, nor out of it
     assert not graph.adjacency[:SILENT, SILENT].any()
+    assert not graph.adjacency[SILENT].any()
 
 
 def test_fit_ls_refuses_the_zero_length_window(corpus):

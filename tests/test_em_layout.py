@@ -7,8 +7,8 @@ are the former implementations over R as (C, n, D): the feature functions,
 ``rates`` as one einsum over the gathered (C, D, n) coefficients, and
 ``contract`` as C batched matrix products.
 
-- The features themselves are the same numbers in a new order, built by the
-  same operations, so they must be equal to the bit.
+- The features and exposures are the same numbers in a new order, built by
+  the same operations, so they must be equal to the bit.
 - With C = 1 (the exponential kernel), ``contract`` is the same BLAS call
   as before and ``rates`` the same sum in the same order, so both must be
   equal to the bit, and so must every fit and gradient built on them.
@@ -35,8 +35,8 @@ from hawkeskit import (
     fit_mle,
     granger_graph,
 )
-from hawkeskit.core import _pair_arrays, _pair_sums, exp_weighted_excitation
-from hawkeskit.learn import _EmStats, _kernel_stats, _onehot, exp_nll_and_grad
+from hawkeskit.core import _onehot, _pair_arrays, exp_weighted_excitation
+from hawkeskit.learn import _EmStats, _kernel_stats, exp_nll_and_grad
 from test_em_equivalence import BASIS, EXP, GOLDEN, _corpus_from_doc
 
 GRID = DiscretizedKernel(dt=0.5, n_lags=6)
@@ -46,16 +46,29 @@ SCALED_RTOL = 1e-15
 # --- the (C, n, D) reference ------------------------------------------------
 
 
-def ref_exp_features(seq, W, decay):
+def ref_exp_features(times, W, decay):
     n, C, D = W.shape
-    R = exp_weighted_excitation(seq.times, W.reshape(n, C * D), decay)
+    R = exp_weighted_excitation(times, W.reshape(n, C * D), decay)
     return R.reshape(n, C, D).transpose(1, 0, 2)
 
 
+def ref_exp_exposures(seq, W, decay):
+    mass = 1.0 - np.exp(-decay * (seq.t_end - seq.times))
+    return (W * mass[:, None, None]).sum(axis=0)
+
+
 def ref_lag_features(seq, kernel, D):
+    n = len(seq)
     src, tgt = _pair_arrays(seq.times, kernel.support)
     dens = kernel.density(seq.times[tgt] - seq.times[src])
-    return _pair_sums(dens, tgt, seq.marks[src], len(seq), D)
+    idx = tgt * D + seq.marks[src]
+    sums = [np.bincount(idx, weights=w, minlength=n * D) for w in dens]
+    return np.stack(sums).reshape(len(dens), n, D)
+
+
+def ref_lag_exposures(seq, kernel, D):
+    mass = kernel.mass(seq.t_end - seq.times)
+    return np.stack([np.bincount(seq.marks, weights=m, minlength=D) for m in mass])
 
 
 def ref_rates_of(R3, marks, mu, A):
@@ -120,11 +133,13 @@ def test_exponential_stats_equal_the_reference_to_the_bit(corpora, name):
     corpus = corpora[name]
     D = corpus.dim
     stats = _kernel_stats(corpus, EXP)
-    R3 = np.concatenate(
-        [ref_exp_features(s, _onehot(s.marks, D)[:, None, :], EXP.decay) for s in corpus], axis=1
-    )
+    W = [_onehot(s.marks, D)[:, None, :] for s in corpus]
+    R3 = np.concatenate([ref_exp_features(s.times, w, EXP.decay) for s, w in zip(corpus, W)],
+                        axis=1)
+    G = np.stack([ref_exp_exposures(s, w, EXP.decay) for s, w in zip(corpus, W)])
     assert stats.C == 1
     assert np.array_equal(channel_major(stats), R3)
+    assert np.array_equal(stats.G_s, G)
     mu, A, w = _random_params(stats, 1)
     assert np.array_equal(stats.rates(mu, A), ref_rates_of(R3, stats.marks, mu, A))
     assert np.array_equal(stats.contract(w), ref_contract_of(R3, stats.onehot, w))
@@ -133,35 +148,39 @@ def test_exponential_stats_equal_the_reference_to_the_bit(corpora, name):
 def _lag_stats(corpus, kernel):
     stats = _kernel_stats(corpus, kernel)
     R3 = np.concatenate([ref_lag_features(s, kernel, corpus.dim) for s in corpus], axis=1)
-    return stats, R3
+    G = np.stack([ref_lag_exposures(s, kernel, corpus.dim) for s in corpus])
+    return stats, R3, G
 
 
 def _tvhp_stats(corpus, monkeypatch):
-    """The node statistics, and the reference features from the same
-    per-event node weights W."""
+    """The node statistics, and the reference features and exposures from
+    the same per-event node weights W."""
     grid = np.linspace(0.0, max(s.t_end for s in corpus), 4)
-    features = analyze._exp_features
+    excitation = analyze.exp_weighted_excitation
     weights = []
 
-    def capture(seq, W, decay):
-        weights.append((seq, W, decay))
-        return features(seq, W, decay)
+    def capture(times, W, decay):
+        weights.append((W.reshape(len(times), grid.size, corpus.dim), decay))
+        return excitation(times, W, decay)
 
-    monkeypatch.setattr(analyze, "_exp_features", capture)
+    monkeypatch.setattr(analyze, "exp_weighted_excitation", capture)
     stats = analyze._tvhp_stats(corpus, grid, 1.0)
-    R3 = np.concatenate([ref_exp_features(*args) for args in weights], axis=1)
-    return stats, R3
+    R3 = np.concatenate([ref_exp_features(s.times, *args) for s, args in zip(corpus, weights)],
+                        axis=1)
+    G = np.stack([ref_exp_exposures(s, *args) for s, args in zip(corpus, weights)])
+    return stats, R3, G
 
 
 @pytest.mark.parametrize("case", ["basis", "grid", "tvhp"])
 def test_multichannel_stats_agree_with_the_reference(corpora, case, monkeypatch):
     corpus = corpora["lag"]
     if case == "tvhp":
-        stats, R3 = _tvhp_stats(corpus, monkeypatch)
+        stats, R3, G = _tvhp_stats(corpus, monkeypatch)
     else:
-        stats, R3 = _lag_stats(corpus, BASIS if case == "basis" else GRID)
+        stats, R3, G = _lag_stats(corpus, BASIS if case == "basis" else GRID)
     assert stats.C == R3.shape[0] > 1
     assert np.array_equal(channel_major(stats), R3)
+    assert np.array_equal(stats.G_s, G)
     mu, A, w = _random_params(stats, 2)
     for got, want in [
         (stats.rates(mu, A), ref_rates_of(R3, stats.marks, mu, A)),

@@ -395,6 +395,14 @@ class TestLeastSquares:
         with pytest.raises(ValidationError):
             fit_ls(Corpus((short,), 1, None), 0.5, 4)
 
+    @pytest.mark.parametrize("t_end", [1e300, 1e308])
+    def test_window_with_too_many_bins_is_refused_by_name(self, t_end):
+        # 1e308 / 0.5 is infinite and 1e300 / 0.5 far past any index: both
+        # must be refused before a bin edge is allocated
+        long = EventSequence(np.array([0.5]), np.array([0]), 0.0, t_end, 1, "long")
+        with pytest.raises(ValidationError, match="'long'"):
+            fit_ls(Corpus((long,), 1, None), 0.5, 4)
+
     def test_nonnegative_clamp_recorded(self):
         corpus = sim_corpus(truth_1d(), 60.0, 10, seed=16)
         rep = fit_ls(corpus, 0.5, 8, ridge=1e-4)
