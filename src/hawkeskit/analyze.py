@@ -85,6 +85,8 @@ def granger_graph(
     penalty (a penalized cfg raises ValidationError); continuous templates
     through direct EM with whatever penalty cfg carries.
     """
+    if not np.isfinite(threshold):
+        raise ValidationError(f"threshold must be finite, got {threshold}")
     if isinstance(kernel_template, DiscretizedKernel):
         report = fit_mle_ode(
             corpus, kernel_template.dt, kernel_template.n_lags, cfg
@@ -602,14 +604,15 @@ def fit_tvhp(
     cfg = cfg or LearnConfig()
     if cfg.penalty.kind != "none":
         raise ValidationError("structural penalties are not supported here")
-    if not beta >= 0:
-        raise ValidationError(f"beta must be >= 0, got {beta}")
-    if not decay > 0:
-        raise ValidationError(f"decay must be > 0, got {decay}")
+    if not (beta >= 0 and np.isfinite(beta)):
+        raise ValidationError(f"beta must be finite and >= 0, got {beta}")
+    if not (decay > 0 and np.isfinite(decay)):
+        raise ValidationError(f"decay must be finite and > 0, got {decay}")
     start = time.perf_counter()
     grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ValidationError("grid must be strictly increasing with >= 2 nodes")
+    if (grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid))
+            or np.any(np.diff(grid) <= 0)):
+        raise ValidationError("grid must be finite and strictly increasing with >= 2 nodes")
     stats = _tvhp_stats(corpus, grid, decay)
     smooth = _Roughness(2.0 * beta * _diff_gram(grid.size, 1))
     init = _init_params(stats, cfg.rng_seed, 0.1 / stats.dim)

@@ -8,18 +8,21 @@ statistics hold per-event excitation features R, stored event-major as
 exposures G (n_seq, C, D).  For a kernel's coefficients both come from
 ``core``: R is ``core._excitation`` at the events, the features intensity
 grids read too, and G is ``core._exposures``; TVHP builds its own with one
-channel per grid node.  The layout makes the intensity of every event one
-row gather of the coefficients (``core._excited``) and the attribution
-totals one matrix product over all events.  An expectation pass attributes
-each event to the baseline or to one past event; the attribution totals N
-feed the learner's minimization step, which is passed to the loop together
-with the matching penalty term of the recorded objective: a structural
-penalty (``_mstep``) or a quadratic roughness (``_Roughness``).  Where the
-step is a convex quadratic plus sum(-N log x + E x) over x >= 0, as under
-the low-rank trace bound and every roughness penalty, one batched projected
-Newton, ``_projected_newton``, solves all columns at once.  Each step is
+channel per grid node.  The events are stored sorted by mark, so each
+target's events are one row block of R: the intensities of a target's
+events are one matrix-vector product with its coefficients, and its
+attribution totals one vector-matrix product, O(n·C·D) per E-step.  An
+expectation pass attributes each event to the baseline or to one past
+event; the attribution totals N feed the learner's minimization step, which
+is passed to the loop together with the matching penalty term of the
+recorded objective: a structural penalty (``_mstep``) or a quadratic
+roughness (``_Roughness``).  Where the step is a convex quadratic plus
+sum(-N log x + E x) over x >= 0, as under the low-rank trace bound and every
+roughness penalty, one batched projected Newton, ``_projected_newton``,
+solves all columns at once; it ends in full Newton steps and a stop on step
+size, so its result moves by rounding when its inputs do.  Each step is
 exact or majorized, which keeps the recorded penalized objective
-nonincreasing.
+nonincreasing up to the rounding of the untested full Newton steps.
 """
 
 from __future__ import annotations
@@ -43,10 +46,8 @@ from .core import (
     ValidationError,
     _check_int,
     _excitation,
-    _excited,
     _expected_coeff_shape,
     _exposures,
-    _onehot,
     branching_matrix,
     kernel_lag_averages,
 )
@@ -58,11 +59,16 @@ if TYPE_CHECKING:
 _PENALTY_KINDS = ("none", "sparse", "group_sparse", "low_rank")
 
 # ``_projected_newton``, the M-step of low rank and of every roughness
-# penalty: its iteration cap, backtracking halvings, and the relative margin
-# by which a step must lower a column's surrogate to be accepted
-_NEWTON_ITERS = 12
+# penalty: its iteration cap, backtracking halvings, the relative margin by
+# which a backtracked step must lower a column's surrogate to be accepted,
+# the step size (relative to the column's largest entry) below which a
+# column stops, and the predicted decrease (relative to the surrogate) below
+# which a feasible full step is taken untested
+_NEWTON_ITERS = 30
 _NEWTON_HALVINGS = 40
 _ACCEPT_RTOL = 1e-15
+_STEP_RTOL = 1e-13
+_PURE_RTOL = 1e-9
 
 
 class RankDeficiencyError(HawkesError):
@@ -79,8 +85,8 @@ class Penalty:
             raise ValidationError(
                 f"penalty kind {self.kind!r} not one of {_PENALTY_KINDS}"
             )
-        if not self.weight >= 0:
-            raise ValidationError(f"penalty weight must be >= 0, got {self.weight}")
+        if not (self.weight >= 0 and np.isfinite(self.weight)):
+            raise ValidationError(f"penalty weight must be finite and >= 0, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,12 @@ class _EmStats:
     R[j, c·D + v] and the compensator is T * sum(mu) + sum_{c,v,u} A[c,v,u] *
     G[c,v].  Exposures and durations are stored per sequence so callers can
     reweight sequences without recomputation.
+
+    Events are stored sorted by mark (a stable sort of the corpus order), so
+    the events of target u fill one row block ``R[a:b]``; ``blocks`` lists
+    (u, a, b) for every mark that has events.  ``R``, ``marks`` and
+    ``seq_idx`` are all in that order.  Marks never change during a fit, so
+    every E-step works block by block: one matrix-vector product per target.
     """
 
     def __init__(self, corpus, features):
@@ -148,16 +160,30 @@ class _EmStats:
             raise ValidationError("corpus is empty")
         self.dim = D = corpus.dim
         parts = [features(seq) for seq in corpus]
-        self.R = np.concatenate([R for R, _ in parts])
         self.G_s = np.stack([G for _, G in parts])
         self.C = self.G_s.shape[1]
+        marks = np.concatenate([seq.marks for seq in corpus])
+        order = np.argsort(marks, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        # each sequence's rows go to their sorted places, and each block is
+        # dropped once written, so the build holds at most two copies of R
+        self.R = np.empty((order.size, parts[0][0].shape[1]))
+        start = 0
+        for i, seq in enumerate(corpus):
+            self.R[rank[start:start + len(seq)]] = parts[i][0]
+            parts[i] = None
+            start += len(seq)
         self.T_s = np.array([seq.duration for seq in corpus], dtype=np.float64)
         self.counts_s = np.stack(
             [np.bincount(seq.marks, minlength=D) for seq in corpus]
         ).astype(np.float64)
-        self.marks = np.concatenate([seq.marks for seq in corpus])
-        self.seq_idx = np.repeat(np.arange(len(corpus)), [len(seq) for seq in corpus])
-        self.onehot = _onehot(self.marks, D)
+        self.marks = marks[order]
+        self.seq_idx = np.repeat(np.arange(len(corpus)), [len(seq) for seq in corpus])[order]
+        counts = np.bincount(marks, minlength=D)
+        ends = np.cumsum(counts)
+        self.blocks = [(int(u), int(ends[u] - counts[u]), int(ends[u]))
+                       for u in np.flatnonzero(counts)]
 
     def weighted(self, weights: np.ndarray | None):
         n_seq = self.T_s.size
@@ -171,15 +197,26 @@ class _EmStats:
         return G, T_w, counts_w, ev_w
 
     def rates(self, mu: np.ndarray, A: np.ndarray) -> np.ndarray:
-        """Event intensities lambda_j under coefficients A of shape (C, D, D)."""
-        return mu[self.marks] + _excited(self.R, A, self.marks)
+        """Event intensities lambda_j under coefficients A of shape (C, D, D).
+
+        Row u of At holds target u's coefficients in R's column order, so
+        each target's block is one matrix-vector product.
+        """
+        At = np.ascontiguousarray(A.reshape(self.R.shape[1], self.dim).T)
+        lam = np.empty(self.R.shape[0])
+        for u, a, b in self.blocks:
+            lam[a:b] = mu[u] + self.R[a:b] @ At[u]
+        return lam
 
     def contract(self, w: np.ndarray) -> np.ndarray:
         """S[c, v, u] = sum_j R[j, c·D + v] * w[j] * [u_j = u], shape (C, D, D).
 
-        One matrix product over all n events: (R * w)' @ onehot.
+        One vector-matrix product per target's block, w[a:b] @ R[a:b]: R is
+        read once, O(n·C·D), and marks without events give zero columns.
         """
-        S = (self.R * w[:, None]).T @ self.onehot
+        S = np.zeros((self.R.shape[1], self.dim))
+        for u, a, b in self.blocks:
+            S[:, u] = w[a:b] @ self.R[a:b]
         return S.reshape(self.C, self.dim, self.dim)
 
     def nll(self, mu, A, lam, ev_w, G, T_w) -> float:
@@ -355,18 +392,34 @@ def _projected_newton(x, N, E, Q, k):
     x, N and E have shape (m, C, K): m independent columns of C blocks over
     K rows, with b = x[i].sum(axis=0), so a column's Hessian is
     kron(11', kQ) + diag(curvature).  Starting from x, an iteration solves
-    every active column's Newton system in one batched call, stops a column
-    whose predicted decrease (half its Newton decrement) is within the
-    acceptance margin, and backtracks the rest; a column leaves the active
-    set when it stops or when no step lowers its surrogate.  No step that
-    raises a surrogate is accepted.  Each column's products round as in a
-    per-column solve: k * (Q b) in the gradient, never b @ (kQ);
-    ((k/2) b Q) . b in the surrogate; one dot for the decrement.  The
-    low-rank golden trace and reference test pin that rounding.
+    every active column's Newton system in one batched call, over the
+    entries that are not held at zero (an entry at zero whose gradient is
+    positive stays there, the active set of a projected Newton), then per
+    column:
+
+    - stops it when the Newton step s is below rounding of the column,
+      max|s| <= 1e-13 * max(1, max|x|);
+    - near the optimum, where the predicted decrease -0.5 g's is within
+      1e-9 * max(1, |f|) and x + s stays feasible, takes the full step with
+      no function-value test (a pure Newton step);
+    - otherwise backtracks from the full step, accepting only a step that
+      lowers the surrogate by 1e-15 of its value, and drops the column when
+      no step does.
+
+    Near the optimum a column ends in pure steps and the step-size stop,
+    and neither compares two surrogate values that agree to rounding, so
+    the result is a continuous function of N, E and x: inputs that differ
+    by rounding give results that differ by rounding.  A pure step is a
+    Newton step where the quadratic model holds, so it lowers the surrogate
+    up to rounding, and the EM objective trace stays nonincreasing within
+    the 1e-10 relative slack its checks allow.  Each column's products round
+    as in a per-column solve: k * (Q b) in the gradient, ((k/2) b Q) . b in
+    the surrogate, one dot for the predicted decrease.
 
     Returns (x, clamps, newton_steps, objective_evals), the counts summed
-    over columns: entries pinned at zero from below, accepted steps, and
-    surrogate evaluations (each column's starting value included).
+    over columns: entries pinned at zero from below, steps taken, and
+    surrogate evaluations (each column's starting value and each pure step
+    included).
     """
     m, C, K = x.shape
     # C order, so that every sum over a column's entries runs in one order
@@ -388,13 +441,27 @@ def _projected_newton(x, N, E, Q, k):
         grad = E[active] + k * np.matmul(Q, xa.sum(axis=1)[:, :, None]).transpose(0, 2, 1)
         grad = grad - np.where(pa, Na / np.maximum(xa, 1e-300), 0.0)
         curv = np.where(pa, Na / np.maximum(xa * xa, 1e-300), 0.0)
-        H = kQ + (curv.reshape(-1, C * K) + 1e-12)[:, :, None] * eye
-        step = _newton_directions(H, grad.reshape(-1, C * K)).reshape(grad.shape)
-        margin = _ACCEPT_RTOL * np.maximum(1.0, np.abs(f[active]))
-        # stop where a full step's predicted decrease is within the margin
-        go = -0.5 * _rowdot(grad.reshape(-1, C * K), step.reshape(-1, C * K)) > margin
-        cols, step, bar = active[go], step[go], f[active[go]] - margin[go]
-        moved = []
+        # held entries get a unit diagonal, no coupling and a zero step
+        free = ((xa > 0) | (grad <= 0)).reshape(-1, C * K)
+        H = kQ * (free[:, :, None] & free[:, None, :])
+        H += np.where(free, curv.reshape(-1, C * K) + 1e-12, 1.0)[:, :, None] * eye
+        step = _newton_directions(H, np.where(free, grad.reshape(-1, C * K), 0.0))
+        step = np.where(free, step, 0.0).reshape(grad.shape)
+        scale = np.maximum(1.0, np.abs(f[active]))
+        go = np.abs(step).max(axis=(1, 2)) > _STEP_RTOL * np.maximum(1.0, xa.max(axis=(1, 2)))
+        full = xa + step
+        decrease = -0.5 * _rowdot(grad.reshape(-1, C * K), step.reshape(-1, C * K))
+        pure = go & (decrease <= _PURE_RTOL * scale)
+        pure &= np.where(pa, full > 0, full >= 0).all(axis=(1, 2))
+        took = active[pure]
+        if took.size:
+            x[took] = full[pure]
+            f[took] = _surrogate(full[pure], Na[pure], E[took], Q, k, pa[pure])
+            evals += took.size
+        moved = [took]
+        search = go & ~pure
+        cols, step = active[search], step[search]
+        bar = f[cols] - _ACCEPT_RTOL * scale[search]
         t = 1.0
         for _ in range(_NEWTON_HALVINGS):
             if cols.size == 0:
@@ -411,7 +478,7 @@ def _projected_newton(x, N, E, Q, k):
             moved.append(acc)
             cols, step, bar = cols[~ok], step[~ok], bar[~ok]
             t *= 0.5
-        active = np.concatenate(moved) if moved else cols[:0]
+        active = np.concatenate(moved)
         steps += active.size
         if active.size == 0:
             break
@@ -590,8 +657,8 @@ def fit_mle_ode(
     kernel = DiscretizedKernel(dt=dt, n_lags=n_lags)
     if n_lags < 2:
         raise ValidationError("need n_lags >= 2 for a curvature-smoothed grid")
-    if not alpha >= 0:
-        raise ValidationError(f"alpha must be >= 0, got {alpha}")
+    if not (alpha >= 0 and np.isfinite(alpha)):
+        raise ValidationError(f"alpha must be finite and >= 0, got {alpha}")
     start = time.perf_counter()
     D, L = corpus.dim, n_lags
     stats = _kernel_stats(corpus, kernel)

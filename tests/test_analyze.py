@@ -474,3 +474,27 @@ def test_malformed_csv_is_a_format_error(loader, text, tmp_path):
     p.write_text(text)
     with pytest.raises(FormatError):
         loader(str(p))
+
+
+@pytest.mark.parametrize(
+    "kwargs,named",
+    [
+        ({"beta": math.inf}, "beta must be finite"),
+        ({"beta": math.nan}, "beta must be finite"),
+        ({"decay": math.inf}, "decay must be finite"),
+        ({"grid": [0.0, math.nan, 100.0]}, "grid must be finite"),
+        ({"grid": [0.0, 50.0, math.inf]}, "grid must be finite"),
+    ],
+)
+def test_tvhp_refuses_non_finite_knobs(kwargs, named):
+    corpus = Corpus((seq_of([1.0, 2.0, 40.0], [0, 1, 0], t_end=60.0, dim=2),), 2, None)
+    args = {"grid": [0.0, 30.0, 60.0], "decay": 1.0, "beta": 1.0, **kwargs}
+    with pytest.raises(ValidationError, match=named):
+        fit_tvhp(corpus, args["grid"], args["decay"], LearnConfig(max_iters=2), beta=args["beta"])
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_granger_refuses_a_non_finite_threshold(threshold):
+    corpus = Corpus((seq_of([1.0, 2.0, 40.0], [0, 1, 0], t_end=60.0, dim=2),), 2, None)
+    with pytest.raises(ValidationError, match="threshold must be finite"):
+        granger_graph(corpus, ExponentialKernel(decay=1.0), LearnConfig(max_iters=2), threshold)

@@ -681,6 +681,26 @@ def test_negative_seed_flag_exits_2_writing_nothing(
 
 
 @pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["fit", "--penalty", "lowrank", "--weight", "inf"], "penalty weight must be finite"),
+        (["fit", "--penalty", "sparse", "--weight", "inf"], "penalty weight must be finite"),
+        (["fit", "--learner", "mle-ode", "--alpha", "inf"], "alpha must be finite"),
+        (["tvhp", "--grid", "0,30,60", "--beta", "inf"], "beta must be finite"),
+        (["tvhp", "--grid", "0,nan,100"], "grid must be finite"),
+        (["granger", "--threshold", "nan"], "threshold must be finite"),
+    ],
+)
+def test_non_finite_knob_exits_2_writing_nothing(argv, named, corpus_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc = main([argv[0], "--data", corpus_file, *argv[1:], "--out", str(out_dir / "o.json")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert os.listdir(out_dir) == []
+
+
+@pytest.mark.parametrize(
     "flags,named",
     [
         (["--learners", "mle", "--kernel", "grid"], "mle-ode or ls"),

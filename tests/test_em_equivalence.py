@@ -2,33 +2,21 @@
 cluster_mixture.
 
 ``em_golden.json`` holds two small fixed-seed corpora and, for each case,
-the objective trace, iteration count, ``mu`` and ``A`` that the learners
-produced when each still ran its own EM loop.  The shared loop must
-reproduce them: iteration counts exactly, traces elementwise to RTOL
-relative, and ``mu`` and ``A`` to RTOL relative to the largest entry of the
-recorded array (entries that a penalty drives towards zero carry no
-relative precision of their own).
+the objective trace, iteration count, ``mu`` and ``A`` of the reference
+learners.  The learners must reproduce them: iteration counts exactly,
+traces elementwise to RTOL relative, and ``mu`` and ``A`` to RTOL relative
+to the largest entry of the recorded array (entries that a penalty drives
+towards zero carry no relative precision of their own).  RTOL is 1e-12 for
+every case.
 
-RTOL is 1e-12, except for the two roughness learners, mle_ode and tvhp.
-Their M-step is the projected Newton solve ``_projected_newton``, which
-accepts a step only if it lowers a column's objective by more than 1e-15 of
-its value, and stops a column whose predicted decrease is within that
-margin, so whether a last, tiny step is taken can flip on a one-ulp change
-of its inputs, and the step moves the solution by up to about 1e-7
-relative.  Any change of summation order upstream therefore moves these
-fits by that much: the recorded learners themselves, run on the same corpus
-with its sequences in reverse order, differ from their own golden values by
-up to 3e-10 in the trace and 1e-9 in ``A``.  Those two cases use
-NEWTON_RTOL.
-
-low_rank runs the same solver and still matches at RTOL, because the solver
-keeps the operation order of the per-column low-rank solve that recorded
-its golden values: the penalty gradient k * (Q b) as a stacked
-matrix-vector product, the surrogate's quadratic as ((k/2) b Q) b and the
-Newton decrement as one dot product per column.  Computing the gradient as
-b @ Q.T instead moves this trace by about 6e-10; the surrogate's order
-decides acceptance in ill-conditioned columns, which
-``test_lowrank_batched.py`` checks against the per-column reference.
+That holds for the learners whose M-step is the projected Newton solve
+``_projected_newton`` (low rank, mle_ode and tvhp) because the solve is a
+continuous function of its inputs: near the optimum it takes full Newton
+steps and stops on step size, so no decision hangs on two values that agree
+to rounding.  A change of summation order upstream, such as the order of
+the corpus's sequences, moves every fit by rounding only; each case but the
+mixture (whose two clusters may swap labels) is also run on the corpora
+with their sequences reversed and must match the forward run to RTOL.
 
 Rewrite the file only on purpose, from a checkout whose learners are the
 reference: ``PYTHONPATH=src python tests/test_em_equivalence.py --write``.
@@ -59,8 +47,6 @@ from hawkeskit import (
 
 GOLDEN = Path(__file__).with_name("em_golden.json")
 RTOL = 1e-12
-NEWTON_RTOL = 1e-6
-NEWTON_CASES = ("mle_ode", "tvhp")
 
 EXP = ExponentialKernel(decay=1.0)
 BASIS = GaussianBasisKernel(centers=np.array([0.5, 1.5]), bandwidth=0.5, support=3.0)
@@ -163,7 +149,13 @@ def _corpus_from_doc(doc: dict) -> Corpus:
 
 
 def _write_golden() -> None:
-    corpora = _simulated_corpora()
+    """Record every case, on the stored corpora once the file exists, so that
+    a rewrite moves only the learners' values, not their inputs."""
+    if GOLDEN.exists():
+        stored = json.loads(GOLDEN.read_text(encoding="utf-8"))["corpora"]
+        corpora = {name: _corpus_from_doc(c) for name, c in stored.items()}
+    else:
+        corpora = _simulated_corpora()
     doc = {
         "corpora": {name: _corpus_doc(c) for name, c in corpora.items()},
         "cases": {name: run(corpora) for name, run in CASES.items()},
@@ -185,16 +177,25 @@ def _assert_scaled_close(got, want, rtol, what):
     np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * scale, err_msg=what)
 
 
+def _assert_same_fit(got, want, case):
+    assert got["iterations"] == want["iterations"]
+    np.testing.assert_allclose(got["trace"], want["trace"], rtol=RTOL, atol=0.0,
+                               err_msg=f"{case}: objective trace")
+    _assert_scaled_close(got["mu"], want["mu"], RTOL, f"{case}: mu")
+    _assert_scaled_close(got["A"], want["A"], RTOL, f"{case}: A")
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_learner_matches_golden_values(golden, case):
     corpora, cases = golden
-    got, want = CASES[case](corpora), cases[case]
-    rtol = NEWTON_RTOL if case in NEWTON_CASES else RTOL
-    assert got["iterations"] == want["iterations"]
-    np.testing.assert_allclose(got["trace"], want["trace"], rtol=rtol, atol=0.0,
-                               err_msg=f"{case}: objective trace")
-    _assert_scaled_close(got["mu"], want["mu"], rtol, f"{case}: mu")
-    _assert_scaled_close(got["A"], want["A"], rtol, f"{case}: A")
+    _assert_same_fit(CASES[case](corpora), cases[case], case)
+
+
+@pytest.mark.parametrize("case", sorted(set(CASES) - {"mixture"}))
+def test_reversed_sequence_order_gives_the_same_fit(golden, case):
+    corpora, _ = golden
+    reversed_corpora = {name: Corpus(c.sequences[::-1], c.dim) for name, c in corpora.items()}
+    _assert_same_fit(CASES[case](reversed_corpora), CASES[case](corpora), case)
 
 
 if __name__ == "__main__":

@@ -1,21 +1,24 @@
-"""The event-major EM statistics against the channel-major layout they replaced.
+"""The mark-sorted EM statistics against the event-major layout they replaced.
 
-``_EmStats.R`` holds the excitation features as (n, C·D), column c·D + v,
-so ``rates`` gathers one contiguous coefficient row per event and
-``contract`` is one matrix product over all events.  The references below
-are the former implementations over R as (C, n, D): the feature functions,
-``rates`` as one einsum over the gathered (C, D, n) coefficients, and
-``contract`` as C batched matrix products.
+``_EmStats`` stores its events sorted by mark (a stable argsort of the
+corpus order), so the events of each target u fill one row block of R
+(n, C·D), and ``rates`` and ``contract`` make one matrix-vector product per
+block.  The reference is the former layout, ``GemmStats`` below: events in
+corpus order, ``rates`` as one row gather of the coefficients
+(``core._excited``) and ``contract`` as one matrix product with the marks'
+one-hot matrix.  The feature references build the channel-major (C, n, D)
+features from scratch.
 
-- The features and exposures are the same numbers in a new order, built by
-  the same operations, so they must be equal to the bit.
-- With C = 1 (the exponential kernel), ``contract`` is the same BLAS call
-  as before and ``rates`` the same sum in the same order, so both must be
-  equal to the bit, and so must every fit and gradient built on them.
-- With C > 1 (basis and grid kernels, TVHP grid nodes), ``contract`` sums
-  over all n events in one product where it made C, and ``rates`` sums the
-  C·D terms in one pass, so both may round differently: results must agree
-  within 1e-15 of the largest entry.
+- Features, exposures, marks and sequence indices are the same numbers in a
+  new order: they must equal the reference permuted by the stable argsort of
+  the corpus marks, to the bit.
+- ``rates`` and ``contract`` add the same terms in another order, so they
+  must agree with the reference within 1e-15 of the largest entry.
+- Every EM learner on the new layout must agree with the same learner on
+  the reference layout to 1e-12: equal iteration counts, traces elementwise
+  and ``mu``/``A`` relative to their largest entry.  ``_projected_newton``
+  makes the M-step a continuous function of its inputs, so statistics that
+  differ by rounding give fits that differ by rounding.
 """
 
 import json
@@ -24,6 +27,7 @@ import numpy as np
 import pytest
 
 import hawkeskit.analyze as analyze
+import hawkeskit.learn as learn
 from hawkeskit import (
     Corpus,
     DiscretizedKernel,
@@ -33,17 +37,20 @@ from hawkeskit import (
     Penalty,
     cluster_mixture,
     fit_mle,
+    fit_mle_ode,
+    fit_tvhp,
     granger_graph,
 )
-from hawkeskit.core import _onehot, _pair_arrays, exp_weighted_excitation
+from hawkeskit.core import _excited, _onehot, _pair_arrays, exp_weighted_excitation
 from hawkeskit.learn import _EmStats, _kernel_stats, exp_nll_and_grad
 from test_em_equivalence import BASIS, EXP, GOLDEN, _corpus_from_doc
 
 GRID = DiscretizedKernel(dt=0.5, n_lags=6)
 SCALED_RTOL = 1e-15
+FIT_RTOL = 1e-12
 
 
-# --- the (C, n, D) reference ------------------------------------------------
+# --- the references -------------------------------------------------------------
 
 
 def ref_exp_features(times, W, decay):
@@ -71,39 +78,59 @@ def ref_lag_exposures(seq, kernel, D):
     return np.stack([np.bincount(seq.marks, weights=m, minlength=D) for m in mass])
 
 
-def ref_rates_of(R3, marks, mu, A):
-    return mu[marks] + np.einsum("cjv,cvj->j", R3, A[:, :, marks])
+def mark_order(corpus):
+    """The stored permutation: a stable argsort of the corpus-order marks."""
+    return np.argsort(np.concatenate([s.marks for s in corpus]), kind="stable")
 
 
-def ref_contract_of(R3, onehot, w):
-    return np.matmul((R3 * w[:, None]).transpose(0, 2, 1), onehot)
+def gemm_rates(R, marks, mu, A):
+    return mu[marks] + _excited(R, A, marks)
 
 
-def channel_major(stats):
-    """stats.R as the former contiguous (C, n, D) array."""
-    n = stats.R.shape[0]
-    return np.ascontiguousarray(stats.R.reshape(n, stats.C, stats.dim).transpose(1, 0, 2))
+def gemm_contract(R, marks, w, C, D):
+    return ((R * w[:, None]).T @ _onehot(marks, D)).reshape(C, D, D)
 
 
-def ref_rates(self, mu, A):
-    return ref_rates_of(channel_major(self), self.marks, mu, A)
+class GemmStats(_EmStats):
+    """The former layout: events in corpus order, one GEMM per contraction."""
 
+    def __init__(self, corpus, features):
+        super().__init__(corpus, features)
+        rank = np.argsort(mark_order(corpus))
+        self.R, self.marks, self.seq_idx = self.R[rank], self.marks[rank], self.seq_idx[rank]
 
-def ref_contract(self, w):
-    return ref_contract_of(channel_major(self), self.onehot, w)
+    def rates(self, mu, A):
+        return gemm_rates(self.R, self.marks, mu, A)
+
+    def contract(self, w):
+        return gemm_contract(self.R, self.marks, w, self.C, self.dim)
 
 
 # --- corpora ------------------------------------------------------------------
 
 
-def _random_corpus(D, n_seq, n_each, seed, t_end=200.0):
+def _random_corpus(D, n_seq, n_each, seed, t_end=200.0, marks=None):
+    """Uniform times; marks uniform over ``marks`` (default: all D)."""
     rng = np.random.default_rng(seed)
+    draw = (lambda: rng.integers(0, D, n_each)) if marks is None else (
+        lambda: rng.choice(marks, n_each))
     seqs = tuple(
-        EventSequence(np.sort(rng.uniform(0.0, t_end, n_each)),
-                      rng.integers(0, D, n_each), 0.0, t_end, D, f"s{i}")
+        EventSequence(np.sort(rng.uniform(0.0, t_end, n_each)), draw(), 0.0, t_end, D, f"s{i}")
         for i in range(n_seq)
     )
     return Corpus(seqs, D)
+
+
+def _empty_corpus(D, n_seq, t_end=50.0):
+    seqs = tuple(EventSequence(np.empty(0), np.empty(0, dtype=np.int64), 0.0, t_end, D, f"e{i}")
+                 for i in range(n_seq))
+    return Corpus(seqs, D)
+
+
+def _with_empty_sequence(corpus):
+    empty = EventSequence(np.empty(0), np.empty(0, dtype=np.int64), 0.0, 10.0, corpus.dim, "e")
+    seqs = corpus.sequences
+    return Corpus(seqs[:1] + (empty,) + seqs[1:], corpus.dim)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +140,12 @@ def corpora():
         "exp": _corpus_from_doc(golden["exp"]),
         "lag": _corpus_from_doc(golden["lag"]),
         "d20": _random_corpus(20, 4, 500, seed=5),
+        # empty mark blocks: dimension 1 never fires, one sequence is empty
+        "silent": _with_empty_sequence(_random_corpus(3, 3, 80, seed=6, marks=[0, 2])),
+        # every event on the last mark
+        "single": _random_corpus(3, 2, 60, seed=7, marks=[2]),
+        # no events at all
+        "empty": _empty_corpus(2, 3),
     }
 
 
@@ -128,21 +161,41 @@ def _random_params(stats, seed):
 # --- statistics ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["exp", "d20"])
-def test_exponential_stats_equal_the_reference_to_the_bit(corpora, name):
+def check_stats(corpus, stats, R3, G):
+    """Bit-equal stored statistics, and rates and contract near the GEMM form."""
+    order = mark_order(corpus)
+    n, C, D = R3.shape[1], R3.shape[0], corpus.dim
+    assert stats.C == C
+    R, marks = R3.transpose(1, 0, 2).reshape(n, C * D), np.concatenate([s.marks for s in corpus])
+    assert np.array_equal(stats.R, R[order])
+    assert np.array_equal(stats.G_s, G)
+    assert np.array_equal(stats.marks, marks[order])
+    seq_idx = np.repeat(np.arange(len(corpus)), [len(s) for s in corpus])
+    assert np.array_equal(stats.seq_idx, seq_idx[order])
+    counts = np.bincount(stats.marks, minlength=D)
+    assert [u for u, _, _ in stats.blocks] == list(np.flatnonzero(counts))
+    for u, a, b in stats.blocks:
+        assert b - a == counts[u] and np.all(stats.marks[a:b] == u)
+
+    # the former layout, on the corpus-order arrays
+    mu, A, w = _random_params(stats, 2)
+    rank = np.argsort(order)
+    for got, want in [(stats.rates(mu, A), gemm_rates(R, marks, mu, A)[order]),
+                      (stats.contract(w), gemm_contract(R, marks, w[rank], C, D))]:
+        assert got.shape == want.shape
+        scale = float(np.abs(want).max()) if want.size else 0.0
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=SCALED_RTOL * scale)
+
+
+@pytest.mark.parametrize("name", ["exp", "d20", "silent", "single", "empty"])
+def test_exponential_stats(corpora, name):
     corpus = corpora[name]
     D = corpus.dim
-    stats = _kernel_stats(corpus, EXP)
     W = [_onehot(s.marks, D)[:, None, :] for s in corpus]
     R3 = np.concatenate([ref_exp_features(s.times, w, EXP.decay) for s, w in zip(corpus, W)],
                         axis=1)
     G = np.stack([ref_exp_exposures(s, w, EXP.decay) for s, w in zip(corpus, W)])
-    assert stats.C == 1
-    assert np.array_equal(channel_major(stats), R3)
-    assert np.array_equal(stats.G_s, G)
-    mu, A, w = _random_params(stats, 1)
-    assert np.array_equal(stats.rates(mu, A), ref_rates_of(R3, stats.marks, mu, A))
-    assert np.array_equal(stats.contract(w), ref_contract_of(R3, stats.onehot, w))
+    check_stats(corpus, _kernel_stats(corpus, EXP), R3, G)
 
 
 def _lag_stats(corpus, kernel):
@@ -171,50 +224,55 @@ def _tvhp_stats(corpus, monkeypatch):
     return stats, R3, G
 
 
+@pytest.mark.parametrize("name", ["lag", "silent", "single", "empty"])
 @pytest.mark.parametrize("case", ["basis", "grid", "tvhp"])
-def test_multichannel_stats_agree_with_the_reference(corpora, case, monkeypatch):
-    corpus = corpora["lag"]
+def test_multichannel_stats(corpora, name, case, monkeypatch):
+    corpus = corpora[name]
     if case == "tvhp":
         stats, R3, G = _tvhp_stats(corpus, monkeypatch)
     else:
         stats, R3, G = _lag_stats(corpus, BASIS if case == "basis" else GRID)
-    assert stats.C == R3.shape[0] > 1
-    assert np.array_equal(channel_major(stats), R3)
-    assert np.array_equal(stats.G_s, G)
-    mu, A, w = _random_params(stats, 2)
-    for got, want in [
-        (stats.rates(mu, A), ref_rates_of(R3, stats.marks, mu, A)),
-        (stats.contract(w), ref_contract_of(R3, stats.onehot, w)),
-    ]:
-        assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=0.0,
-                                   atol=SCALED_RTOL * float(np.abs(want).max()))
+    assert stats.C > 1
+    check_stats(corpus, stats, R3, G)
 
 
-# --- exponential fits with the reference methods patched in ---------------------
+# --- every EM learner on both layouts ---------------------------------------------
 
 
-def _arrays(rep):
-    return [rep.model.mu, rep.model.A, np.asarray(rep.objective_trace)]
+def _report(rep):
+    """(arrays compared relative to their largest entry, trace)."""
+    return [rep.model.mu, rep.model.A], rep.objective_trace
 
 
 def _structural(kind):
     def run(c):
         cfg = LearnConfig(max_iters=200, tol=1e-8, penalty=Penalty(kind, 0.5), rng_seed=3)
-        return _arrays(fit_mle(c["exp"], EXP, cfg))
+        return _report(fit_mle(c["exp"], EXP, cfg))
 
     return run
 
 
+def _basis(c):
+    return _report(fit_mle(c["lag"], BASIS, LearnConfig(max_iters=100, tol=1e-7)))
+
+
+def _ode(c):
+    return _report(fit_mle_ode(c["lag"], 0.5, 6, LearnConfig(max_iters=60, rng_seed=1), alpha=1.0))
+
+
+def _tvhp(c):
+    grid = np.linspace(0.0, max(s.t_end for s in c["lag"]), 4)
+    return _report(fit_tvhp(c["lag"], grid, 1.0, LearnConfig(max_iters=60, rng_seed=2), beta=0.5))
+
+
 def _granger(c):
-    return [granger_graph(c["d20"], EXP, LearnConfig(max_iters=12)).infectivity]
+    return [granger_graph(c["d20"], EXP, LearnConfig(max_iters=12)).infectivity], ()
 
 
 def _cluster(c):
     res = cluster_mixture(c["exp"], 2, EXP, LearnConfig(max_iters=30, tol=1e-6))
-    return [res.responsibilities, np.asarray(res.objective_trace)] + [
-        a for m in res.models for a in (m.mu, m.A)
-    ]
+    return [res.responsibilities] + [a for m in res.models for a in (m.mu, m.A)], \
+        res.objective_trace
 
 
 def _gradient(c):
@@ -223,7 +281,7 @@ def _gradient(c):
     model = HawkesModel(mu=rng.uniform(0.1, 0.5, D), kernel=EXP,
                         A=rng.uniform(0.0, 0.04, (D, D)))
     nll, grad_mu, grad_A = exp_nll_and_grad(model, c["d20"])
-    return [np.array([nll]), grad_mu, grad_A]
+    return [np.array([nll]), grad_mu, grad_A], ()
 
 
 FITS = {
@@ -231,6 +289,9 @@ FITS = {
     "mle_sparse": _structural("sparse"),
     "mle_group_sparse": _structural("group_sparse"),
     "mle_low_rank": _structural("low_rank"),
+    "mle_basis": _basis,
+    "mle_ode": _ode,
+    "tvhp": _tvhp,
     "granger_graph": _granger,
     "cluster_mixture": _cluster,
     "exp_nll_and_grad": _gradient,
@@ -238,13 +299,15 @@ FITS = {
 
 
 @pytest.mark.parametrize("case", list(FITS))
-def test_exponential_results_are_bit_identical_to_the_reference(corpora, case, monkeypatch):
-    got = FITS[case](corpora)
+def test_results_agree_with_the_gemm_layout(corpora, case, monkeypatch):
+    got, got_trace = FITS[case](corpora)
     with monkeypatch.context() as m:
-        m.setattr(_EmStats, "rates", ref_rates)
-        m.setattr(_EmStats, "contract", ref_contract)
-        want = FITS[case](corpora)
+        m.setattr(learn, "_EmStats", GemmStats)
+        m.setattr(analyze, "_EmStats", GemmStats)
+        want, want_trace = FITS[case](corpora)
+    assert len(got_trace) == len(want_trace)
+    np.testing.assert_allclose(got_trace, want_trace, rtol=FIT_RTOL, atol=0.0)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.shape == b.shape
-        assert np.array_equal(a, b)
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=FIT_RTOL * float(np.abs(b).max()))

@@ -454,3 +454,17 @@ class TestEstimationError:
         assert err["mu_absolute"] and err["kernel_absolute"]
         assert err["mu_relerr"] == pytest.approx(0.3)
         assert err["kernel_relerr"] == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("weight", [np.inf, np.nan])
+@pytest.mark.parametrize("kind", ["sparse", "group_sparse", "low_rank"])
+def test_non_finite_penalty_weight_is_refused(kind, weight):
+    with pytest.raises(ValidationError, match="penalty weight must be finite"):
+        Penalty(kind, weight)
+
+
+@pytest.mark.parametrize("alpha", [np.inf, np.nan])
+def test_non_finite_curvature_weight_is_refused(alpha):
+    corpus = sim_corpus(truth_2d(), 20.0, 2, seed=3)
+    with pytest.raises(ValidationError, match="alpha must be finite"):
+        fit_mle_ode(corpus, 0.5, 6, LearnConfig(max_iters=2), alpha=alpha)

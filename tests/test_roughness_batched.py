@@ -1,14 +1,16 @@
 """The batched roughness M-step against the per-pair Newton solve it replaced.
 
 ``_Roughness.mstep`` runs one projected Newton over all D² columns
-A[:, v, u] at once and stops a column when half its Newton decrement is
-within the acceptance margin.  The reference below is the former
-implementation: one projected Newton per (v, u) pair, whose only stop rule
-is a line search that finds no step lowering the objective by 1e-15 of its
-value.  Both minimize the same convex surrogate from the same start, so the
-batched solution must agree with the reference to 1e-9 of its scale, its
-surrogate may not exceed the reference's by more than 1e-12 relative, and
-both must pin the same number of entries at zero.
+A[:, v, u] at once.  The reference below is one projected Newton per (v, u)
+pair with the batched solver's rules: the same 30-iteration cap, entries at
+zero with a positive gradient held out of the Newton system, a stop on step
+size, full Newton steps near the optimum and backtracking elsewhere.  Both
+minimize the same convex surrogate from the same start, so the batched
+solution must agree with the reference to 1e-9 of its scale, its surrogate
+may not exceed the reference's by more than 1e-12 relative, and both must
+pin the same number of entries at zero.  Where every entry that starts
+positive has attributions, the batched solution must also reach the
+optimum: the projected gradient within 1e-8 of the gradient's terms.
 """
 
 import numpy as np
@@ -18,12 +20,17 @@ from hawkeskit import DiscretizedKernel, HawkesModel, LearnConfig, fit_mle_ode
 from hawkeskit.analyze import fit_tvhp
 from hawkeskit.learn import _diff_gram, _Roughness
 from hawkeskit.simulate import SimConfig, simulate_branch
+from test_lowrank_batched import kkt_residual
 
 
 def ref_penalized_newton(N, E, P, x0):
     """Minimize sum(-N log x + E x) + 0.5 x'Px over x >= 0 from x0.
 
-    Projected Newton with backtracking; never accepts an increase.  Returns
+    Projected Newton with the batched solver's rules: entries at zero with
+    a positive gradient stay there; stop when the Newton step is below 1e-13
+    of the largest entry; take a feasible full step untested when its
+    predicted decrease is within 1e-9 of the objective; else backtrack and
+    accept only a decrease by more than 1e-15 of the objective.  Returns
     (x, clamp_count) where clamps count entries pinned at zero from below.
     """
     x = np.maximum(x0, 0.0)
@@ -39,14 +46,23 @@ def ref_penalized_newton(N, E, P, x0):
 
     f = obj(x)
     clamps = 0
-    for _ in range(12):
+    for _ in range(30):
         grad = E + P @ x - np.where(N > 0, N / np.maximum(x, 1e-300), 0.0)
         curv = np.where(N > 0, N / np.maximum(x * x, 1e-300), 0.0)
+        free = (x > 0) | (grad <= 0)
         H = P + np.diag(curv + 1e-12)
+        step = np.zeros_like(x)
         try:
-            step = np.linalg.solve(H, -grad)
+            step[free] = np.linalg.solve(H[np.ix_(free, free)], -grad[free])
         except np.linalg.LinAlgError:
-            step = -grad
+            step[free] = -grad[free]
+        if np.abs(step).max() <= 1e-13 * max(1.0, x.max()):
+            break
+        full = x + step
+        if (-0.5 * float(grad @ step) <= 1e-9 * max(1.0, abs(f))
+                and np.all(np.where(N > 0, full > 0, full >= 0))):
+            x, f = full, obj(full)
+            continue
         t = 1.0
         improved = False
         for _ in range(40):
@@ -90,15 +106,24 @@ def penalty(C, kind):
     )
 
 
-def make_problem(D, C, seed):
+def make_problem(D, C, seed, dense=False):
     """An EM-shaped problem: warm start A with exact zeros, exposures G, and
-    attributions N = A * S, so N is zero wherever A is and wherever the
-    contraction S is (a source that never precedes a target at a lag)."""
+    attributions N = A * S, so N is zero wherever A is and, unless
+    ``dense``, wherever the contraction S is (a source that never precedes
+    a target at a lag)."""
     rng = np.random.default_rng(seed)
     A = rng.uniform(0.0, 0.2, size=(C, D, D)) * (rng.uniform(size=(C, D, D)) > 0.25)
-    S = rng.gamma(2.0, 20.0, size=(C, D, D)) * (rng.uniform(size=(C, D, D)) > 0.2)
+    S = rng.gamma(2.0, 20.0, size=(C, D, D))
+    S *= rng.uniform(size=(C, D, D)) > (0.0 if dense else 0.2)
     G = rng.uniform(5.0, 50.0, size=(C, D))
     return A * S, G, A
+
+
+def worst_kkt(N, G, A, P):
+    got = _Roughness(P).mstep(N, G, A.copy())
+    D = A.shape[1]
+    return max(kkt_residual(got[:, v, u], N[:, v, u], G[:, v], P @ got[:, v, u])
+               for v in range(D) for u in range(D))
 
 
 def check_against_reference(N, G, A, P):
@@ -126,6 +151,25 @@ def test_batched_mstep_matches_per_pair_reference(D, C, kind):
     for seed in range(3):
         N, G, A = make_problem(D, C, seed=100 * D + 10 * C + seed)
         check_against_reference(N, G, A, penalty(C, kind))
+
+
+@pytest.mark.parametrize("kind", ["order1", "order2", "ridge"])
+@pytest.mark.parametrize("C", [2, 6, 10])
+@pytest.mark.parametrize("D", [1, 2, 5])
+def test_kkt_holds_where_every_positive_start_has_attributions(D, C, kind):
+    # as in EM wherever every contraction entry S is positive
+    for seed in range(3):
+        N, G, A = make_problem(D, C, seed=100 * D + 10 * C + seed, dense=True)
+        assert worst_kkt(N, G, A, penalty(C, kind)) <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason="a positive entry with N = 0 can stall the solve")
+def test_kkt_where_positive_starts_lack_attributions():
+    # see test_lowrank_batched.py: one column of these problems stalls
+    worst = max(worst_kkt(*make_problem(D, C, seed=100 * D + 10 * C + seed), penalty(C, kind))
+                for D in (1, 2, 5) for C in (2, 6, 10) for kind in ("order1", "order2", "ridge")
+                for seed in range(3))
+    assert worst <= 1e-8
 
 
 @pytest.mark.parametrize("kind", ["order1", "order2", "ridge"])
