@@ -545,8 +545,8 @@ class TvhpModel:
             )
         if np.any(A < 0) or np.any(mu < 0):
             raise ValidationError("mu and node coefficients must be >= 0")
-        if not self.decay > 0:
-            raise ValidationError(f"decay must be > 0, got {self.decay}")
+        if not (self.decay > 0 and math.isfinite(self.decay)):
+            raise ValidationError(f"decay must be finite and > 0, got {self.decay}")
 
     @property
     def dim(self) -> int:
@@ -557,32 +557,32 @@ class TvhpModel:
         return int(self.grid.size)
 
 
-def _tvhp_stats(corpus: Corpus, grid: np.ndarray, decay: float) -> _EmStats:
-    """Exponential features with one channel per grid node.
+def _tvhp_features(seq: EventSequence, grid: np.ndarray, decay: float):
+    """Exponential features (n, nodes·D) and exposures (nodes, D) of one sequence.
 
     Each event's weight is split between the two nodes bracketing its time
-    by linear interpolation, so the features carry it to its children.
+    by linear interpolation, so the features carry it to its children: its
+    two entries sit in channels ``node·D + mark``.
     """
-    D, n_nodes = corpus.dim, grid.size
+    if len(seq) and (seq.times[0] < grid[0] or seq.times[-1] > grid[-1]):
+        raise ValidationError(
+            f"sequence {seq.id!r} has events outside the grid span "
+            f"[{grid[0]:g}, {grid[-1]:g}]"
+        )
+    D, n_nodes = seq.dim, grid.size
+    pos = np.clip(np.searchsorted(grid, seq.times, side="right") - 1, 0, n_nodes - 2)
+    frac = (seq.times - grid[pos]) / (grid[pos + 1] - grid[pos])
+    cols = np.stack([pos * D, (pos + 1) * D], axis=1) + seq.marks[:, None]
+    vals = np.stack([1.0 - frac, frac], axis=1)
+    R = exp_weighted_excitation(seq.times, cols, vals, n_nodes * D, decay)
+    mass = 1.0 - np.exp(-decay * (seq.t_end - seq.times))
+    G = np.bincount(cols.ravel(), (vals * mass[:, None]).ravel(), n_nodes * D)
+    return R, G.reshape(n_nodes, D)
 
-    def features(seq):
-        if len(seq) and (seq.times[0] < grid[0] or seq.times[-1] > grid[-1]):
-            raise ValidationError(
-                f"sequence {seq.id!r} has events outside the grid span "
-                f"[{grid[0]:g}, {grid[-1]:g}]"
-            )
-        n = len(seq)
-        pos = np.clip(np.searchsorted(grid, seq.times, side="right") - 1, 0, n_nodes - 2)
-        frac = (seq.times - grid[pos]) / (grid[pos + 1] - grid[pos])
-        W = np.zeros((n, n_nodes, D))
-        rows = np.arange(n)
-        W[rows, pos, seq.marks] += 1.0 - frac
-        W[rows, pos + 1, seq.marks] += frac
-        R = exp_weighted_excitation(seq.times, W.reshape(n, n_nodes * D), decay)
-        mass = 1.0 - np.exp(-decay * (seq.t_end - seq.times))
-        return R, (W * mass[:, None, None]).sum(axis=0)
 
-    return _EmStats(corpus, features)
+def _tvhp_stats(corpus: Corpus, grid: np.ndarray, decay: float) -> _EmStats:
+    """Exponential statistics with one channel per grid node and source."""
+    return _EmStats(corpus, lambda seq: _tvhp_features(seq, grid, decay))
 
 
 def fit_tvhp(

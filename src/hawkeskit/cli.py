@@ -57,7 +57,15 @@ from .data import (
     save_model,
 )
 from .evaluate import compare_learners, write_compare_csv
-from .learn import LearnConfig, Penalty, estimation_error, fit_ls, fit_mle, fit_mle_ode
+from .learn import (
+    LearnConfig,
+    Penalty,
+    _ode_grid,
+    estimation_error,
+    fit_ls,
+    fit_mle,
+    fit_mle_ode,
+)
 from .simulate import (
     SimConfig,
     _METHODS,
@@ -358,7 +366,9 @@ def _fitter(name: str, r: dict):
         raise ValidationError(f"{name} supports {own}; --penalty must be none")
     cfg = _learn_cfg(r)
     if name == "ls":
+        _kernel_from(family, r)  # refuses a bad --dt or --n-lags before any input is read
         return lambda corpus: fit_ls(corpus, r["dt"], r["n_lags"], ridge=r["ridge"], cfg=cfg)
+    _ode_grid(r["dt"], r["n_lags"], r["alpha"])  # and --alpha, for mle-ode
     return lambda corpus: fit_mle_ode(corpus, r["dt"], r["n_lags"], cfg, alpha=r["alpha"])
 
 

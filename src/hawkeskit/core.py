@@ -20,9 +20,11 @@ lags, v, u)`` and ``integrals(coeffs, lags, v, u, start=0)``; its ``support``
 branch sampler; and, for finite support, ``thinning_bound(coeffs)``.  Every
 primitive below uses only these.  The sum over past events has one builder,
 ``_excitation``, the one place that decides its layout, features (q, C·D)
-with column c·D + v, and how to build them: the exponential kernel's O(n)
-recursion (``exp_weighted_excitation``), else pair sums within the support.
-Intensity grids, exponential event intensities and every EM statistic read it.
+with column c·D + v, and how to build them: the exponential kernel's O(n·D)
+recursion (``exp_weighted_excitation``, which scatters each event's weight
+into its own mark's column and takes one cumulative sum per feature over
+blocks of up to 600 e-folds), else pair sums within the support.  Intensity
+grids, exponential event intensities and every EM statistic read it.
 """
 
 from __future__ import annotations
@@ -208,8 +210,8 @@ class ExponentialKernel(_ComponentKernel):
     support = math.inf
 
     def __post_init__(self):
-        if not self.decay > 0:
-            raise ValidationError(f"decay must be > 0, got {self.decay}")
+        if not (self.decay > 0 and math.isfinite(self.decay)):
+            raise ValidationError(f"decay must be finite and > 0, got {self.decay}")
 
     def density(self, lags) -> np.ndarray:
         """Density at lags >= 0, shape ``(1,) + lags.shape``."""
@@ -254,10 +256,15 @@ class GaussianBasisKernel(_ComponentKernel):
             raise ValidationError("centers must be sorted nondecreasing")
         if centers[0] < 0:
             raise ValidationError("centers must be >= 0")
-        if not self.bandwidth > 0:
-            raise ValidationError(f"bandwidth must be > 0, got {self.bandwidth}")
+        if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
+            raise ValidationError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
         if not self.support > 0:
             raise ValidationError(f"support must be > 0, got {self.support}")
+        if not np.all(self._norms > 0):
+            raise ValidationError(
+                f"basis centers {centers[~(self._norms > 0)].tolist()} have no mass inside "
+                f"[0, support={self.support:g}] at bandwidth {self.bandwidth:g}"
+            )
 
     @property
     def n_components(self) -> int:
@@ -340,8 +347,8 @@ class DiscretizedKernel:
     n_lags: int
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValidationError(f"dt must be > 0, got {self.dt}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValidationError(f"dt must be finite and > 0, got {self.dt}")
         _check_int("n_lags", self.n_lags, 1)
 
     @property
@@ -571,47 +578,63 @@ def window_compensator(model: HawkesModel, seq: EventSequence) -> np.ndarray:
     return model.mu * (seq.t_end - seq.t_start) + np.einsum("cv,cvu->u", G, model.coeffs)
 
 
-# Block span (in units of 1/decay) for the overflow-safe prefix recursion.
-_EXP_BLOCK_SPAN = 200.0
+# Block span, in e-folds (units of 1/decay), of the scaled prefix sums.  A
+# block's scaled weights reach e^span and its sums n·max|vals|·e^span, which
+# stays below DBL_MAX (about e^709.78) for n·max|vals| < 1e47 at span 600;
+# the row scales e^-span >= 2.7e-261 stay normal floats, and so does
+# decay·e^-span for decay > 1e-47.  Each term's scale exponent is rounded
+# at magnitude up to span, so a longer span trades precision for fewer
+# blocks: about span·eps relative (1.3e-13 at 600) instead of eps.
+_EXP_BLOCK_SPAN = 600.0
 
 
 def exp_weighted_excitation(
-    times: np.ndarray, weights: np.ndarray, decay: float
+    times: np.ndarray, cols: np.ndarray, vals: np.ndarray, width: int, decay: float
 ) -> np.ndarray:
-    """Decayed prefix sums of per-event channel weights.
+    """Decayed prefix sums of sparse per-event channel weights.
 
-    Returns ``R`` of shape (n, C) with
-    ``R[j, c] = sum_{t_i < t_j} weights[i, c] * decay * exp(-decay * (t_j - t_i))``.
-    Computed with scaled prefix sums in O(n C); block splits bound the
-    scaling factors to avoid overflow on long windows, and never fall
-    between tied times (strict-past semantics hold under ties).
+    Event i puts weight ``vals[i, e]`` on channel ``cols[i, e]`` (both of
+    shape (n,) or (n, k)).  Returns ``R`` of shape (n, width) with
+    ``R[j, c] = sum_{t_i < t_j, cols[i, e] = c} vals[i, e] * decay *
+    exp(-decay * (t_j - t_i))``, in O(n·width): within each block of times
+    spanning at most ``_EXP_BLOCK_SPAN / decay`` the weights, scaled by
+    ``exp(decay * (t_i - t0))``, are scattered into a zeroed buffer below a
+    row carrying the earlier blocks' sum, one cumulative sum gives every
+    event's past, and one row scaling by ``decay * exp(-decay * (t_j - t0))``
+    finishes it.  Blocks never split tied times, and an event tied with
+    earlier ones copies the first one's row (they share the scaling), so
+    history stays strictly past.  Exact to about ``_EXP_BLOCK_SPAN * eps``
+    relative for finite decay and ``n * max|vals| < 1e47`` (see the span).
     """
     n = times.size
-    C = weights.shape[1]
-    R = np.zeros((n, C))
+    buf = np.zeros((n + 1, width))
     if n == 0:
-        return R
-    first_at_time = np.searchsorted(times, times, side="left")
+        return buf[:0]
+    # row i + 1 receives event i's weight; row i of each block holds the past
+    flat = (np.arange(1, n + 1) * width)[:, None] + np.reshape(cols, (n, -1))
+    vals = np.reshape(vals, (n, -1))
     span = _EXP_BLOCK_SPAN / decay
-    carry = np.zeros(C)
     start = 0
     while start < n:
         t0 = times[start]
         stop = int(np.searchsorted(times, t0 + span, side="right"))
-        stop = max(stop, start + 1)
-        blk = slice(start, stop)
-        tb = times[blk]
-        w = np.exp(decay * (tb - t0))  # bounded by e^span
-        cum = np.concatenate(
-            [np.zeros((1, C)), np.cumsum(w[:, None] * weights[blk], axis=0)]
-        )
-        pos = first_at_time[blk] - start
-        down = np.exp(-decay * (tb - t0))
-        R[blk] = decay * down[:, None] * cum[pos] + down[:, None] * carry[None, :]
+        x = decay * (times[start:stop] - t0)
+        np.add.at(buf.reshape(-1), flat[start:stop].ravel(),
+                  (np.exp(x)[:, None] * vals[start:stop]).ravel())
+        blk = buf[start:stop + 1]
+        np.cumsum(blk, axis=0, out=blk)
+        down = np.exp(-x)
         if stop < n:
-            t_next = times[stop]
-            carry = np.exp(-decay * (t_next - t0)) * (carry + decay * cum[-1])
+            # the next block's first row: this block's total, brought down to
+            # its last event, then across the gap; one factor exp(-decay *
+            # (t_next - t0)) would underflow past 745 e-folds and drop it
+            buf[stop] *= down[-1]
+            buf[stop] *= math.exp(-decay * (times[stop] - times[stop - 1]))
+        blk[:-1] *= (decay * down)[:, None]
         start = stop
+    R = buf[:n]
+    tied = np.flatnonzero(times[1:] == times[:-1]) + 1
+    R[tied] = R[np.searchsorted(times, times[tied], side="left")]
     return R
 
 
@@ -622,8 +645,8 @@ def kernel_lag_averages(model: HawkesModel, dt: float, n_lags: int) -> np.ndarra
     kernel against a smooth reference carries no within-bin sampling bias.
     """
     _check_int("n_lags", n_lags, 1)
-    if not dt > 0:
-        raise ValidationError(f"dt must be > 0, got {dt}")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValidationError(f"dt must be finite and > 0, got {dt}")
     dims = np.arange(model.dim)
     edges, v, u = np.ix_(np.arange(n_lags + 1) * dt, dims, dims)
     return model.kernel.integrals(model.coeffs, edges[1:], v, u, start=edges[:-1]) / dt
@@ -641,7 +664,9 @@ def _pair_arrays(
     q = times if queries is None else queries
     lo = np.searchsorted(times, q - support, side="right")
     hi = np.searchsorted(times, q, side="left")
-    counts = hi - lo
+    # a support below the resolution of the times leaves q - support == q,
+    # so lo passes hi: no event lies within such a support
+    counts = np.maximum(hi - lo, 0)
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -649,11 +674,6 @@ def _pair_arrays(
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
     sources = np.arange(total) - np.repeat(offsets, counts) + np.repeat(lo, counts)
     return sources, targets
-
-
-def _onehot(marks: np.ndarray, dim: int) -> np.ndarray:
-    """(n, dim) indicator of each event's mark."""
-    return (marks[:, None] == np.arange(dim)[None, :]).astype(np.float64)
 
 
 def _excitation(
@@ -668,16 +688,18 @@ def _excitation(
     """
     times, dim = seq.times, seq.dim
     if isinstance(kernel, ExponentialKernel):
-        onehot = _onehot(seq.marks, dim)
+        # each event puts weight 1 on its own mark's channel
         if at is None:
-            return exp_weighted_excitation(times, onehot, kernel.decay)
+            return exp_weighted_excitation(times, seq.marks, np.ones(times.size), dim,
+                                           kernel.decay)
         # queries join the event timeline with zero weight; the recursion's
         # strict past keeps events tied with a query out of its features
         n = times.size
         merged = np.concatenate([times, at])
         order = np.argsort(merged, kind="stable")
-        weights = np.concatenate([onehot, np.zeros((at.size, dim))])
-        R = exp_weighted_excitation(merged[order], weights[order], kernel.decay)
+        cols = np.concatenate([seq.marks, np.zeros(at.size, dtype=np.int64)])
+        R = exp_weighted_excitation(merged[order], cols[order],
+                                    (order < n).astype(np.float64), dim, kernel.decay)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
         return R[rank[n:]]
@@ -742,16 +764,18 @@ def event_compensators(model: HawkesModel, seq: EventSequence) -> np.ndarray:
     # cum[i, u]: total infectivity on u of events 0..i-1, each at full mass
     cum = np.zeros((n + 1, model.dim))
     np.cumsum(branching_matrix(model)[marks, :], axis=0, out=cum[1:])
+    past = np.searchsorted(times, times, side="left")  # first event tied with each
     kern = model.kernel
     if isinstance(kern, ExponentialKernel):
         # full mass of the strict past, less the part not yet spent
-        past = np.searchsorted(times, times, side="left")
         R = _excitation(kern, seq)
         unspent = _excited(R, model.coeffs, marks) / kern.decay
         return out + cum[past, marks] - unspent
     # finite support: events at least one support back add their full mass,
-    # pairs inside it the kernel's mass up to their lag
-    old = np.searchsorted(times, times - kern.support, side="right")
+    # pairs inside it the kernel's mass up to their lag; a support below the
+    # resolution of the times leaves times - support == times, and then
+    # every strictly earlier event is at least one support back
+    old = np.minimum(np.searchsorted(times, times - kern.support, side="right"), past)
     src, tgt = _pair_arrays(times, kern.support)
     vals = kern.integrals(model.coeffs, times[tgt] - times[src], marks[src], marks[tgt])
     return out + cum[old, marks] + np.bincount(tgt, weights=vals, minlength=n)

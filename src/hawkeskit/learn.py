@@ -27,6 +27,7 @@ nonincreasing up to the rounding of the untested full Newton steps.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -632,6 +633,30 @@ class _Roughness:
         return np.ascontiguousarray(x.reshape(D, D, C).transpose(2, 0, 1))
 
 
+def _ode_grid(dt: float, n_lags: int, alpha: float):
+    """``fit_mle_ode``'s lag grid and curvature matrix (2·alpha/dt³ times the
+    second-difference Gram), or ValidationError for arguments it cannot use."""
+    kernel = DiscretizedKernel(dt=dt, n_lags=n_lags)
+    if n_lags < 2:
+        raise ValidationError("need n_lags >= 2 for a curvature-smoothed grid")
+    if not (alpha >= 0 and np.isfinite(alpha)):
+        raise ValidationError(f"alpha must be finite and >= 0, got {alpha}")
+    # in floats dt³ overflows above dt ≈ 5.6e102 and underflows to zero
+    # below dt ≈ 1e-108, leaving no finite positive scale
+    try:
+        scale = 2.0 * alpha / float(dt) ** 3 if alpha else 0.0
+    except (OverflowError, ZeroDivisionError):
+        scale = math.nan
+    with np.errstate(over="ignore"):
+        P = scale * _diff_gram(n_lags, 2)
+    if not (np.all(np.isfinite(P)) and (scale > 0 or alpha == 0)):
+        raise ValidationError(
+            f"curvature penalty 2*alpha/dt**3 is out of floating-point range "
+            f"for dt={dt:g} and alpha={alpha:g}"
+        )
+    return kernel, P
+
+
 def fit_mle_ode(
     corpus,
     dt: float,
@@ -654,11 +679,7 @@ def fit_mle_ode(
             f"penalty {cfg.penalty.kind!r} is not supported on a grid kernel: "
             "fit_mle_ode uses curvature smoothing; structural penalties apply to fit_mle"
         )
-    kernel = DiscretizedKernel(dt=dt, n_lags=n_lags)
-    if n_lags < 2:
-        raise ValidationError("need n_lags >= 2 for a curvature-smoothed grid")
-    if not (alpha >= 0 and np.isfinite(alpha)):
-        raise ValidationError(f"alpha must be finite and >= 0, got {alpha}")
+    kernel, P = _ode_grid(dt, n_lags, alpha)
     start = time.perf_counter()
     D, L = corpus.dim, n_lags
     stats = _kernel_stats(corpus, kernel)
@@ -668,7 +689,6 @@ def fit_mle_ode(
             "tail values are unidentifiable and will follow the smoother",
             stacklevel=2,
         )
-    P = (2.0 * alpha / dt**3) * _diff_gram(L, 2)
     if alpha == 0.0 and np.any(stats.G_s.sum(axis=0) <= 0):
         warnings.warn(
             "unidentifiable grid values with alpha=0; adding a tiny ridge",
@@ -699,8 +719,8 @@ def fit_ls(
     ridge on kernel coefficients only, and returns a step-kernel model.
     Averaging makes the estimate invariant to duplicating the corpus.
     """
-    if bin_width <= 0:
-        raise ValidationError(f"bin_width must be > 0, got {bin_width}")
+    if not (bin_width > 0 and math.isfinite(bin_width)):
+        raise ValidationError(f"bin_width must be finite and > 0, got {bin_width}")
     _check_int("lags", lags, 1)
     if ridge < 0:
         raise ValidationError(f"ridge must be >= 0, got {ridge}")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hawkeskit.core import (
+    _EXP_BLOCK_SPAN,
     DiscretizedKernel,
     Event,
     EventSequence,
@@ -345,29 +346,49 @@ class TestDecayedPrefixSums:
                     )
         return out
 
+    def dense(self, times, weights, decay):
+        # every event carries a weight on every channel
+        n, C = weights.shape
+        cols = np.broadcast_to(np.arange(C), (n, C))
+        return exp_weighted_excitation(times, cols, weights, C, decay)
+
     def test_matches_brute_force_with_ties(self):
         times = np.array([0.0, 0.5, 0.5, 0.5, 1.2, 3.0, 3.0, 7.7])
         rng = np.random.default_rng(0)
         weights = rng.uniform(0.1, 2.0, size=(8, 3))
-        got = exp_weighted_excitation(times, weights, 0.9)
+        got = self.dense(times, weights, 0.9)
         assert np.allclose(got, self.brute(times, weights, 0.9), atol=1e-12)
 
     def test_matches_brute_force_across_blocks(self):
-        # decay 100 keeps each internal block ~2 time units wide, so this
+        # decay span/2 keeps each internal block 2 time units wide, so this
         # span forces many block transitions including tied boundaries
+        decay = _EXP_BLOCK_SPAN / 2.0
         rng = np.random.default_rng(1)
         times = np.sort(np.round(rng.uniform(0.0, 10.0, size=300), 1))
         weights = rng.uniform(0.0, 1.0, size=(300, 2))
-        got = exp_weighted_excitation(times, weights, 100.0)
-        assert np.allclose(got, self.brute(times, weights, 100.0), atol=1e-10)
+        got = self.dense(times, weights, decay)
+        assert np.allclose(got, self.brute(times, weights, decay), atol=1e-10)
+
+    def test_sparse_weights_scatter_to_their_channels(self):
+        # two entries per event on distinct channels, as the drift features use
+        times = np.array([0.0, 0.4, 0.4, 1.0, 2.5])
+        cols = np.array([[0, 3], [1, 2], [0, 1], [2, 3], [3, 0]])
+        vals = np.array([[0.7, 0.3], [1.0, 0.0], [0.25, 0.75], [0.5, 0.5], [0.1, 0.9]])
+        weights = np.zeros((5, 4))
+        np.put_along_axis(weights, cols, vals, axis=1)
+        got = exp_weighted_excitation(times, cols, vals, 4, 1.7)
+        assert np.allclose(got, self.brute(times, weights, 1.7), atol=1e-12)
 
     def test_no_overflow_on_long_spans(self):
         times = np.array([0.0, 5000.0, 10000.0])
-        weights = np.ones((3, 1))
-        got = exp_weighted_excitation(times, weights, 2.0)
+        got = exp_weighted_excitation(times, np.zeros(3, dtype=np.int64), np.ones(3), 1, 2.0)
         assert np.all(np.isfinite(got))
         assert got[0, 0] == 0.0
         assert got[1, 0] == pytest.approx(0.0, abs=1e-300)
+
+    def test_empty(self):
+        got = exp_weighted_excitation(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0), 4, 1.0)
+        assert got.shape == (0, 4)
 
 
 class TestExpIntensityProfile:

@@ -41,7 +41,7 @@ from hawkeskit import (
     fit_tvhp,
     granger_graph,
 )
-from hawkeskit.core import _excited, _onehot, _pair_arrays, exp_weighted_excitation
+from hawkeskit.core import _excited, _pair_arrays, exp_weighted_excitation
 from hawkeskit.learn import _EmStats, _kernel_stats, exp_nll_and_grad
 from test_em_equivalence import BASIS, EXP, GOLDEN, _corpus_from_doc
 
@@ -53,9 +53,14 @@ FIT_RTOL = 1e-12
 # --- the references -------------------------------------------------------------
 
 
+def onehot(marks, dim):
+    return (marks[:, None] == np.arange(dim)[None, :]).astype(np.float64)
+
+
 def ref_exp_features(times, W, decay):
     n, C, D = W.shape
-    R = exp_weighted_excitation(times, W.reshape(n, C * D), decay)
+    cols = np.broadcast_to(np.arange(C * D), (n, C * D))
+    R = exp_weighted_excitation(times, cols, W.reshape(n, C * D), C * D, decay)
     return R.reshape(n, C, D).transpose(1, 0, 2)
 
 
@@ -88,7 +93,7 @@ def gemm_rates(R, marks, mu, A):
 
 
 def gemm_contract(R, marks, w, C, D):
-    return ((R * w[:, None]).T @ _onehot(marks, D)).reshape(C, D, D)
+    return ((R * w[:, None]).T @ onehot(marks, D)).reshape(C, D, D)
 
 
 class GemmStats(_EmStats):
@@ -191,7 +196,7 @@ def check_stats(corpus, stats, R3, G):
 def test_exponential_stats(corpora, name):
     corpus = corpora[name]
     D = corpus.dim
-    W = [_onehot(s.marks, D)[:, None, :] for s in corpus]
+    W = [onehot(s.marks, D)[:, None, :] for s in corpus]
     R3 = np.concatenate([ref_exp_features(s.times, w, EXP.decay) for s, w in zip(corpus, W)],
                         axis=1)
     G = np.stack([ref_exp_exposures(s, w, EXP.decay) for s, w in zip(corpus, W)])
@@ -212,9 +217,12 @@ def _tvhp_stats(corpus, monkeypatch):
     excitation = analyze.exp_weighted_excitation
     weights = []
 
-    def capture(times, W, decay):
+    def capture(times, cols, vals, width, decay):
+        # the dense per-event node weights of the sparse entries
+        W = np.zeros((len(times), width))
+        np.put_along_axis(W, cols, vals, axis=1)
         weights.append((W.reshape(len(times), grid.size, corpus.dim), decay))
-        return excitation(times, W, decay)
+        return excitation(times, cols, vals, width, decay)
 
     monkeypatch.setattr(analyze, "exp_weighted_excitation", capture)
     stats = analyze._tvhp_stats(corpus, grid, 1.0)

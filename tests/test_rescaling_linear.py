@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from hawkeskit.core import (
+    _EXP_BLOCK_SPAN,
     DiscretizedKernel,
     EventSequence,
     ExponentialKernel,
@@ -27,7 +28,7 @@ from hawkeskit.evaluate import _ks_exp1, _rescaled_increments, rescaling_test
 
 D = 3
 DECAY = 1.3
-BLOCK_SPAN = 200.0 / DECAY  # one block of exp_weighted_excitation
+BLOCK_SPAN = _EXP_BLOCK_SPAN / DECAY  # one block of exp_weighted_excitation
 
 
 def loop_increments(model, seq):
