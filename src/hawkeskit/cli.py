@@ -60,6 +60,7 @@ from .evaluate import compare_learners, write_compare_csv
 from .learn import (
     LearnConfig,
     Penalty,
+    _check_ridge,
     _ode_grid,
     estimation_error,
     fit_ls,
@@ -367,6 +368,7 @@ def _fitter(name: str, r: dict):
     cfg = _learn_cfg(r)
     if name == "ls":
         _kernel_from(family, r)  # refuses a bad --dt or --n-lags before any input is read
+        _check_ridge(r["ridge"])  # and --ridge
         return lambda corpus: fit_ls(corpus, r["dt"], r["n_lags"], ridge=r["ridge"], cfg=cfg)
     _ode_grid(r["dt"], r["n_lags"], r["alpha"])  # and --alpha, for mle-ode
     return lambda corpus: fit_mle_ode(corpus, r["dt"], r["n_lags"], cfg, alpha=r["alpha"])

@@ -14,8 +14,8 @@ Each kernel is a sum of ``C = n_components`` fixed components, weighted by
 the model's coefficients ``coeffs[c, v, u]``.  At lags >= 0 it provides the
 per-component ``density(lags)`` and ``mass(lags, start=0)`` (integral over
 ``[start, lag]``; ``mass(inf)`` is the total), each of shape ``(C,) +
-lags.shape``; their contractions with the coefficients, ``values(coeffs,
-lags, v, u)`` and ``integrals(coeffs, lags, v, u, start=0)``; its ``support``
+lags.shape``; ``values(coeffs, lags, v, u)``, their contraction with the
+coefficients, which serves finite-kernel event intensities; its ``support``
 (``inf`` for the exponential kernel); ``quantile(comp, u01, upper)`` for the
 branch sampler; and, for finite support, ``thinning_bound(coeffs)``.  Every
 primitive below uses only these.  The sum over past events has one builder,
@@ -23,8 +23,10 @@ primitive below uses only these.  The sum over past events has one builder,
 with column c·D + v, and how to build them: the exponential kernel's O(n·D)
 recursion (``exp_weighted_excitation``, which scatters each event's weight
 into its own mark's column and takes one cumulative sum per feature over
-blocks of up to 600 e-folds), else pair sums within the support.  Intensity
-grids, exponential event intensities and every EM statistic read it.
+blocks of up to 600 e-folds), else pair sums within the support.  Its
+``tail`` mode sums the mass still ahead in place of the density.  Intensity
+grids, exponential event intensities, every event compensator and every EM
+statistic read it.
 """
 
 from __future__ import annotations
@@ -76,10 +78,15 @@ class Event:
     mark: int
 
     def __post_init__(self):
-        if self.time < 0:
-            raise ValidationError(f"event time must be >= 0, got {self.time}")
-        if self.mark < 0:
-            raise ValidationError(f"event mark must be >= 0, got {self.mark}")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ValidationError(f"event time must be finite and >= 0, got {self.time}")
+        mark = self.mark
+        if isinstance(mark, (bool, np.bool_)) or not (
+            isinstance(mark, (int, float, np.integer, np.floating)) and float(mark).is_integer()
+        ):
+            raise ValidationError(f"event mark must be an integer, got {mark!r}")
+        if mark < 0:
+            raise ValidationError(f"event mark must be >= 0, got {mark}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,9 +108,9 @@ class EventSequence:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
         raw_marks = np.asarray(self.marks)
-        if raw_marks.dtype.kind == "f" and not np.all(
+        if raw_marks.dtype.kind == "b" or (raw_marks.dtype.kind == "f" and not np.all(
             np.isfinite(raw_marks) & (raw_marks == np.round(raw_marks))
-        ):
+        )):
             raise ValidationError(f"sequence {self.id!r}: marks must be integers")
         marks = np.asarray(raw_marks, dtype=np.int64)
         times.setflags(write=False)
@@ -183,17 +190,12 @@ class EventSequence:
 
 
 class _ComponentKernel:
-    """Contracted values and integrals by expansion over the components."""
+    """Contracted values by expansion over the components."""
 
     def values(self, coeffs, lags, v, u) -> np.ndarray:
         """``sum_c coeffs[c, v, u] * density_c(lag)``; lags, v and u broadcast."""
         lags, v, u = np.broadcast_arrays(lags, v, u)
         return (self.density(lags) * coeffs[:, v, u]).sum(axis=0)
-
-    def integrals(self, coeffs, lags, v, u, start=0.0) -> np.ndarray:
-        """``sum_c coeffs[c, v, u] * mass_c`` over ``[start, lag]``; all broadcast."""
-        lags, v, u = np.broadcast_arrays(lags, v, u)
-        return (self.mass(lags, start) * coeffs[:, v, u]).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -378,19 +380,6 @@ class DiscretizedKernel:
         k = np.minimum(q, self.n_lags - 1).astype(np.int64)
         return coeffs[k, v, u] * (q < self.n_lags)
 
-    def integrals(self, coeffs, lags, v, u, start=0.0) -> np.ndarray:
-        """Step-function area over ``[start, lag]``: the area up to each end,
-        whole bins then a partial one, differenced."""
-        zero = np.zeros((1,) + coeffs.shape[1:])
-        area = np.concatenate([zero, np.cumsum(coeffs, axis=0) * self.dt])
-
-        def upto(lags):
-            x = np.clip(np.asarray(lags, dtype=np.float64), 0.0, self.support)
-            k = np.minimum((x / self.dt).astype(np.int64), self.n_lags - 1)
-            return area[k, v, u] + coeffs[k, v, u] * (x - k * self.dt)
-
-        return upto(lags) - upto(start) if np.any(start) else upto(lags)
-
     def quantile(self, comp, u01, upper) -> np.ndarray:
         """Uniform lags on the part of bin ``comp`` inside ``[0, upper]``."""
         start = comp * self.dt
@@ -566,8 +555,8 @@ def compensator(
         raise ValidationError(f"need t0 <= t1, got [{t0}, {t1}]")
     cut = np.searchsorted(seq.times, t1, side="left")
     ti = seq.times[:cut]
-    vs = seq.marks[:cut]
-    spent = model.kernel.integrals(model.coeffs, t1 - ti, vs, u, start=np.maximum(t0 - ti, 0.0))
+    mass = model.kernel.mass(t1 - ti, np.maximum(t0 - ti, 0.0))
+    spent = (mass * model.coeffs[:, seq.marks[:cut], u]).sum(axis=0)
     return float(model.mu[u]) * (t1 - t0) + float(spent.sum())
 
 
@@ -647,9 +636,9 @@ def kernel_lag_averages(model: HawkesModel, dt: float, n_lags: int) -> np.ndarra
     _check_int("n_lags", n_lags, 1)
     if not (dt > 0 and math.isfinite(dt)):
         raise ValidationError(f"dt must be finite and > 0, got {dt}")
-    dims = np.arange(model.dim)
-    edges, v, u = np.ix_(np.arange(n_lags + 1) * dt, dims, dims)
-    return model.kernel.integrals(model.coeffs, edges[1:], v, u, start=edges[:-1]) / dt
+    edges = np.arange(n_lags + 1) * dt
+    mass = model.kernel.mass(edges[1:], edges[:-1])  # (C, L)
+    return (mass[:, :, None, None] * model.coeffs[:, None]).sum(axis=0) / dt
 
 
 def _pair_arrays(
@@ -677,20 +666,24 @@ def _pair_arrays(
 
 
 def _excitation(
-    kernel: KernelSpec, seq: EventSequence, at: np.ndarray | None = None
+    kernel: KernelSpec, seq: EventSequence, at: np.ndarray | None = None, tail: bool = False
 ) -> np.ndarray:
     """Excitation features at the query times ``at`` (default: the events).
 
     Returns F of shape (q, C·D) with column c·D + v:
     ``F[j, c·D + v] = sum_{t_i < q_j, m_i = v} density_c(q_j - t_i)``, so
-    that lambda(q_j) = mu + F[j] @ coeffs.reshape(C·D, D).  History is
-    strictly past: events tied with a query add nothing to it.
+    that lambda(q_j) = mu + F[j] @ coeffs.reshape(C·D, D).  With ``tail``,
+    each pair adds the mass still ahead, ``mass_c(inf) - mass_c(q_j - t_i)``,
+    in place of the density.  History is strictly past: events tied with a
+    query add nothing to it.
     """
     times, dim = seq.times, seq.dim
     if isinstance(kernel, ExponentialKernel):
-        # each event puts weight 1 on its own mark's channel
+        # each event puts weight w on its own mark's channel; the mass ahead,
+        # exp(-decay * lag), is the density over decay
+        w = 1.0 / kernel.decay if tail else 1.0
         if at is None:
-            return exp_weighted_excitation(times, seq.marks, np.ones(times.size), dim,
+            return exp_weighted_excitation(times, seq.marks, np.full(times.size, w), dim,
                                            kernel.decay)
         # queries join the event timeline with zero weight; the recursion's
         # strict past keeps events tied with a query out of its features
@@ -699,17 +692,20 @@ def _excitation(
         order = np.argsort(merged, kind="stable")
         cols = np.concatenate([seq.marks, np.zeros(at.size, dtype=np.int64)])
         R = exp_weighted_excitation(merged[order], cols[order],
-                                    (order < n).astype(np.float64), dim, kernel.decay)
+                                    np.where(order < n, w, 0.0), dim, kernel.decay)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
         return R[rank[n:]]
     q = times if at is None else at
     src, tgt = _pair_arrays(times, kernel.support, at)
-    dens = kernel.density(q[tgt] - times[src])
+    lags = q[tgt] - times[src]
+    # events a support or more back have no density and no mass ahead, so
+    # the pairs within the support carry every nonzero term in either mode
+    vals = kernel.mass(np.inf)[:, None] - kernel.mass(lags) if tail else kernel.density(lags)
     # one bincount per component, adding the pairs in order
     idx = tgt * dim + seq.marks[src]
     F = np.empty((q.size, kernel.n_components, dim))
-    for c, w in enumerate(dens):
+    for c, w in enumerate(vals):
         F[:, c, :] = np.bincount(idx, weights=w, minlength=q.size * dim).reshape(q.size, dim)
     return F.reshape(q.size, kernel.n_components * dim)
 
@@ -751,9 +747,10 @@ def event_compensators(model: HawkesModel, seq: EventSequence) -> np.ndarray:
     """Compensator of each event's own dimension from ``t_start`` to its time.
 
     ``out[j]`` is the integral of ``lambda_{m_j}`` over ``[t_start, t_j]``
-    with strictly-past history, so events tied with ``t_j`` add nothing.
-    One pass over the sequence: O(n D) for exponential kernels, O(n D +
-    pairs within the support) for basis and grid kernels.  Shape (n,).
+    with strictly-past history, so events tied with ``t_j`` add nothing:
+    the full mass of the strict past, less the part still ahead.  One pass
+    over the sequence: O(n D) for exponential kernels, O(n C D + pairs
+    within the support) for basis and grid kernels.  Shape (n,).
     """
     _check_dims(model, seq)
     n = len(seq)
@@ -765,20 +762,8 @@ def event_compensators(model: HawkesModel, seq: EventSequence) -> np.ndarray:
     cum = np.zeros((n + 1, model.dim))
     np.cumsum(branching_matrix(model)[marks, :], axis=0, out=cum[1:])
     past = np.searchsorted(times, times, side="left")  # first event tied with each
-    kern = model.kernel
-    if isinstance(kern, ExponentialKernel):
-        # full mass of the strict past, less the part not yet spent
-        R = _excitation(kern, seq)
-        unspent = _excited(R, model.coeffs, marks) / kern.decay
-        return out + cum[past, marks] - unspent
-    # finite support: events at least one support back add their full mass,
-    # pairs inside it the kernel's mass up to their lag; a support below the
-    # resolution of the times leaves times - support == times, and then
-    # every strictly earlier event is at least one support back
-    old = np.minimum(np.searchsorted(times, times - kern.support, side="right"), past)
-    src, tgt = _pair_arrays(times, kern.support)
-    vals = kern.integrals(model.coeffs, times[tgt] - times[src], marks[src], marks[tgt])
-    return out + cum[old, marks] + np.bincount(tgt, weights=vals, minlength=n)
+    ahead = _excited(_excitation(model.kernel, seq, tail=True), model.coeffs, marks)
+    return out + cum[past, marks] - ahead
 
 
 def log_likelihood(model: HawkesModel, seq: EventSequence) -> float:

@@ -100,8 +100,8 @@ class LearnConfig:
     def __post_init__(self):
         _check_int("max_iters", self.max_iters, 1)
         _check_int("rng_seed", self.rng_seed, 0)
-        if not self.tol > 0:
-            raise ValidationError(f"tol must be > 0, got {self.tol}")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValidationError(f"tol must be finite and > 0, got {self.tol}")
 
 
 @dataclass
@@ -706,6 +706,11 @@ def fit_mle_ode(
 # least squares on binned counts
 
 
+def _check_ridge(ridge: float) -> None:
+    if not (ridge >= 0 and math.isfinite(ridge)):
+        raise ValidationError(f"ridge must be finite and >= 0, got {ridge}")
+
+
 def fit_ls(
     corpus,
     bin_width: float,
@@ -722,8 +727,7 @@ def fit_ls(
     if not (bin_width > 0 and math.isfinite(bin_width)):
         raise ValidationError(f"bin_width must be finite and > 0, got {bin_width}")
     _check_int("lags", lags, 1)
-    if ridge < 0:
-        raise ValidationError(f"ridge must be >= 0, got {ridge}")
+    _check_ridge(ridge)
     if len(corpus) == 0:
         raise ValidationError("corpus is empty")
     start = time.perf_counter()

@@ -689,6 +689,9 @@ def test_negative_seed_flag_exits_2_writing_nothing(
         (["tvhp", "--grid", "0,30,60", "--beta", "inf"], "beta must be finite"),
         (["tvhp", "--grid", "0,nan,100"], "grid must be finite"),
         (["granger", "--threshold", "nan"], "threshold must be finite"),
+        (["fit", "--learner", "ls", "--ridge", "nan"], "ridge must be finite and >= 0"),
+        (["fit", "--learner", "ls", "--ridge", "inf"], "ridge must be finite and >= 0"),
+        (["fit", "--tol", "inf"], "tol must be finite"),
     ],
 )
 def test_non_finite_knob_exits_2_writing_nothing(argv, named, corpus_file, tmp_path, capsys):

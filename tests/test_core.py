@@ -449,6 +449,18 @@ class TestValidation:
             Event(time=-0.1, mark=0)
         with pytest.raises(ValidationError):
             Event(time=0.5, mark=-1)
+        # a finite time and an integer mark, as EventSequence requires
+        for time, mark in [(math.nan, 0), (math.inf, 0), (1.0, 1.5), (1.0, math.nan), (1.0, True)]:
+            with pytest.raises(ValidationError):
+                Event(time=time, mark=mark)
+
+    def test_event_accepts_integral_marks_as_sequences_do(self):
+        seq = EventSequence.from_events([Event(0.5, 1.0), Event(1.0, np.int64(0))], 0.0, 2.0, 2)
+        assert seq.marks.tolist() == [1, 0]
+
+    def test_sequence_rejects_boolean_marks(self):
+        with pytest.raises(ValidationError, match="marks must be integers"):
+            EventSequence(np.array([0.5, 1.0]), np.array([True, False]), 0.0, 2.0, 2)
 
     def test_sequence_rejects_unsorted_times(self):
         with pytest.raises(ValidationError):

@@ -4,10 +4,9 @@ Each kernel is a sum of ``n_components`` fixed components.  These tests pin
 each member against its definition: ``mass`` is the integral of
 ``density`` (and ``mass(lag, start)`` its integral from ``start``),
 ``mass(inf)`` gives the totals behind ``branching_matrix``, the
-contracted ``values`` and ``integrals`` equal the component expansion (for
-the grid kernel this checks its bin lookup and cumulative areas against its
-own indicator basis), and ``quantile`` samples a component's mass on
-``[0, upper]``.
+contracted ``values`` equal the component expansion (for the grid kernel
+this checks its bin lookup against its own indicator basis), and
+``quantile`` samples a component's mass on ``[0, upper]``.
 """
 
 import math
@@ -107,20 +106,16 @@ def test_mass_at_infinity_gives_the_branching_totals(name):
 
 
 @pytest.mark.parametrize("name", IDS)
-def test_values_and_integrals_expand_over_components(name):
+def test_values_expand_over_components(name):
     kern = _kernel(name)
     D = 3
     coeffs = _coeffs(kern, D)
     lags = _lags(kern)
     rng = np.random.default_rng(2)
     v, u = rng.integers(0, D, lags.size), rng.integers(0, D, lags.size)
-    dens, mass = kern.density(lags), kern.mass(lags)
+    dens = kern.density(lags)
     np.testing.assert_allclose(
         kern.values(coeffs, lags, v, u), (dens * coeffs[:, v, u]).sum(axis=0),
-        rtol=1e-12, atol=1e-15,
-    )
-    np.testing.assert_allclose(
-        kern.integrals(coeffs, lags, v, u), (mass * coeffs[:, v, u]).sum(axis=0),
         rtol=1e-12, atol=1e-15,
     )
     # one lag per row against every target at once
@@ -131,28 +126,18 @@ def test_values_and_integrals_expand_over_components(name):
 
 
 @pytest.mark.parametrize("name", IDS)
-def test_mass_and_integrals_from_a_start(name):
+def test_mass_from_a_start(name):
     kern = _kernel(name)
-    D = 3
-    coeffs = _coeffs(kern, D)
     lags = _lags(kern)
     rng = np.random.default_rng(3)
     start = lags * rng.uniform(0.0, 1.0, lags.size)
     start[:5] = lags[:5]  # empty windows
-    v, u = rng.integers(0, D, lags.size), rng.integers(0, D, lags.size)
     np.testing.assert_allclose(
         kern.mass(lags, start), kern.mass(lags) - kern.mass(start), rtol=1e-12, atol=1e-15
-    )
-    np.testing.assert_allclose(
-        kern.integrals(coeffs, lags, v, u, start=start),
-        kern.integrals(coeffs, lags, v, u) - kern.integrals(coeffs, start, v, u),
-        rtol=1e-12, atol=1e-15,
     )
     assert np.all(kern.mass(lags[:5], start[:5]) == 0.0)
     # a zero start is the mass from zero, to the bit
     assert np.array_equal(kern.mass(lags, 0.0), kern.mass(lags))
-    assert np.array_equal(kern.integrals(coeffs, lags, v, u, start=np.zeros_like(lags)),
-                          kern.integrals(coeffs, lags, v, u))
 
 
 def test_exponential_windows_far_into_the_decay_keep_relative_precision():
@@ -167,6 +152,16 @@ def test_exponential_windows_far_into_the_decay_keep_relative_precision():
     seq = EventSequence(np.array([0.0]), np.array([0]), 0.0, 100.0, 1, "s")
     comp = [compensator(model, seq, 0, float(a), float(a + dt)) for a in k]
     np.testing.assert_allclose(comp, want * dt, rtol=1e-12, atol=0.0)
+
+
+def test_grid_lag_averages_on_its_own_grid_are_its_step_values():
+    # each bin's mass is a whole bin of one component and none of the others,
+    # so the averages are the coefficients themselves; the edges k * dt are
+    # exact here, as they are for the demo's dt = 0.25
+    kern = KERNELS["grid"]
+    coeffs = _coeffs(kern, D=2)
+    model = HawkesModel(mu=np.array([0.1, 0.2]), kernel=kern, A=coeffs)
+    assert np.array_equal(kernel_lag_averages(model, kern.dt, kern.n_lags), coeffs)
 
 
 @pytest.mark.parametrize("name", IDS)

@@ -1,6 +1,7 @@
 """Estimators: EM with penalties, the lag-grid learner, least squares."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -403,6 +404,12 @@ class TestLeastSquares:
         with pytest.raises(ValidationError, match="'long'"):
             fit_ls(Corpus((long,), 1, None), 0.5, 4)
 
+    @pytest.mark.parametrize("ridge", [-1e-3, math.nan, math.inf])
+    def test_ridge_must_be_finite_and_nonnegative(self, ridge):
+        seq = EventSequence(np.array([0.5]), np.array([0]), 0.0, 20.0, 1, "s")
+        with pytest.raises(ValidationError, match="ridge must be finite and >= 0"):
+            fit_ls(Corpus((seq,), 1, None), 0.5, 4, ridge=ridge)
+
     def test_nonnegative_clamp_recorded(self):
         corpus = sim_corpus(truth_1d(), 60.0, 10, seed=16)
         rep = fit_ls(corpus, 0.5, 8, ridge=1e-4)
@@ -428,6 +435,11 @@ class TestLearnConfig:
     ):
         with pytest.raises(ValidationError, match=f"{field} must be an integer >= "):
             LearnConfig(**{field: value})
+
+    @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValidationError, match="tol must be finite and > 0"):
+            LearnConfig(tol=tol)
 
     def test_numpy_integers_are_accepted(self):
         corpus = sim_corpus(truth_1d(), 30.0, 2, 0)
