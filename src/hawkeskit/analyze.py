@@ -5,7 +5,6 @@ infectivity drifts along the observation axis.
 
 from __future__ import annotations
 
-import math
 import re
 import time
 import warnings
@@ -21,6 +20,7 @@ from .core import (
     KernelSpec,
     ValidationError,
     _check_int,
+    _check_real,
     _expected_coeff_shape,
     branching_matrix,
     exp_weighted_excitation,
@@ -53,7 +53,7 @@ class GrangerGraph:
     threshold: float
 
     def __post_init__(self):
-        inf = np.asarray(self.infectivity, dtype=np.float64)
+        inf = _check_real("infectivity", np.asarray(self.infectivity), 0)
         adj = np.asarray(self.adjacency, dtype=bool)
         inf.setflags(write=False)
         adj.setflags(write=False)
@@ -63,8 +63,7 @@ class GrangerGraph:
             raise ValidationError("infectivity must be a square matrix")
         if adj.shape != inf.shape:
             raise ValidationError("adjacency shape must match infectivity")
-        if np.any(inf < 0):
-            raise ValidationError("infectivity entries must be >= 0")
+        _check_real("threshold", self.threshold)
         if not np.array_equal(adj, inf > self.threshold):
             raise ValidationError("adjacency must equal infectivity > threshold")
 
@@ -85,8 +84,7 @@ def granger_graph(
     penalty (a penalized cfg raises ValidationError); continuous templates
     through direct EM with whatever penalty cfg carries.
     """
-    if not np.isfinite(threshold):
-        raise ValidationError(f"threshold must be finite, got {threshold}")
+    _check_real("threshold", threshold)
     if isinstance(kernel_template, DiscretizedKernel):
         report = fit_mle_ode(
             corpus, kernel_template.dt, kernel_template.n_lags, cfg
@@ -111,12 +109,14 @@ def save_granger(graph: GrangerGraph, path: str) -> None:
 def load_granger(path: str) -> GrangerGraph:
     doc = load_json(path)
     try:
+        if _has_bool([doc["infectivity"], doc["threshold"]]):
+            raise TypeError("a boolean where a number belongs")
         return GrangerGraph(
             np.asarray(doc["infectivity"], dtype=np.float64),
             np.asarray(doc["adjacency"], dtype=bool),
             float(doc["threshold"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed graph document ({exc})") from exc
 
 
@@ -327,9 +327,7 @@ class DistanceParams:
 
     def __post_init__(self):
         for name in ("time_cost", "mark_mismatch_cost", "indel_cost"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+            _check_real(name, getattr(self, name), 0)
 
 
 # Largest padded DP row block (partners x columns) one batch may hold.
@@ -526,9 +524,9 @@ class TvhpModel:
     decay: float
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        grid = np.asarray(self.grid, dtype=np.float64)
-        A = np.asarray(self.A, dtype=np.float64)
+        mu = _check_real("mu", np.asarray(self.mu), 0)
+        grid = _check_real("grid", np.asarray(self.grid))
+        A = _check_real("A", np.asarray(self.A), 0)
         for arr in (mu, grid, A):
             arr.setflags(write=False)
         object.__setattr__(self, "mu", mu)
@@ -543,10 +541,7 @@ class TvhpModel:
             raise ValidationError(
                 f"node coefficients must have shape {(grid.size, D, D)}, got {A.shape}"
             )
-        if np.any(A < 0) or np.any(mu < 0):
-            raise ValidationError("mu and node coefficients must be >= 0")
-        if not (self.decay > 0 and math.isfinite(self.decay)):
-            raise ValidationError(f"decay must be finite and > 0, got {self.decay}")
+        _check_real("decay", self.decay, 0, above=True)
 
     @property
     def dim(self) -> int:
@@ -604,15 +599,12 @@ def fit_tvhp(
     cfg = cfg or LearnConfig()
     if cfg.penalty.kind != "none":
         raise ValidationError("structural penalties are not supported here")
-    if not (beta >= 0 and np.isfinite(beta)):
-        raise ValidationError(f"beta must be finite and >= 0, got {beta}")
-    if not (decay > 0 and np.isfinite(decay)):
-        raise ValidationError(f"decay must be finite and > 0, got {decay}")
+    _check_real("beta", beta, 0)
+    _check_real("decay", decay, 0, above=True)
     start = time.perf_counter()
-    grid = np.asarray(grid, dtype=np.float64)
-    if (grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid))
-            or np.any(np.diff(grid) <= 0)):
-        raise ValidationError("grid must be finite and strictly increasing with >= 2 nodes")
+    grid = _check_real("grid", np.asarray(grid))
+    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+        raise ValidationError("grid must be strictly increasing with >= 2 nodes")
     stats = _tvhp_stats(corpus, grid, decay)
     smooth = _Roughness(2.0 * beta * _diff_gram(grid.size, 1))
     init = _init_params(stats, cfg.rng_seed, 0.1 / stats.dim)

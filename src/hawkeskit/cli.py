@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 
@@ -42,6 +41,7 @@ from .core import (
     HawkesModel,
     UnsupportedKernelError,
     ValidationError,
+    _check_real,
     intensity_profile,
     kernel_lag_averages,
 )
@@ -60,7 +60,6 @@ from .evaluate import compare_learners, write_compare_csv
 from .learn import (
     LearnConfig,
     Penalty,
-    _check_ridge,
     _ode_grid,
     estimation_error,
     fit_ls,
@@ -368,7 +367,7 @@ def _fitter(name: str, r: dict):
     cfg = _learn_cfg(r)
     if name == "ls":
         _kernel_from(family, r)  # refuses a bad --dt or --n-lags before any input is read
-        _check_ridge(r["ridge"])  # and --ridge
+        _check_real("ridge", r["ridge"], 0)  # and --ridge
         return lambda corpus: fit_ls(corpus, r["dt"], r["n_lags"], ridge=r["ridge"], cfg=cfg)
     _ode_grid(r["dt"], r["n_lags"], r["alpha"])  # and --alpha, for mle-ode
     return lambda corpus: fit_mle_ode(corpus, r["dt"], r["n_lags"], cfg, alpha=r["alpha"])
@@ -391,10 +390,7 @@ def _write_intensity_csv(
     A grid longer than ``max_points`` per sequence is refused before any
     sampling, as the simulators refuse more than ``max_events`` events.
     """
-    if not math.isfinite(step):
-        raise ValidationError(f"--intensity-grid must be finite, got {step}")
-    if step <= 0:
-        raise ValidationError(f"--intensity-grid must be > 0, got {step}")
+    _check_real("--intensity-grid", step, 0, above=True)
     # float counts, so a step tiny enough to overflow still compares
     counts = [np.floor(seq.duration / step + 1e-9) + 1 for seq in corpus]
     if counts and max(counts) > max_points:

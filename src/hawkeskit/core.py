@@ -70,6 +70,48 @@ def _check_int(name: str, value, lo: int) -> None:
         raise ValidationError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
+def _check_real(name: str, value, lo: float = -math.inf, *, above: bool = False,
+                hi: float = math.inf):
+    """Raise ValidationError unless ``value`` is finite, real and in range.
+
+    The range is ``lo <= value <= hi``, or ``lo < value <= hi`` with
+    ``above``.  A Python or numpy scalar is checked in plain floats and
+    returned as given; an ndarray, of integer or float dtype, is checked
+    entry by entry and returned as float64.  Bools, strings and other
+    non-reals are refused, as ``_check_int`` refuses them.
+    """
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iuf":
+            got = f"an array of {value.dtype}"
+        else:
+            arr = value.astype(np.float64, copy=False)
+            ok = np.isfinite(arr)
+            if lo > -math.inf:
+                ok &= arr > lo if above else arr >= lo
+            if hi < math.inf:
+                ok &= arr <= hi
+            if ok.all():
+                return arr
+            at = np.unravel_index(np.argmin(ok), ok.shape)
+            got = f"{float(arr[at])!r} at index {at[0] if len(at) == 1 else tuple(map(int, at))}"
+    elif isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        got = f"{type(value).__name__} {value!r}"
+    else:
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
+        if math.isfinite(x) and (lo < x if above else lo <= x) and x <= hi:
+            return value
+        got = repr(value)
+    rule = "finite"
+    if hi < math.inf:
+        rule += f" and in {'(' if above else '['}{lo:g}, {hi:g}]"
+    elif lo > -math.inf:
+        rule += f" and {'>' if above else '>='} {lo:g}"
+    raise ValidationError(f"{name} must be {rule}, got {got}")
+
+
 @dataclass(frozen=True)
 class Event:
     """A single timestamped event with an integer mark (dimension index)."""
@@ -78,8 +120,7 @@ class Event:
     mark: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.time) and self.time >= 0):
-            raise ValidationError(f"event time must be finite and >= 0, got {self.time}")
+        _check_real("event time", self.time, 0)
         mark = self.mark
         if isinstance(mark, (bool, np.bool_)) or not (
             isinstance(mark, (int, float, np.integer, np.floating)) and float(mark).is_integer()
@@ -106,7 +147,7 @@ class EventSequence:
     id: str = ""
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
+        times = _check_real(f"sequence {self.id!r}: times", np.asarray(self.times), 0)
         raw_marks = np.asarray(self.marks)
         if raw_marks.dtype.kind == "b" or (raw_marks.dtype.kind == "f" and not np.all(
             np.isfinite(raw_marks) & (raw_marks == np.round(raw_marks))
@@ -121,16 +162,12 @@ class EventSequence:
             raise ValidationError("times and marks must be 1-d arrays of equal length")
         if self.dim < 1:
             raise ValidationError(f"dim must be >= 1, got {self.dim}")
-        if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)):
-            raise ValidationError(
-                f"sequence {self.id!r}: window [{self.t_start}, {self.t_end}] must be finite"
-            )
+        _check_real(f"sequence {self.id!r}: t_start", self.t_start)
+        _check_real(f"sequence {self.id!r}: t_end", self.t_end)
         if self.t_end < self.t_start:
             raise ValidationError(
                 f"t_end ({self.t_end}) must be >= t_start ({self.t_start})"
             )
-        if not np.all(np.isfinite(times)):
-            raise ValidationError(f"sequence {self.id!r}: event times must be finite")
         if times.size:
             if np.any(np.diff(times) < 0):
                 raise ValidationError(f"sequence {self.id!r}: times must be sorted")
@@ -139,8 +176,6 @@ class EventSequence:
                     f"sequence {self.id!r}: events outside window "
                     f"[{self.t_start}, {self.t_end}]"
                 )
-            if times[0] < 0:
-                raise ValidationError(f"sequence {self.id!r}: negative event time")
             if marks.min() < 0 or marks.max() >= self.dim:
                 raise ValidationError(
                     f"sequence {self.id!r}: marks must lie in [0, {self.dim})"
@@ -212,8 +247,7 @@ class ExponentialKernel(_ComponentKernel):
     support = math.inf
 
     def __post_init__(self):
-        if not (self.decay > 0 and math.isfinite(self.decay)):
-            raise ValidationError(f"decay must be finite and > 0, got {self.decay}")
+        _check_real("decay", self.decay, 0, above=True)
 
     def density(self, lags) -> np.ndarray:
         """Density at lags >= 0, shape ``(1,) + lags.shape``."""
@@ -247,19 +281,14 @@ class GaussianBasisKernel(_ComponentKernel):
     support: float = 10.0
 
     def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=np.float64)
+        centers = _check_real("centers", np.asarray(self.centers), 0)
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
         if centers.ndim != 1 or centers.size == 0:
             raise ValidationError("centers must be a nonempty 1-d array")
-        if not np.all(np.isfinite(centers)):
-            raise ValidationError("centers must be finite")
         if np.any(np.diff(centers) < 0):
             raise ValidationError("centers must be sorted nondecreasing")
-        if centers[0] < 0:
-            raise ValidationError("centers must be >= 0")
-        if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
-            raise ValidationError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
+        _check_real("bandwidth", self.bandwidth, 0, above=True)
         if not self.support > 0:
             raise ValidationError(f"support must be > 0, got {self.support}")
         if not np.all(self._norms > 0):
@@ -349,8 +378,7 @@ class DiscretizedKernel:
     n_lags: int
 
     def __post_init__(self):
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValidationError(f"dt must be finite and > 0, got {self.dt}")
+        _check_real("dt", self.dt, 0, above=True)
         _check_int("n_lags", self.n_lags, 1)
 
     @property
@@ -428,27 +456,19 @@ class HawkesModel:
     A: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        A = np.asarray(self.A, dtype=np.float64)
+        mu = _check_real("mu", np.asarray(self.mu), 0)
+        A = _check_real("A", np.asarray(self.A), 0)
         mu.setflags(write=False)
         A.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "A", A)
         if mu.ndim != 1 or mu.size == 0:
             raise ValidationError("mu must be a nonempty 1-d array")
-        if not np.all(np.isfinite(mu)):
-            raise ValidationError("mu entries must be finite")
-        if np.any(mu < 0):
-            raise ValidationError("mu entries must be >= 0")
         expected = _expected_coeff_shape(self.kernel, mu.size)
         if A.shape != expected:
             raise ValidationError(
                 f"coefficient array has shape {A.shape}, expected {expected}"
             )
-        if not np.all(np.isfinite(A)):
-            raise ValidationError("kernel coefficients must be finite")
-        if np.any(A < 0):
-            raise ValidationError("kernel coefficients must be >= 0")
         rho = spectral_radius(branching_matrix(self))
         if rho >= 1.0:
             warnings.warn(
@@ -511,11 +531,6 @@ def _check_target(model: HawkesModel, u: int) -> None:
         raise ValidationError(f"dimension index {u} out of range [0, {model.dim})")
 
 
-def _check_finite_time(name: str, t: float) -> None:
-    if not math.isfinite(t):
-        raise ValidationError(f"{name} must be finite, got {t}")
-
-
 def intensity(model: HawkesModel, seq: EventSequence, u: int, t: float) -> float:
     """Conditional intensity of dimension ``u`` at time ``t``.
 
@@ -523,7 +538,7 @@ def intensity(model: HawkesModel, seq: EventSequence, u: int, t: float) -> float
     contribute (left-limit convention).
     """
     _check_target(model, u)
-    _check_finite_time("t", t)
+    _check_real("t", t)
     return float(intensity_profile(model, seq, np.array([t], dtype=np.float64))[0, u])
 
 
@@ -536,9 +551,7 @@ def intensity_profile(
     kernels, O(q + pairs within the support) for basis and grid kernels.
     """
     _check_dims(model, seq)
-    ts = np.asarray(ts, dtype=np.float64)
-    if not np.all(np.isfinite(ts)):
-        raise ValidationError("query times must be finite")
+    ts = _check_real("ts", np.asarray(ts))
     F = _excitation(model.kernel, seq, ts)
     return model.mu + F @ model.coeffs.reshape(-1, model.dim)
 
@@ -549,8 +562,8 @@ def compensator(
     """Integrated intensity of dimension ``u`` over ``[t0, t1]``, in closed form."""
     _check_dims(model, seq)
     _check_target(model, u)
-    _check_finite_time("t0", t0)
-    _check_finite_time("t1", t1)
+    _check_real("t0", t0)
+    _check_real("t1", t1)
     if t1 < t0:
         raise ValidationError(f"need t0 <= t1, got [{t0}, {t1}]")
     cut = np.searchsorted(seq.times, t1, side="left")
@@ -634,8 +647,7 @@ def kernel_lag_averages(model: HawkesModel, dt: float, n_lags: int) -> np.ndarra
     kernel against a smooth reference carries no within-bin sampling bias.
     """
     _check_int("n_lags", n_lags, 1)
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValidationError(f"dt must be finite and > 0, got {dt}")
+    _check_real("dt", dt, 0, above=True)
     edges = np.arange(n_lags + 1) * dt
     mass = model.kernel.mass(edges[1:], edges[:-1])  # (C, L)
     return (mass[:, :, None, None] * model.coeffs[:, None]).sum(axis=0) / dt

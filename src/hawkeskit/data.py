@@ -26,6 +26,7 @@ from .core import (
     KernelSpec,
     ValidationError,
     _check_int,
+    _check_real,
 )
 
 
@@ -368,8 +369,7 @@ def split_train_test(corpus: Corpus, ratio: float, rng_seed: int) -> tuple[Corpu
 
     ratio is the train fraction; each part keeps the corpus's sequence order.
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValidationError(f"ratio must be in [0, 1], got {ratio}")
+    _check_real("ratio", ratio, 0, hi=1)
     _check_int("rng_seed", rng_seed, 0)
     n = len(corpus)
     n_train = int(round(ratio * n))
@@ -385,8 +385,7 @@ def split_train_test(corpus: Corpus, ratio: float, rng_seed: int) -> tuple[Corpu
 
 def subsample(corpus: Corpus, fraction: float, rng_seed: int) -> Corpus:
     """Keep each sequence independently with probability ``fraction``."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValidationError(f"fraction must be in [0, 1], got {fraction}")
+    _check_real("fraction", fraction, 0, hi=1)
     _check_int("rng_seed", rng_seed, 0)
     rng = make_rng(rng_seed)
     keep = rng.random(len(corpus)) < fraction
@@ -400,8 +399,7 @@ def stitch(seq_a: EventSequence, seq_b: EventSequence, gap: float = 0.0) -> Even
         raise ValidationError(
             f"cannot stitch sequences of dim {seq_a.dim} and {seq_b.dim}"
         )
-    if gap < 0:
-        raise ValidationError(f"gap must be >= 0, got {gap}")
+    _check_real("gap", gap, 0)
     shift = seq_a.t_end - seq_b.t_start + gap
     times = np.concatenate([seq_a.times, seq_b.times + shift])
     marks = np.concatenate([seq_a.marks, seq_b.marks])
@@ -418,8 +416,7 @@ def stitch(seq_a: EventSequence, seq_b: EventSequence, gap: float = 0.0) -> Even
 
 def thin_events(seq: EventSequence, keep_prob: float, rng_seed: int) -> EventSequence:
     """Keep each event independently with probability ``keep_prob``; window unchanged."""
-    if not 0.0 <= keep_prob <= 1.0:
-        raise ValidationError(f"keep_prob must be in [0, 1], got {keep_prob}")
+    _check_real("keep_prob", keep_prob, 0, hi=1)
     _check_int("rng_seed", rng_seed, 0)
     rng = make_rng(rng_seed)
     keep = rng.random(len(seq)) < keep_prob

@@ -37,6 +37,7 @@ from .core import (
     UnsupportedKernelError,
     ValidationError,
     _check_int,
+    _check_real,
     branching_matrix,
     spectral_radius,
 )
@@ -68,8 +69,7 @@ class SimConfig:
     max_events: int = 1_000_000
 
     def __post_init__(self):
-        if not 0 < self.t_end < np.inf:
-            raise ValidationError(f"t_end must be finite and > 0, got {self.t_end}")
+        _check_real("t_end", self.t_end, 0, above=True)
         _check_int("n_sequences", self.n_sequences, 0)
         _check_int("rng_seed", self.rng_seed, 0)
         _check_int("max_events", self.max_events, 1)

@@ -13,6 +13,7 @@ from hawkeskit.core import (
     GaussianBasisKernel,
     HawkesModel,
     branching_matrix,
+    kernel_lag_averages,
 )
 from hawkeskit.core import ValidationError
 from hawkeskit.data import Corpus
@@ -466,6 +467,18 @@ class TestEstimationError:
         assert err["mu_absolute"] and err["kernel_absolute"]
         assert err["mu_relerr"] == pytest.approx(0.3)
         assert err["kernel_relerr"] == pytest.approx(0.2)
+
+    def test_grid_fit_is_scored_against_a_grid_truth_on_another_grid(self):
+        rng = np.random.default_rng(7)
+        truth = HawkesModel(mu=np.array([0.3, 0.2]), kernel=DiscretizedKernel(dt=0.25, n_lags=8),
+                            A=rng.uniform(0.0, 0.2, (8, 2, 2)))
+        fitted = HawkesModel(mu=np.array([0.3, 0.2]), kernel=DiscretizedKernel(dt=0.4, n_lags=6),
+                             A=rng.uniform(0.0, 0.2, (6, 2, 2)))
+        ref = kernel_lag_averages(truth, 0.4, 6)
+        want = np.linalg.norm(fitted.A - ref) / np.linalg.norm(ref)
+        err = estimation_error(fitted, truth)
+        assert err["kernel_grid_l2"] == pytest.approx(want, rel=1e-12)
+        assert not err["kernel_grid_absolute"]
 
 
 @pytest.mark.parametrize("weight", [np.inf, np.nan])
