@@ -25,7 +25,7 @@ from .core import (
     branching_matrix,
     exp_weighted_excitation,
 )
-from .data import Corpus, FormatError, _has_bool, _is_int
+from .data import Corpus, FormatError, _is_int, _json_reals
 from .learn import (
     FitReport,
     LearnConfig,
@@ -53,7 +53,7 @@ class GrangerGraph:
     threshold: float
 
     def __post_init__(self):
-        inf = _check_real("infectivity", np.asarray(self.infectivity), 0)
+        inf = np.asarray(_check_real("infectivity", self.infectivity, 0))
         adj = np.asarray(self.adjacency, dtype=bool)
         inf.setflags(write=False)
         adj.setflags(write=False)
@@ -109,12 +109,10 @@ def save_granger(graph: GrangerGraph, path: str) -> None:
 def load_granger(path: str) -> GrangerGraph:
     doc = load_json(path)
     try:
-        if _has_bool([doc["infectivity"], doc["threshold"]]):
-            raise TypeError("a boolean where a number belongs")
         return GrangerGraph(
-            np.asarray(doc["infectivity"], dtype=np.float64),
+            np.asarray(_json_reals(doc["infectivity"]), dtype=np.float64),
             np.asarray(doc["adjacency"], dtype=bool),
-            float(doc["threshold"]),
+            float(_json_reals(doc["threshold"])),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed graph document ({exc})") from exc
@@ -524,9 +522,9 @@ class TvhpModel:
     decay: float
 
     def __post_init__(self):
-        mu = _check_real("mu", np.asarray(self.mu), 0)
-        grid = _check_real("grid", np.asarray(self.grid))
-        A = _check_real("A", np.asarray(self.A), 0)
+        mu = np.asarray(_check_real("mu", self.mu, 0))
+        grid = np.asarray(_check_real("grid", self.grid))
+        A = np.asarray(_check_real("A", self.A, 0))
         for arr in (mu, grid, A):
             arr.setflags(write=False)
         object.__setattr__(self, "mu", mu)
@@ -602,7 +600,7 @@ def fit_tvhp(
     _check_real("beta", beta, 0)
     _check_real("decay", decay, 0, above=True)
     start = time.perf_counter()
-    grid = _check_real("grid", np.asarray(grid))
+    grid = np.asarray(_check_real("grid", grid))
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must be strictly increasing with >= 2 nodes")
     stats = _tvhp_stats(corpus, grid, decay)
@@ -647,13 +645,11 @@ def load_tvhp(path: str) -> TvhpModel:
     doc = load_json(path)
     try:
         dim = doc["dim"]
-        if _has_bool(doc):
-            raise TypeError("a boolean where a number belongs")
         model = TvhpModel(
-            mu=np.asarray(doc["mu"], dtype=np.float64),
-            grid=np.asarray(doc["grid"], dtype=np.float64),
-            A=np.asarray(doc["A"], dtype=np.float64),
-            decay=float(doc["decay"]),
+            mu=np.asarray(_json_reals(doc["mu"]), dtype=np.float64),
+            grid=np.asarray(_json_reals(doc["grid"]), dtype=np.float64),
+            A=np.asarray(_json_reals(doc["A"]), dtype=np.float64),
+            decay=float(_json_reals(doc["decay"])),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed document ({exc})") from exc

@@ -70,18 +70,48 @@ def _check_int(name: str, value, lo: int) -> None:
         raise ValidationError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
+def _is_real(x) -> bool:
+    """True for an int or float, Python or numpy, that is not a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def _leaves(x):
+    """The entries of ``x``, flattened through nested lists and tuples."""
+    if isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _leaves(y)
+    else:
+        yield x
+
+
 def _check_real(name: str, value, lo: float = -math.inf, *, above: bool = False,
                 hi: float = math.inf):
     """Raise ValidationError unless ``value`` is finite, real and in range.
 
     The range is ``lo <= value <= hi``, or ``lo < value <= hi`` with
     ``above``.  A Python or numpy scalar is checked in plain floats and
-    returned as given; an ndarray, of integer or float dtype, is checked
-    entry by entry and returned as float64.  Bools, strings and other
-    non-reals are refused, as ``_check_int`` refuses them.
+    returned as given; an ndarray of integer or float dtype, or nested lists
+    and tuples of reals, is checked entry by entry and returned as float64.
+    Bools, strings and other non-reals are refused, as ``_check_int``
+    refuses them, also as list entries, which numpy would coerce.
     """
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind not in "iuf":
+    if _is_real(value):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
+        if math.isfinite(x) and (lo < x if above else lo <= x) and x <= hi:
+            return value
+        got = repr(value)
+    else:
+        if isinstance(value, (list, tuple)):
+            for x in _leaves(value):
+                if not _is_real(x):  # refuses a bool, a string, a bool array...
+                    _check_real(name, x, lo, above=above, hi=hi)
+            value = np.asarray(value)
+        if not isinstance(value, np.ndarray):
+            got = f"{type(value).__name__} {value!r}"
+        elif value.dtype.kind not in "iuf":
             got = f"an array of {value.dtype}"
         else:
             arr = value.astype(np.float64, copy=False)
@@ -94,16 +124,6 @@ def _check_real(name: str, value, lo: float = -math.inf, *, above: bool = False,
                 return arr
             at = np.unravel_index(np.argmin(ok), ok.shape)
             got = f"{float(arr[at])!r} at index {at[0] if len(at) == 1 else tuple(map(int, at))}"
-    elif isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        got = f"{type(value).__name__} {value!r}"
-    else:
-        try:
-            x = float(value)
-        except OverflowError:  # an int beyond the float range
-            x = math.inf
-        if math.isfinite(x) and (lo < x if above else lo <= x) and x <= hi:
-            return value
-        got = repr(value)
     rule = "finite"
     if hi < math.inf:
         rule += f" and in {'(' if above else '['}{lo:g}, {hi:g}]"
@@ -147,7 +167,7 @@ class EventSequence:
     id: str = ""
 
     def __post_init__(self):
-        times = _check_real(f"sequence {self.id!r}: times", np.asarray(self.times), 0)
+        times = np.asarray(_check_real(f"sequence {self.id!r}: times", self.times, 0))
         raw_marks = np.asarray(self.marks)
         if raw_marks.dtype.kind == "b" or (raw_marks.dtype.kind == "f" and not np.all(
             np.isfinite(raw_marks) & (raw_marks == np.round(raw_marks))
@@ -281,7 +301,7 @@ class GaussianBasisKernel(_ComponentKernel):
     support: float = 10.0
 
     def __post_init__(self):
-        centers = _check_real("centers", np.asarray(self.centers), 0)
+        centers = np.asarray(_check_real("centers", self.centers, 0))
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
         if centers.ndim != 1 or centers.size == 0:
@@ -289,8 +309,8 @@ class GaussianBasisKernel(_ComponentKernel):
         if np.any(np.diff(centers) < 0):
             raise ValidationError("centers must be sorted nondecreasing")
         _check_real("bandwidth", self.bandwidth, 0, above=True)
-        if not self.support > 0:
-            raise ValidationError(f"support must be > 0, got {self.support}")
+        if self.support != math.inf:
+            _check_real("support", self.support, 0, above=True)
         if not np.all(self._norms > 0):
             raise ValidationError(
                 f"basis centers {centers[~(self._norms > 0)].tolist()} have no mass inside "
@@ -456,8 +476,8 @@ class HawkesModel:
     A: np.ndarray
 
     def __post_init__(self):
-        mu = _check_real("mu", np.asarray(self.mu), 0)
-        A = _check_real("A", np.asarray(self.A), 0)
+        mu = np.asarray(_check_real("mu", self.mu, 0))
+        A = np.asarray(_check_real("A", self.A, 0))
         mu.setflags(write=False)
         A.setflags(write=False)
         object.__setattr__(self, "mu", mu)
@@ -551,7 +571,7 @@ def intensity_profile(
     kernels, O(q + pairs within the support) for basis and grid kernels.
     """
     _check_dims(model, seq)
-    ts = _check_real("ts", np.asarray(ts))
+    ts = np.asarray(_check_real("ts", ts))
     F = _excitation(model.kernel, seq, ts)
     return model.mu + F @ model.coeffs.reshape(-1, model.dim)
 

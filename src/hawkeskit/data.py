@@ -27,6 +27,8 @@ from .core import (
     ValidationError,
     _check_int,
     _check_real,
+    _is_real,
+    _leaves,
 )
 
 
@@ -260,11 +262,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _has_bool(x) -> bool:
-    """True if a parsed JSON value holds a boolean, which numpy reads as 0 or 1."""
-    if isinstance(x, (list, dict)):
-        return any(map(_has_bool, x.values() if isinstance(x, dict) else x))
-    return isinstance(x, bool)
+def _json_reals(x):
+    """``x`` as given if it is a JSON number or nested lists of numbers.
+
+    Else TypeError, which the loaders report as FormatError: numpy and
+    ``float`` would read a boolean as 0 or 1 and parse a numeric string.
+    """
+    for leaf in _leaves(x):
+        if not _is_real(leaf):
+            raise TypeError(f"{leaf!r} where a number belongs")
+    return x
 
 
 def _check_label_map(label_map, dim: int) -> None:
@@ -292,8 +299,10 @@ def load_corpus(path: str) -> Corpus:
             ev = s["events"]
             times, marks = [e[0] for e in ev], [e[1] for e in ev]
             window = (s["t_start"], s["t_end"])
-            if bool in {*map(type, times), *map(type, marks), *map(type, window)}:
-                raise TypeError(f"sequence {s['id']!r}: a boolean where a number belongs")
+            kinds = {*map(type, times), *map(type, marks), *map(type, window)} - {int, float}
+            if kinds:
+                names = ", ".join(sorted(k.__name__ for k in kinds))
+                raise TypeError(f"sequence {s['id']!r}: {names} where a number belongs")
             seqs.append(EventSequence(np.array(times, dtype=np.float64), np.array(marks),
                                       *window, d, s["id"]))
     except (KeyError, TypeError, IndexError, ValueError) as exc:
@@ -324,15 +333,17 @@ def _kernel_from_doc(doc: dict) -> KernelSpec:
         raise TypeError(f"kernel must be an object, got {doc!r}")
     tag = doc.get("type")
     if tag == "exponential":
-        return ExponentialKernel(decay=doc["decay"])
+        return ExponentialKernel(decay=_json_reals(doc["decay"]))
     if tag == "basis":
         return GaussianBasisKernel(
-            centers=np.asarray(doc["centers"], dtype=np.float64),
-            bandwidth=doc["bandwidth"],
-            support=doc.get("support", 10.0),
+            centers=np.asarray(_json_reals(doc["centers"]), dtype=np.float64),
+            bandwidth=_json_reals(doc["bandwidth"]),
+            support=_json_reals(doc.get("support", 10.0)),
         )
     if tag == "discretized":
-        return DiscretizedKernel(dt=doc["dt"], n_lags=doc["n_lags"])
+        if not _is_int(doc["n_lags"]):
+            raise TypeError(f"n_lags must be an integer, got {doc['n_lags']!r}")
+        return DiscretizedKernel(dt=_json_reals(doc["dt"]), n_lags=doc["n_lags"])
     raise FormatError(f"unknown kernel type tag {tag!r} (expected one of {sorted(_KERNEL_TAGS)})")
 
 
@@ -350,12 +361,10 @@ def load_model(path: str) -> HawkesModel:
     doc = load_json(path)
     try:
         dim = doc["dim"]
-        if _has_bool(doc):
-            raise TypeError("a boolean where a number belongs")
         model = HawkesModel(
-            mu=np.asarray(doc["mu"], dtype=np.float64),
+            mu=np.asarray(_json_reals(doc["mu"]), dtype=np.float64),
             kernel=_kernel_from_doc(doc["kernel"]),
-            A=np.asarray(doc["A"], dtype=np.float64),
+            A=np.asarray(_json_reals(doc["A"]), dtype=np.float64),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed model document ({exc})") from exc

@@ -187,7 +187,7 @@ class _EmStats:
 
     def weighted(self, weights: np.ndarray | None):
         n_seq = self.T_s.size
-        w = np.ones(n_seq) if weights is None else _check_real("weights", np.asarray(weights), 0)
+        w = np.ones(n_seq) if weights is None else np.asarray(_check_real("weights", weights, 0))
         if w.shape != (n_seq,):
             raise ValidationError(f"weights must hold one entry per sequence ({n_seq}), "
                                   f"got shape {w.shape}")
@@ -548,8 +548,8 @@ def _warm_start(stats: _EmStats, want: tuple[int, ...], init):
         mu0, A0 = init
     except (TypeError, ValueError) as exc:
         raise ValidationError("init must be a pair (mu0, A0)") from exc
-    mu0 = _check_real("init mu0", np.asarray(mu0), 0)
-    A0 = _check_real("init A0", np.asarray(A0), 0)
+    mu0 = np.asarray(_check_real("init mu0", mu0, 0))
+    A0 = np.asarray(_check_real("init A0", A0, 0))
     D = stats.dim
     if mu0.shape != (D,) or A0.shape != want:
         raise ValidationError(

@@ -1,8 +1,10 @@
 """Real-valued arguments and arrays of the public API end in ValidationError.
 
 Each argument is tried with NaN, inf, True, the string "1" and a value out
-of its range; every one must be refused by name.  Model and graph files
-holding JSON NaN are refused the same way when loaded.
+of its range; every one must be refused by name, and so must a list that
+mixes a boolean or a string with numbers.  Model and graph files holding
+JSON NaN are refused the same way when loaded; a file holding a boolean, a
+string or null where a number belongs is a FormatError.
 """
 
 import json
@@ -20,6 +22,8 @@ from hawkeskit.analyze import (
     granger_graph,
     load_granger,
     load_tvhp,
+    save_granger,
+    save_tvhp,
 )
 from hawkeskit.cli import _write_intensity_csv
 from hawkeskit.core import (
@@ -38,6 +42,10 @@ from hawkeskit.core import (
 from hawkeskit.data import (
     Corpus,
     FormatError,
+    load_corpus,
+    load_model,
+    save_corpus,
+    save_model,
     split_train_test,
     stitch,
     subsample,
@@ -203,3 +211,116 @@ def test_granger_file_with_a_non_number_is_a_format_error(key, value, tmp_path):
     path.write_text(json.dumps({**GRANGER_DOC, key: value}))
     with pytest.raises(FormatError, match="malformed graph document"):
         load_granger(str(path))
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, True, "1", 0.0, -1.0],
+                         ids=["nan", "-inf", "bool", "str", "zero", "negative"])
+def test_bad_basis_support_is_a_validation_error(bad):
+    with pytest.raises(ValidationError, match="support must be finite and > 0"):
+        GaussianBasisKernel(np.array([0.5]), 0.5, support=bad)
+
+
+def test_infinite_basis_support_is_accepted():
+    assert GaussianBasisKernel(np.array([0.5]), 0.5, support=math.inf).support == math.inf
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("mu", lambda: HawkesModel(mu=[0.1, True], kernel=EXP, A=np.zeros((2, 2)))),
+        ("A", lambda: HawkesModel(mu=[0.1, 0.2], kernel=EXP, A=[[0.1, 0.0], [np.bool_(1), 0.0]])),
+        ("A", lambda: HawkesModel(mu=[0.1], kernel=EXP, A=[np.array([True])])),
+        ("mu", lambda: TvhpModel([0.1, "0.2"], [0.0, 1.0], np.zeros((2, 2, 2)), 1.0)),
+        ("grid", lambda: TvhpModel([0.1], (0.0, None), np.zeros((2, 1, 1)), 1.0)),
+        ("infectivity", lambda: GrangerGraph([[0.2, True]], np.zeros((1, 2), bool), 0.1)),
+        ("sequence 's': times", lambda: EventSequence([1.0, True], [0, 0], 0.0, 5.0, 1, "s")),
+        ("init mu0", lambda: fit_mle(CORPUS, EXP, CFG, init=([0.1, False], np.ones((2, 2))))),
+    ],
+    ids=["HawkesModel-mu", "HawkesModel-A-numpy-bool", "HawkesModel-A-bool-row",
+         "TvhpModel-mu-str", "TvhpModel-grid-none", "GrangerGraph", "EventSequence",
+         "fit_mle-init"],
+)
+def test_list_mixing_a_non_real_with_numbers_is_refused(name, call):
+    with pytest.raises(ValidationError, match=re.escape(f"{name} must be finite")):
+        call()
+
+
+def test_lists_of_reals_are_accepted_as_float64():
+    model = HawkesModel(mu=[1, 0.5], kernel=EXP, A=[[0, 0.1], np.array([0.2, 0])])
+    assert model.mu.dtype == model.A.dtype == np.float64
+    assert model.A.tolist() == [[0.0, 0.1], [0.2, 0.0]]
+
+
+def _mutated(tmp_path, save, obj, edit):
+    path = tmp_path / "doc.json"
+    save(obj, str(path))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+def _set_kernel(key, value):
+    def edit(doc):
+        doc["kernel"][key] = value
+    return edit
+
+
+def _set_seq(key, value):
+    def edit(doc):
+        doc["sequences"][0][key] = value
+    return edit
+
+
+def _set_event(i, value):
+    def edit(doc):
+        doc["sequences"][0]["events"][0][i] = value
+    return edit
+
+
+BASIS_MODEL = HawkesModel(mu=np.array([0.3]),
+                          kernel=GaussianBasisKernel(np.array([0.5, 1.0]), 0.5, 5.0),
+                          A=np.full((2, 1, 1), 0.1))
+GRID_MODEL = HawkesModel(mu=np.array([0.3]), kernel=DiscretizedKernel(0.5, 3),
+                         A=np.full((3, 1, 1), 0.1))
+TVHP = TvhpModel([0.1], [0.0, 1.0], np.full((2, 1, 1), 0.2), 1.0)
+GRAPH = GrangerGraph(np.array([[0.2]]), np.array([[True]]), 0.1)
+
+
+@pytest.mark.parametrize(
+    "load, save, obj, edit",
+    [
+        (load_corpus, save_corpus, CORPUS, _set_seq("t_start", "0")),
+        (load_corpus, save_corpus, CORPUS, _set_seq("t_end", None)),
+        (load_corpus, save_corpus, CORPUS, _set_event(0, "1.0")),
+        (load_corpus, save_corpus, CORPUS, _set_event(1, "0")),
+        (load_model, save_model, MODEL, _set("mu", ["0.3", 0.6])),
+        (load_model, save_model, MODEL, _set("A", [[0.2, True], [0.2, 0.2]])),
+        (load_model, save_model, MODEL, _set_kernel("decay", "1")),
+        (load_model, save_model, MODEL, _set_kernel("decay", None)),
+        (load_model, save_model, GRID_MODEL, _set_kernel("dt", "0.5")),
+        (load_model, save_model, GRID_MODEL, _set_kernel("n_lags", "3")),
+        (load_model, save_model, BASIS_MODEL, _set_kernel("centers", ["0.5", 1.0])),
+        (load_model, save_model, BASIS_MODEL, _set_kernel("bandwidth", True)),
+        (load_model, save_model, BASIS_MODEL, _set_kernel("support", "5")),
+        (load_tvhp, save_tvhp, TVHP, _set("mu", ["0.1"])),
+        (load_tvhp, save_tvhp, TVHP, _set("decay", "1")),
+        (load_granger, save_granger, GRAPH, _set("threshold", "0.1")),
+        (load_granger, save_granger, GRAPH, _set("infectivity", [["0.2"]])),
+    ],
+    ids=["corpus-t_start-str", "corpus-t_end-null", "corpus-time-str", "corpus-mark-str",
+         "model-mu-str", "model-A-bool", "model-decay-str", "model-decay-null",
+         "model-dt-str", "model-n_lags-str", "model-centers-str", "model-bandwidth-bool",
+         "model-support-str", "tvhp-mu-str", "tvhp-decay-str", "granger-threshold-str",
+         "granger-infectivity-str"],
+)
+def test_file_with_a_non_number_where_a_number_belongs_is_a_format_error(
+        load, save, obj, edit, tmp_path):
+    with pytest.raises(FormatError, match="malformed"):
+        load(_mutated(tmp_path, save, obj, edit))
