@@ -75,13 +75,9 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
-def _leaves(x):
+def _leaves(x) -> list:
     """The entries of ``x``, flattened through nested lists and tuples."""
-    if isinstance(x, (list, tuple)):
-        for y in x:
-            yield from _leaves(y)
-    else:
-        yield x
+    return [y for z in x for y in _leaves(z)] if isinstance(x, (list, tuple)) else [x]
 
 
 def _check_real(name: str, value, lo: float = -math.inf, *, above: bool = False,

@@ -263,11 +263,7 @@ def _is_int(x) -> bool:
 
 
 def _json_reals(x):
-    """``x`` as given if it is a JSON number or nested lists of numbers.
-
-    Else TypeError, which the loaders report as FormatError: numpy and
-    ``float`` would read a boolean as 0 or 1 and parse a numeric string.
-    """
+    """``x`` if it holds only JSON numbers, else TypeError (numpy reads true as 1, parses "1")."""
     for leaf in _leaves(x):
         if not _is_real(leaf):
             raise TypeError(f"{leaf!r} where a number belongs")
@@ -301,8 +297,8 @@ def load_corpus(path: str) -> Corpus:
             window = (s["t_start"], s["t_end"])
             kinds = {*map(type, times), *map(type, marks), *map(type, window)} - {int, float}
             if kinds:
-                names = ", ".join(sorted(k.__name__ for k in kinds))
-                raise TypeError(f"sequence {s['id']!r}: {names} where a number belongs")
+                raise TypeError(f"sequence {s['id']!r}: {min(k.__name__ for k in kinds)} where a "
+                                "number belongs")
             seqs.append(EventSequence(np.array(times, dtype=np.float64), np.array(marks),
                                       *window, d, s["id"]))
     except (KeyError, TypeError, IndexError, ValueError) as exc:
