@@ -102,7 +102,7 @@ def _check_real(name: str, value, lo: float = -math.inf, *, above: bool = False,
     else:
         if isinstance(value, (list, tuple)):
             for x in _leaves(value):
-                if not _is_real(x):  # refuses a bool, a string, a bool array...
+                if not _is_real(x):  # raises for a bool, a string or a bool array
                     _check_real(name, x, lo, above=above, hi=hi)
             value = np.asarray(value)
         if not isinstance(value, np.ndarray):
