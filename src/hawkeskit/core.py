@@ -14,19 +14,19 @@ Each kernel is a sum of ``C = n_components`` fixed components, weighted by
 the model's coefficients ``coeffs[c, v, u]``.  At lags >= 0 it provides the
 per-component ``density(lags)`` and ``mass(lags, start=0)`` (integral over
 ``[start, lag]``; ``mass(inf)`` is the total), each of shape ``(C,) +
-lags.shape``; ``values(coeffs, lags, v, u)``, their contraction with the
-coefficients, which serves finite-kernel event intensities; its ``support``
-(``inf`` for the exponential kernel); ``quantile(comp, u01, upper)`` for the
-branch sampler; and, for finite support, ``thinning_bound(coeffs)``.  Every
-primitive below uses only these.  The sum over past events has one builder,
-``_excitation``, the one place that decides its layout, features (q, C·D)
-with column c·D + v, and how to build them: the exponential kernel's O(n·D)
-recursion (``exp_weighted_excitation``, which scatters each event's weight
-into its own mark's column and takes one cumulative sum per feature over
-blocks of up to 600 e-folds), else pair sums within the support.  Its
-``tail`` mode sums the mass still ahead in place of the density.  Intensity
-grids, exponential event intensities, every event compensator and every EM
-statistic read it.
+lags.shape``; its ``support`` (``inf`` for the exponential kernel);
+``quantile(comp, u01, upper)`` for the branch sampler; and, for finite
+support, ``thinning_bound(coeffs)`` and ``pair_terms(lags, tail=False)``,
+each lag's nonzero components as (component, value) terms (one grid bin,
+every basis).  Every primitive below uses only these.  The sum over past
+events has one builder, ``_excitation``, the one place that decides its
+layout, features (q, C·D) with column c·D + v, and how to build them: the
+exponential kernel's O(n·D) recursion (``exp_weighted_excitation``, which
+scatters each event's weight into its own mark's column and takes one
+cumulative sum per feature over blocks of up to 600 e-folds), else pair
+terms within the support, scattered by one bincount.  Its ``tail`` mode
+sums the mass still ahead in place of the density.  Intensity grids, every
+event intensity and compensator and every EM statistic read it.
 """
 
 from __future__ import annotations
@@ -240,17 +240,14 @@ class EventSequence:
         return hash((self.id, self.dim, self.t_start, self.t_end, len(self)))
 
 
-class _ComponentKernel:
-    """Contracted values by expansion over the components."""
-
-    def values(self, coeffs, lags, v, u) -> np.ndarray:
-        """``sum_c coeffs[c, v, u] * density_c(lag)``; lags, v and u broadcast."""
-        lags, v, u = np.broadcast_arrays(lags, v, u)
-        return (self.density(lags) * coeffs[:, v, u]).sum(axis=0)
+def _dense_pair_terms(kernel, lags, tail: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Pair terms that list all C components of each lag: comp (C, 1), vals (C, P)."""
+    vals = kernel.mass(np.inf)[:, None] - kernel.mass(lags) if tail else kernel.density(lags)
+    return np.arange(kernel.n_components)[:, None], vals
 
 
 @dataclass(frozen=True)
-class ExponentialKernel(_ComponentKernel):
+class ExponentialKernel:
     """Exponential impact kernel ``phi_vu(t) = A[v,u] * decay * exp(-decay*t)``.
 
     The decay rate is shared across all pairs; with this normalization each
@@ -284,7 +281,7 @@ class ExponentialKernel(_ComponentKernel):
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianBasisKernel(_ComponentKernel):
+class GaussianBasisKernel:
     """Impact kernels expanded over truncated Gaussian bases.
 
     Each basis is a Gaussian density with one of ``centers`` and common
@@ -341,6 +338,11 @@ class GaussianBasisKernel(_ComponentKernel):
         hi = ndtr((np.clip(lags, 0.0, self.support)[None, ...] - c) / s)
         lo = ndtr((np.clip(start, 0.0, self.support) - c) / s)
         return (hi - lo) / self._norms.reshape((-1,) + (1,) * lags.ndim)
+
+    def pair_terms(self, lags, tail=False) -> tuple[np.ndarray, np.ndarray]:
+        """Every basis's density at 1-d lags, or with ``tail`` its mass beyond them:
+        comp (C, 1) and vals (C, P)."""
+        return _dense_pair_terms(self, lags, tail)
 
     def quantile(self, comp, u01, upper) -> np.ndarray:
         """Lags whose mass in basis ``comp`` is ``u01`` times that of ``[0, upper]``."""
@@ -418,11 +420,15 @@ class DiscretizedKernel:
             start - starts, 0.0, self.dt
         )
 
-    def values(self, coeffs, lags, v, u) -> np.ndarray:
-        """Step value ``coeffs[floor(lag / dt), v, u]``, zero past the grid."""
+    def pair_terms(self, lags, tail=False) -> tuple[np.ndarray, np.ndarray]:
+        """Each 1-d lag's bin ``floor(lag / dt)`` at weight 1, both (1, P); a lag whose
+        ratio to ``dt`` rounds up to ``n_lags`` has no bin, so it keeps bin ``n_lags - 1``
+        at weight 0.  With ``tail``, every bin's width beyond the lag."""
+        if tail:
+            return _dense_pair_terms(self, lags, tail)
         q = np.asarray(lags, dtype=np.float64) / self.dt
         k = np.minimum(q, self.n_lags - 1).astype(np.int64)
-        return coeffs[k, v, u] * (q < self.n_lags)
+        return k[None], (q < self.n_lags).astype(np.float64)[None]
 
     def quantile(self, comp, u01, upper) -> np.ndarray:
         """Uniform lags on the part of bin ``comp`` inside ``[0, upper]``."""
@@ -694,7 +700,8 @@ def _pair_arrays(
 
 
 def _excitation(
-    kernel: KernelSpec, seq: EventSequence, at: np.ndarray | None = None, tail: bool = False
+    kernel: KernelSpec, seq: EventSequence, at: np.ndarray | None = None, tail: bool = False,
+    coeffs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Excitation features at the query times ``at`` (default: the events).
 
@@ -703,7 +710,9 @@ def _excitation(
     that lambda(q_j) = mu + F[j] @ coeffs.reshape(C·D, D).  With ``tail``,
     each pair adds the mass still ahead, ``mass_c(inf) - mass_c(q_j - t_i)``,
     in place of the density.  History is strictly past: events tied with a
-    query add nothing to it.
+    query add nothing to it.  Given ``coeffs`` (C, D, D) and no ``at``,
+    returns instead each event's excitation of its own mark, shape (n,):
+    finite kernels contract each pair's terms before summing over events.
     """
     times, dim = seq.times, seq.dim
     if isinstance(kernel, ExponentialKernel):
@@ -711,8 +720,9 @@ def _excitation(
         # exp(-decay * lag), is the density over decay
         w = 1.0 / kernel.decay if tail else 1.0
         if at is None:
-            return exp_weighted_excitation(times, seq.marks, np.full(times.size, w), dim,
-                                           kernel.decay)
+            R = exp_weighted_excitation(times, seq.marks, np.full(times.size, w), dim,
+                                        kernel.decay)
+            return R if coeffs is None else _excited(R, coeffs, seq.marks)
         # queries join the event timeline with zero weight; the recursion's
         # strict past keeps events tied with a query out of its features
         n = times.size
@@ -729,13 +739,18 @@ def _excitation(
     lags = q[tgt] - times[src]
     # events a support or more back have no density and no mass ahead, so
     # the pairs within the support carry every nonzero term in either mode
-    vals = kernel.mass(np.inf)[:, None] - kernel.mass(lags) if tail else kernel.density(lags)
-    # one bincount per component, adding the pairs in order
-    idx = tgt * dim + seq.marks[src]
-    F = np.empty((q.size, kernel.n_components, dim))
-    for c, w in enumerate(vals):
-        F[:, c, :] = np.bincount(idx, weights=w, minlength=q.size * dim).reshape(q.size, dim)
-    return F.reshape(q.size, kernel.n_components * dim)
+    comp, vals = kernel.pair_terms(lags, tail)
+    m_src = seq.marks[src]
+    if coeffs is not None:
+        # one flat gather of coeffs[comp, m_src, m_tgt]; each pair sums its terms in order
+        w = coeffs.reshape(-1).take(comp * dim * dim + (m_src * dim + seq.marks[tgt]))
+        w *= vals
+        return np.bincount(tgt, weights=w.sum(axis=0), minlength=q.size)
+    # one bincount adds each feature's terms in pair order
+    C = kernel.n_components
+    idx = comp * dim + (tgt * (C * dim) + m_src)
+    return np.bincount(idx.ravel(), weights=vals.ravel(),
+                       minlength=q.size * C * dim).reshape(q.size, C * dim)
 
 
 def _excited(F: np.ndarray, coeffs: np.ndarray, marks: np.ndarray) -> np.ndarray:
@@ -758,17 +773,7 @@ def _exposures(kernel: KernelSpec, seq: EventSequence) -> np.ndarray:
 def event_intensities(model: HawkesModel, seq: EventSequence) -> np.ndarray:
     """Intensity of each event's own dimension at its time (left limits); shape (n,)."""
     _check_dims(model, seq)
-    n = len(seq)
-    if n == 0:
-        return np.empty(0)
-    times, marks = seq.times, seq.marks
-    lam = model.mu[marks]
-    kern = model.kernel
-    if isinstance(kern, ExponentialKernel):
-        return lam + _excited(_excitation(kern, seq), model.coeffs, marks)
-    src, tgt = _pair_arrays(times, kern.support)
-    vals = kern.values(model.coeffs, times[tgt] - times[src], marks[src], marks[tgt])
-    return lam + np.bincount(tgt, weights=vals, minlength=n)
+    return model.mu[seq.marks] + _excitation(model.kernel, seq, coeffs=model.coeffs)
 
 
 def event_compensators(model: HawkesModel, seq: EventSequence) -> np.ndarray:
@@ -777,20 +782,17 @@ def event_compensators(model: HawkesModel, seq: EventSequence) -> np.ndarray:
     ``out[j]`` is the integral of ``lambda_{m_j}`` over ``[t_start, t_j]``
     with strictly-past history, so events tied with ``t_j`` add nothing:
     the full mass of the strict past, less the part still ahead.  One pass
-    over the sequence: O(n D) for exponential kernels, O(n C D + pairs
-    within the support) for basis and grid kernels.  Shape (n,).
+    over the sequence: O(n D) for exponential kernels, O(C) per pair within
+    the support for basis and grid kernels.  Shape (n,).
     """
     _check_dims(model, seq)
-    n = len(seq)
-    if n == 0:
-        return np.empty(0)
     times, marks = seq.times, seq.marks
     out = model.mu[marks] * (times - seq.t_start)
     # cum[i, u]: total infectivity on u of events 0..i-1, each at full mass
-    cum = np.zeros((n + 1, model.dim))
+    cum = np.zeros((len(seq) + 1, model.dim))
     np.cumsum(branching_matrix(model)[marks, :], axis=0, out=cum[1:])
     past = np.searchsorted(times, times, side="left")  # first event tied with each
-    ahead = _excited(_excitation(model.kernel, seq, tail=True), model.coeffs, marks)
+    ahead = _excitation(model.kernel, seq, tail=True, coeffs=model.coeffs)
     return out + cum[past, marks] - ahead
 
 

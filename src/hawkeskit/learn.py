@@ -39,11 +39,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     DiscretizedKernel,
-    ExponentialKernel,
     HawkesError,
     HawkesModel,
     KernelSpec,
-    UnsupportedKernelError,
     ValidationError,
     _check_int,
     _check_real,
@@ -559,23 +557,22 @@ def _warm_start(stats: _EmStats, want: tuple[int, ...], init):
 
 
 def exp_nll_and_grad(model: HawkesModel, corpus):
-    """Negative log-likelihood and its exact gradient for exponential kernels.
+    """Negative log-likelihood and its exact gradient, for every kernel.
 
-    Returns (nll, grad_mu, grad_A).  The objective floors event intensities
-    at 1e-300; events with zero intensity give undefined gradient entries, so
-    callers keep parameters strictly positive.
+    Returns (nll, grad_mu, grad_A), with grad_A in the layout of ``model.A``.
+    The objective floors event intensities at 1e-300; events with zero
+    intensity give undefined gradient entries, so callers keep parameters
+    strictly positive.
     """
-    if not isinstance(model.kernel, ExponentialKernel):
-        raise UnsupportedKernelError("gradient is implemented for exponential kernels")
     _check_corpus_dim(model.dim, corpus)
     stats = _kernel_stats(corpus, model.kernel)
     G, T_w, _, ev_w = stats.weighted(None)
-    A = model.A[None, :, :]
+    A = model.coeffs
     lam = stats.rates(model.mu, A)
     nll = stats.nll(model.mu, A, lam, ev_w, G, T_w)
     inv = 1.0 / lam
     grad_mu = T_w - np.bincount(stats.marks, weights=inv, minlength=model.dim)
-    grad_A = G[0][:, None] - stats.contract(inv)[0]
+    grad_A = (G[:, :, None] - stats.contract(inv)).reshape(model.A.shape)
     return nll, grad_mu, grad_A
 
 

@@ -3,10 +3,11 @@
 Each kernel is a sum of ``n_components`` fixed components.  These tests pin
 each member against its definition: ``mass`` is the integral of
 ``density`` (and ``mass(lag, start)`` its integral from ``start``),
-``mass(inf)`` gives the totals behind ``branching_matrix``, the
-contracted ``values`` equal the component expansion (for the grid kernel
-this checks its bin lookup against its own indicator basis), and
-``quantile`` samples a component's mass on ``[0, upper]``.
+``mass(inf)`` gives the totals behind ``branching_matrix``, the finite
+kernels' ``pair_terms`` scatter to ``density`` and to the mass beyond each
+lag (for the grid kernel this checks its bin lookup against its own
+indicator basis), and ``quantile`` samples a component's mass on
+``[0, upper]``.
 """
 
 import math
@@ -105,24 +106,20 @@ def test_mass_at_infinity_gives_the_branching_totals(name):
     )
 
 
-@pytest.mark.parametrize("name", IDS)
-def test_values_expand_over_components(name):
-    kern = _kernel(name)
-    D = 3
-    coeffs = _coeffs(kern, D)
-    lags = _lags(kern)
-    rng = np.random.default_rng(2)
-    v, u = rng.integers(0, D, lags.size), rng.integers(0, D, lags.size)
-    dens = kern.density(lags)
-    np.testing.assert_allclose(
-        kern.values(coeffs, lags, v, u), (dens * coeffs[:, v, u]).sum(axis=0),
-        rtol=1e-12, atol=1e-15,
-    )
-    # one lag per row against every target at once
-    dims = np.arange(D)
-    full = kern.values(coeffs, lags[:, None], v[:, None], dims)
-    assert full.shape == (lags.size, D)
-    np.testing.assert_allclose(full[np.arange(lags.size), u], kern.values(coeffs, lags, v, u))
+@pytest.mark.parametrize("name", ["basis", "grid", "grid-edge"])
+def test_pair_terms_scatter_to_density_and_tail_mass(name):
+    # dt = 0.7, L = 10: the last lag lies below the support 7.0, but its
+    # ratio to dt rounds to 10.0, past the last bin
+    kern = DiscretizedKernel(dt=0.7, n_lags=10) if name == "grid-edge" else _kernel(name)
+    lags = np.append(_lags(kern), 6.999999999999999)
+    for tail, want in ((False, kern.density(lags)),
+                       (True, kern.mass(np.inf)[:, None] - kern.mass(lags))):
+        comp, vals = kern.pair_terms(lags, tail)
+        comp, cols = np.broadcast_arrays(comp, np.arange(lags.size))
+        assert comp.shape == vals.shape
+        dense = np.zeros((kern.n_components, lags.size))
+        np.add.at(dense, (comp, cols), vals)
+        np.testing.assert_array_equal(dense, want)
 
 
 @pytest.mark.parametrize("name", IDS)

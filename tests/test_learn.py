@@ -225,31 +225,35 @@ class TestPenalties:
 
 
 class TestGradient:
-    def test_matches_central_differences(self):
+    @pytest.mark.parametrize("kernel", [
+        ExponentialKernel(decay=1.0),
+        GaussianBasisKernel(centers=np.array([0.3, 1.2]), bandwidth=0.5, support=3.0),
+        DiscretizedKernel(dt=0.5, n_lags=4),
+    ], ids=["exp", "basis", "grid"])
+    def test_matches_central_differences(self, kernel):
         corpus = sim_corpus(truth_2d(), 40.0, 4, seed=7)
         rng = np.random.default_rng(8)
+        shape = (2, 2) if isinstance(kernel, ExponentialKernel) else (kernel.n_components, 2, 2)
         h = 1e-5
         for _ in range(5):
             mu = rng.uniform(0.2, 1.0, size=2)
-            A = rng.uniform(0.05, 0.4, size=(2, 2))
-            model = HawkesModel(mu=mu, kernel=ExponentialKernel(decay=1.0), A=A)
-            nll, gmu, gA = exp_nll_and_grad(model, corpus)
+            A = rng.uniform(0.05, 0.4, size=shape)
+            nll, gmu, gA = exp_nll_and_grad(HawkesModel(mu=mu, kernel=kernel, A=A), corpus)
+            assert gA.shape == shape
 
             def nll_at(mu_, A_):
-                m = HawkesModel(mu=mu_, kernel=ExponentialKernel(decay=1.0), A=A_)
-                return exp_nll_and_grad(m, corpus)[0]
+                return exp_nll_and_grad(HawkesModel(mu=mu_, kernel=kernel, A=A_), corpus)[0]
 
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = h
                 fd = (nll_at(mu + e, A) - nll_at(mu - e, A)) / (2 * h)
                 assert gmu[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-            for v in range(2):
-                for u in range(2):
-                    E = np.zeros((2, 2))
-                    E[v, u] = h
-                    fd = (nll_at(mu, A + E) - nll_at(mu, A - E)) / (2 * h)
-                    assert gA[v, u] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+            for idx in np.ndindex(*shape):
+                E = np.zeros(shape)
+                E[idx] = h
+                fd = (nll_at(mu, A + E) - nll_at(mu, A - E)) / (2 * h)
+                assert gA[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     def test_small_gradient_at_unpenalized_optimum(self):
         corpus = sim_corpus(truth_1d(), 100.0, 40, seed=9)
