@@ -6,7 +6,6 @@ infectivity drifts along the observation axis.
 from __future__ import annotations
 
 import re
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -180,7 +179,7 @@ class ClusterResult:
 
     ``models`` is empty for the distance route; ``medoids`` is None for the
     mixture route.  ``objective_trace`` follows the minimization convention
-    (negative penalized mixture log-likelihood), so it is nonincreasing.
+    (negative penalized mixture log-likelihood), nonincreasing between reseeds.
     """
 
     K: int
@@ -599,7 +598,6 @@ def fit_tvhp(
         raise ValidationError("structural penalties are not supported here")
     _check_real("beta", beta, 0)
     _check_real("decay", decay, 0, above=True)
-    start = time.perf_counter()
     grid = np.asarray(_check_real("grid", grid))
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must be strictly increasing with >= 2 nodes")
@@ -608,7 +606,7 @@ def fit_tvhp(
     init = _init_params(stats, cfg.rng_seed, 0.1 / stats.dim)
     mu, A, trace, converged = _fit_from_stats(stats, cfg, init, smooth.mstep, smooth.value)
     model = TvhpModel(mu=mu, grid=grid, A=A, decay=decay)
-    return _em_report(model, trace, converged, start, **smooth.counters(), beta=beta)
+    return _em_report(model, trace, converged, **smooth.counters(), beta=beta)
 
 
 def tvhp_log_likelihood(model: TvhpModel, corpus: Corpus) -> float:

@@ -2,9 +2,8 @@
 
 Every command reads files, computes, writes files, and exits; outputs are
 plot-ready data (CSV/JSON/DOT), never rendered images.  All outputs are
-byte-deterministic given --seed: report files carry wall_time_s as 0.0
-except `benchmark`, whose point is timing (pass --deterministic-timing
-there to pin it too).
+byte-deterministic given --seed.  Only `benchmark`, whose point is timing,
+measures or writes time; --deterministic-timing pins its times to 0.0.
 
 Exit codes: 0 success, 2 usage or input validation, 3 runtime failure.
 """
@@ -368,7 +367,7 @@ def _fitter(name: str, r: dict):
     if name == "ls":
         _kernel_from(family, r)  # refuses a bad --dt or --n-lags before any input is read
         _check_real("ridge", r["ridge"], 0)  # and --ridge
-        return lambda corpus: fit_ls(corpus, r["dt"], r["n_lags"], ridge=r["ridge"], cfg=cfg)
+        return lambda corpus: fit_ls(corpus, r["dt"], r["n_lags"], ridge=r["ridge"])
     _ode_grid(r["dt"], r["n_lags"], r["alpha"])  # and --alpha, for mle-ode
     return lambda corpus: fit_mle_ode(corpus, r["dt"], r["n_lags"], cfg, alpha=r["alpha"])
 
@@ -431,20 +430,9 @@ def _fit_report_doc(report, resolved: dict) -> dict:
         "converged": bool(report.converged),
         "iterations": int(report.iterations),
         "objective_trace": [float(x) for x in report.objective_trace],
-        "wall_time_s": 0.0,
-        "details": {k: _json_safe(v) for k, v in report.details.items()},
+        "details": report.details,
         "config": _echoable(resolved),
     }
-
-
-def _json_safe(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    return v
 
 
 def _cmd_fit(r: dict) -> int:
@@ -531,6 +519,8 @@ def _cmd_benchmark(r: dict) -> int:
     model = _read(load_model, r["model"], "model")
     horizons = _parse_float_list(r["horizons"], "--horizons")
     methods = tuple(m.strip() for m in r["methods"].split(",") if m.strip())
+    if not methods:
+        raise ValidationError("--methods must list at least one simulator")
     rows = benchmark_simulators(
         model,
         horizons,
@@ -556,7 +546,7 @@ def run_demo(out_dir: str, seed: int, config_echo: dict | None = None) -> dict:
     Eight plot-data panels: (a) intensity paths, (b) simulator scaling,
     (c) kernel curves, (d) error vs corpus size, (e) learner comparison,
     (f) excitation graph, (g) drifting infectivity, (h) pairwise distances.
-    Deterministic given seed; every timing field is pinned to 0.0.
+    Deterministic given seed; panel (b), the only timed one, pins its times to 0.0.
     """
     os.makedirs(out_dir, exist_ok=True)
     join = lambda name: os.path.join(out_dir, name)
@@ -593,7 +583,7 @@ def run_demo(out_dir: str, seed: int, config_echo: dict | None = None) -> dict:
     cfg = LearnConfig(max_iters=150, tol=1e-7, rng_seed=seed)
     mle_report = fit_mle(train, ExponentialKernel(decay=1.0), cfg)
     save_model(mle_report.model, join("model_mle.json"))
-    ls_report = fit_ls(train, 0.25, 20, ridge=1e-3, cfg=cfg)
+    ls_report = fit_ls(train, 0.25, 20, ridge=1e-3)
     save_model(ls_report.model, join("model_ls.json"))
 
     # (c) per-bin kernel averages: truth vs both fitted shapes
@@ -631,7 +621,7 @@ def run_demo(out_dir: str, seed: int, config_echo: dict | None = None) -> dict:
     specs = [
         ("mle", lambda c: fit_mle(c, ExponentialKernel(decay=1.0), cfg)),
         ("mle-ode", lambda c: fit_mle_ode(c, 0.25, 20, cfg, alpha=10.0)),
-        ("ls", lambda c: fit_ls(c, 0.25, 20, ridge=1e-3, cfg=cfg)),
+        ("ls", lambda c: fit_ls(c, 0.25, 20, ridge=1e-3)),
     ]
     rows = compare_learners(train, test, specs, truth=truth)
     write_compare_csv(rows, join("compare.csv"))

@@ -288,11 +288,15 @@ def load_corpus(path: str) -> Corpus:
             raise TypeError(f"dim must be an integer, got {d!r}")
         label_map = doc["label_map"]
         _check_label_map(label_map, d)
+        if type(doc["sequences"]) is not list:
+            raise TypeError(f"sequences must be a list, got {type(doc['sequences']).__name__}")
         seqs = []
         for s in doc["sequences"]:
             if not isinstance(s["id"], str):
                 raise TypeError(f"sequence id must be a string, got {s['id']!r}")
             ev = s["events"]
+            if type(ev) is not list or not {*map(len, ev)} <= {2}:
+                raise TypeError(f"sequence {s['id']!r}: events must be [time, mark] pairs")
             times, marks = [e[0] for e in ev], [e[1] for e in ev]
             window = (s["t_start"], s["t_end"])
             kinds = {*map(type, times), *map(type, marks), *map(type, window)} - {int, float}

@@ -13,7 +13,7 @@ from .core import (
     EventSequence,
     HawkesError,
     HawkesModel,
-    ValidationError,
+    _check_dims,
     event_compensators,
     log_likelihood,
 )
@@ -76,8 +76,7 @@ def rescaling_test(model: HawkesModel, seq: EventSequence) -> dict:
     so the test costs O(n D) for exponential kernels and O(n D + pairs
     within the support) for basis and grid kernels.
     """
-    if model.dim != seq.dim:
-        raise ValidationError(f"model dim {model.dim} != sequence dim {seq.dim}")
+    _check_dims(model, seq)
     n = len(seq)
     if n == 0:
         return {"ks_statistic": 0.0, "n_transformed": 0}
@@ -99,7 +98,6 @@ _COMPARE_HEADER = [
     "per_event_ll",
     "mu_relerr",
     "kernel_relerr",
-    "wall_time_s",
     "iterations",
     "error",
 ]
@@ -115,8 +113,7 @@ def compare_learners(
 
     fit_fn takes the training corpus and returns a FitReport.  A learner
     raising a package error gets its name in the error column and the run
-    continues; other exceptions propagate.  The timing column is fixed at
-    0.0 so emitted tables are byte-stable.
+    continues; other exceptions propagate.
     """
     rows = []
     for name, fit_fn in specs:
@@ -125,7 +122,6 @@ def compare_learners(
             "per_event_ll": None,
             "mu_relerr": None,
             "kernel_relerr": None,
-            "wall_time_s": 0.0,
             "iterations": None,
             "error": "",
         }
@@ -168,7 +164,7 @@ def read_compare_csv(path: str) -> list[dict]:
     try:
         for cells in raw:
             rec = dict(zip(header, cells))
-            for key in ("per_event_ll", "mu_relerr", "kernel_relerr", "wall_time_s"):
+            for key in ("per_event_ll", "mu_relerr", "kernel_relerr"):
                 rec[key] = float(rec[key]) if rec[key] != "" else None
             rec["iterations"] = int(rec["iterations"]) if rec["iterations"] != "" else None
             rows.append(rec)

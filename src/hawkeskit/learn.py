@@ -28,7 +28,6 @@ nonincreasing up to the rounding of the untested full Newton steps.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -109,15 +108,12 @@ class FitReport:
     objective_trace: tuple[float, ...]
     converged: bool
     iterations: int
-    wall_time: float
     details: dict = field(default_factory=dict)
 
 
-def _em_report(model, trace, converged, start, **details) -> FitReport:
-    """An EM learner's report: one trace entry per iteration after the first,
-    wall time from ``start``, a ``time.perf_counter()`` reading."""
-    return FitReport(model, tuple(trace), converged, len(trace) - 1,
-                     time.perf_counter() - start, details)
+def _em_report(model, trace, converged, **details) -> FitReport:
+    """An EM learner's report: one trace entry per iteration after the first."""
+    return FitReport(model, tuple(trace), converged, len(trace) - 1, details)
 
 
 class _Converge:
@@ -526,7 +522,6 @@ def fit_mle(
     log-likelihood; ``core.log_likelihood`` returns ``-inf`` for it.
     """
     cfg = cfg or LearnConfig()
-    start = time.perf_counter()
     layout = _expected_coeff_shape(kernel_template, corpus.dim)
     stats = _kernel_stats(corpus, kernel_template)
     if init is None:
@@ -537,7 +532,7 @@ def fit_mle(
         stats, cfg, init, *_structural(cfg.penalty), weights=weights
     )
     model = HawkesModel(mu=mu, kernel=kernel_template, A=A.reshape(layout))
-    return _em_report(model, trace, converged, start)
+    return _em_report(model, trace, converged)
 
 
 def _warm_start(stats: _EmStats, want: tuple[int, ...], init):
@@ -672,7 +667,6 @@ def fit_mle_ode(
             "fit_mle_ode uses curvature smoothing; structural penalties apply to fit_mle"
         )
     kernel, P = _ode_grid(dt, n_lags, alpha)
-    start = time.perf_counter()
     D, L = corpus.dim, n_lags
     stats = _kernel_stats(corpus, kernel)
     if kernel.support > stats.T_s.max():
@@ -691,7 +685,7 @@ def fit_mle_ode(
     init = _init_params(stats, cfg.rng_seed, 0.1 / (D * L * dt))
     mu, phi, trace, converged = _fit_from_stats(stats, cfg, init, smooth.mstep, smooth.value)
     model = HawkesModel(mu=mu, kernel=kernel, A=phi)
-    return _em_report(model, trace, converged, start, **smooth.counters(), alpha=alpha)
+    return _em_report(model, trace, converged, **smooth.counters(), alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +697,6 @@ def fit_ls(
     bin_width: float,
     lags: int,
     ridge: float = 0.0,
-    cfg: LearnConfig | None = None,
 ) -> FitReport:
     """Binned autoregression: counts on each bin against the previous L bins.
 
@@ -716,7 +709,6 @@ def fit_ls(
     _check_real("ridge", ridge, 0)
     if len(corpus) == 0:
         raise ValidationError("corpus is empty")
-    start = time.perf_counter()
     D, L, dt = corpus.dim, lags, bin_width
     for seq in corpus:
         if seq.duration < (L + 1) * dt:
@@ -784,14 +776,8 @@ def fit_ls(
     )
     objective = fit_sse + ridge * float((reg[:, None] * theta**2).sum())
     model = HawkesModel(mu=mu, kernel=DiscretizedKernel(dt=dt, n_lags=L), A=phi)
-    return FitReport(
-        model=model,
-        objective_trace=(objective,),
-        converged=True,
-        iterations=1,
-        wall_time=time.perf_counter() - start,
-        details={"clamp_count": clamps, "rows": rows},
-    )
+    details = {"clamp_count": clamps, "rows": rows}
+    return FitReport(model, (objective,), converged=True, iterations=1, details=details)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ import dataclasses
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hawkeskit import analyze
 from hawkeskit.analyze import (
     ClusterResult,
     DistanceParams,
@@ -178,6 +180,15 @@ def two_population_corpus(n_each=25, t_end=40.0, seed=0):
     return Corpus(seqs, 1, None), labels
 
 
+def uniform_corpus(*specs):
+    """D=2 sequences on [0, 50], one per (n events, rng seed, mark) spec."""
+    seqs = []
+    for i, (n, s, mark) in enumerate(specs):
+        times = np.sort(np.random.default_rng(s).uniform(0, 50, n))
+        seqs.append(seq_of(times, [mark] * n, t_end=50.0, dim=2, sid=f"s{i}"))
+    return Corpus(tuple(seqs), 2, None)
+
+
 class TestClustering:
     def test_mixture_separates_rate_populations(self):
         corpus, labels = two_population_corpus()
@@ -222,6 +233,39 @@ class TestClustering:
             cluster_mixture(corpus, 0, ExponentialKernel(decay=1.0))
         with pytest.raises(ValidationError):
             cluster_distance(corpus, 9)
+
+    @pytest.mark.filterwarnings("ignore:branching matrix spectral radius")
+    def test_collapsed_cluster_is_reseeded_from_the_worst_sequence(self):
+        corpus = uniform_corpus((400, 0, 0), (0, 1, 0), (0, 2, 0))
+        with pytest.warns(UserWarning, match="cluster 1 collapsed; reseeding from sequence 's1'"):
+            res = cluster_mixture(
+                corpus, 3, ExponentialKernel(1.0), LearnConfig(max_iters=40, rng_seed=0)
+            )
+        assert np.all(np.diff(res.objective_trace) <= 0)
+
+    def test_trace_is_nonincreasing_between_reseeds(self, monkeypatch):
+        corpus = uniform_corpus((2000, 1, 0), *((5, s, 1) for s in range(1, 5)))
+        seen = []  # warnings caught before each round's objective
+        real = analyze._round_objective
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            monkeypatch.setattr(
+                analyze, "_round_objective", lambda *a: (seen.append(len(caught)), real(*a))[1]
+            )
+            res = cluster_mixture(
+                corpus, 3, ExponentialKernel(1.0), LearnConfig(max_iters=40, rng_seed=0)
+            )
+        # a round reseeded when a collapse warning follows its objective
+        ends = seen[1:] + [len(caught)]
+        reseeds = {
+            r for r, (lo, hi) in enumerate(zip(seen, ends))
+            if any("collapsed" in str(w.message) for w in caught[lo:hi])
+        }
+        assert reseeds
+        tr = res.objective_trace
+        for r in range(len(tr) - 1):
+            if r not in reseeds:
+                assert tr[r + 1] <= tr[r], r
 
     def test_purity_formula(self):
         assert cluster_purity([0, 0, 1, 1], [1, 1, 0, 0]) == 1.0

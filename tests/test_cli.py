@@ -30,6 +30,7 @@ from hawkeskit import (
     save_corpus,
     save_model,
 )
+from hawkeskit import cli
 from hawkeskit.cli import main
 from hawkeskit.data import Corpus
 from hawkeskit.simulate import SimConfig, simulate_branch
@@ -152,6 +153,18 @@ class TestSimulate:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
+    def test_non_package_exception_exits_3_as_internal_error(
+        self, model_file, tmp_path, monkeypatch, capsys
+    ):
+        def crash(r):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setitem(cli._DISPATCH, "simulate", crash)
+        rc = main(["simulate", "--model", model_file, "--t-end", "10",
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("internal error: ZeroDivisionError")
+
     @pytest.mark.parametrize("method", ["branch", "ogata", "exact-exp"])
     def test_event_overflow_exits_3_without_partial_file(self, model_file, tmp_path, method):
         out = tmp_path / "x.json"
@@ -171,7 +184,7 @@ class TestFit:
         doc = json.load(open(report))
         assert doc["converged"] is True
         assert doc["iterations"] >= 1
-        assert doc["wall_time_s"] == 0.0
+        assert "wall_time_s" not in doc
         trace = doc["objective_trace"]
         assert all(b <= a + 1e-10 for a, b in zip(trace, trace[1:]))
         model = load_model(out)
@@ -275,6 +288,21 @@ class TestGranger:
         nodes, edges = load_granger_dot(dot)
         assert nodes == ["0", "1"]
         assert set(edges) == {("0", "0"), ("1", "1")}
+
+    def test_csv_mark_labels_name_the_dot_nodes(self, tmp_path):
+        csv = tmp_path / "trades.csv"
+        rng = np.random.default_rng(4)
+        times = np.sort(rng.uniform(0, 60, size=120))
+        marks = ["buy"] + [("buy", "sell")[int(b)] for b in rng.integers(0, 2, size=119)]
+        csv.write_text("seq_id,time,mark\n"
+                       + "".join(f"s0,{t:.6f},{m}\n" for t, m in zip(times, marks)))
+        dot = str(tmp_path / "g.dot")
+        rc = main(["granger", "--data", str(csv), "--max-iters", "20",
+                   "--out", str(tmp_path / "g.json"), "--dot", dot])
+        assert rc == 0
+        nodes, edges = load_granger_dot(dot)
+        assert nodes == ["buy", "sell"]
+        assert {name for edge in edges for name in edge} <= {"buy", "sell"}
 
     def test_grid_kernel_with_a_penalty_exits_2(self, corpus_file, tmp_path, capsys):
         out = tmp_path / "g.json"
@@ -398,7 +426,7 @@ class TestEval:
             assert row["error"] == ""
             assert row["mu_relerr"] is not None
             assert row["kernel_relerr"] is not None
-            assert row["wall_time_s"] == 0.0
+            assert "wall_time_s" not in row
 
     def test_without_truth_error_columns_are_empty(self, eval_files, tmp_path):
         train, test, _ = eval_files
@@ -610,6 +638,7 @@ _MALFORMED = [
     ("fit", "config", {"tol": None}, "null"),
     ("fit", "config", {"max_iters": [5]}, "list"),
     ("benchmark", "config", {"deterministic_timing": "yes"}, "string-switch"),
+    ("benchmark", "config", {"methods": ""}, "empty-methods"),
     # model documents
     ("simulate", "model", {k: v for k, v in _MODEL.items() if k != "dim"}, "no-dim"),
     ("simulate", "model", {**_MODEL, "dim": "x"}, "string-dim"),
@@ -643,6 +672,18 @@ _MALFORMED = [
     ("fit", "corpus", _corpus_doc(sequences=[
         {"id": "s0", "t_start": False, "t_end": 5.0, "events": [[1.0, 0], [2.0, 1]]}]),
      "bool-t-start"),
+    ("fit", "corpus", _corpus_doc(sequences=[
+        {"id": "s0", "t_start": 0.0, "t_end": 5.0, "events": [[1.0, 0, 7], [2.0, 1]]}]),
+     "event-triple"),
+    ("fit", "corpus", _corpus_doc(sequences=[
+        {"id": "s0", "t_start": 0.0, "t_end": 5.0, "events": [[1.0, 0, "x"], [2.0, 1]]}]),
+     "event-triple-string"),
+    ("fit", "corpus", _corpus_doc(sequences=[
+        {"id": "s0", "t_start": 0.0, "t_end": 5.0, "events": {}}]), "object-events"),
+    ("fit", "corpus", _corpus_doc(sequences=[
+        {"id": "s0", "t_start": 0.0, "t_end": 5.0, "events": ""}]), "string-events"),
+    ("distance", "corpus", _corpus_doc(sequences={}), "object-sequences"),
+    ("distance", "corpus", _corpus_doc(sequences=""), "string-sequences"),
 ]
 
 

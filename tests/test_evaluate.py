@@ -17,16 +17,22 @@ from hawkeskit import (
     RankDeficiencyError,
     ValidationError,
     compare_learners,
+    compensator,
+    estimation_error,
     fit_ls,
     fit_mle,
     heldout_loglik,
+    intensity,
+    intensity_profile,
     ks_bound,
     log_likelihood,
     read_compare_csv,
     rescaling_test,
     simulate_ogata,
+    window_compensator,
     write_compare_csv,
 )
+from hawkeskit.core import event_compensators, event_intensities
 from hawkeskit.evaluate import _ks_exp1
 
 
@@ -166,6 +172,35 @@ class TestRescaling:
         )
 
 
+_SEQ_D3 = EventSequence(
+    times=np.array([1.0, 2.0]), marks=np.array([0, 2]), t_start=0.0, t_end=3.0, dim=3
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda m: intensity(m, _SEQ_D3, 0, 1.5), id="intensity"),
+        pytest.param(lambda m: intensity_profile(m, _SEQ_D3, np.array([0.5, 1.5])),
+                     id="intensity_profile"),
+        pytest.param(lambda m: compensator(m, _SEQ_D3, 0, 0.0, 2.0), id="compensator"),
+        pytest.param(lambda m: window_compensator(m, _SEQ_D3), id="window_compensator"),
+        pytest.param(lambda m: event_intensities(m, _SEQ_D3), id="event_intensities"),
+        pytest.param(lambda m: event_compensators(m, _SEQ_D3), id="event_compensators"),
+        pytest.param(lambda m: log_likelihood(m, _SEQ_D3), id="log_likelihood"),
+        pytest.param(lambda m: rescaling_test(m, _SEQ_D3), id="rescaling_test"),
+        pytest.param(lambda m: heldout_loglik(m, Corpus(sequences=(_SEQ_D3,), dim=3)),
+                     id="heldout_loglik"),
+        pytest.param(lambda m: estimation_error(m, HawkesModel(
+            mu=np.ones(3), kernel=ExponentialKernel(1.0), A=np.zeros((3, 3)))),
+                     id="estimation_error"),
+    ],
+)
+def test_dimension_mismatch_raises_validation_error(call):
+    with pytest.raises(ValidationError, match="dimension"):
+        call(two_dim_model())
+
+
 @pytest.fixture(scope="module")
 def _split_corpora():
     model = two_dim_model()
@@ -190,7 +225,7 @@ class TestCompare:
         assert [r["name"] for r in rows] == ["em", "ls"]
         for row in rows:
             assert row["error"] == ""
-            assert row["wall_time_s"] == 0.0
+            assert "wall_time_s" not in row
             assert row["iterations"] >= 1
             assert math.isfinite(row["per_event_ll"])
             assert 0.0 <= row["mu_relerr"] < 1.0
@@ -266,7 +301,6 @@ class TestCompare:
             "per_event_ll": None,
             "mu_relerr": None,
             "kernel_relerr": None,
-            "wall_time_s": 0.0,
             "iterations": None,
             "error": "RankDeficiencyError",
         }
@@ -277,11 +311,11 @@ class TestCompare:
         with pytest.raises(FormatError, match="unexpected comparison header"):
             read_compare_csv(str(path))
 
-    @pytest.mark.parametrize("cells", ["em,x,0.1,0.2,0,5,", "em,-1.0,0.1,0.2,0,2.5,"])
+    @pytest.mark.parametrize("cells", ["em,x,0.1,0.2,5,", "em,-1.0,0.1,0.2,2.5,"])
     def test_reader_rejects_a_cell_that_is_not_a_number(self, tmp_path, cells):
         path = tmp_path / "compare.csv"
         path.write_text(
-            "name,per_event_ll,mu_relerr,kernel_relerr,wall_time_s,iterations,error\n"
+            "name,per_event_ll,mu_relerr,kernel_relerr,iterations,error\n"
             + cells + "\n"
         )
         with pytest.raises(FormatError, match="malformed comparison row"):

@@ -333,3 +333,18 @@ class TestBenchmark:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
             benchmark_simulators(exp2(), [10.0], methods=("warp",))
+
+    def test_failing_simulator_gets_an_error_row_and_real_times_are_measured(self):
+        with pytest.warns(StabilityWarning):
+            explosive = HawkesModel(
+                mu=np.array([0.5, 0.5]),
+                kernel=ExponentialKernel(decay=1.0),
+                A=np.array([[0.9, 0.5], [0.5, 0.9]]),
+            )
+        rows = benchmark_simulators(explosive, [50.0], max_events=50)
+        assert {r["method"]: r["event_count"] for r in rows} == {
+            "branch": "error:ValidationError",
+            "ogata": "error:SimulationOverflowError",
+            "exact-exp": "error:SimulationOverflowError",
+        }
+        assert all(np.isfinite(r["wall_time_s"]) and r["wall_time_s"] >= 0 for r in rows)
