@@ -16,9 +16,11 @@ per-component ``density(lags)`` and ``mass(lags, start=0)`` (integral over
 ``[start, lag]``; ``mass(inf)`` is the total), each of shape ``(C,) +
 lags.shape``; its ``support`` (``inf`` for the exponential kernel);
 ``quantile(comp, u01, upper)`` for the branch sampler; and, for finite
-support, ``thinning_bound(coeffs)`` and ``pair_terms(lags, tail=False)``,
-each lag's nonzero components as (component, value) terms (one grid bin,
-every basis).  Every primitive below uses only these.  The sum over past
+support, ``thinning(coeffs)``, two closures over lists of window lags and
+source marks for the Ogata loop (a bound on the excitation ahead and each
+target's excitation), and ``pair_terms(lags, tail=False)``, each lag's
+nonzero components as (component, value) terms (one grid bin, every
+basis).  Every primitive below uses only these.  The sum over past
 events has one builder, ``_excitation``, the one place that decides its
 layout, features (q, C·D) with column c·D + v, and how to build them: the
 exponential kernel's O(n·D) recursion (``exp_weighted_excitation``, which
@@ -353,22 +355,31 @@ class GaussianBasisKernel:
         hi = ndtr((b - c) / s)
         return np.clip(c + s * ndtri(lo + u01 * (hi - lo)), 0.0, b)
 
-    def thinning_bound(self, coeffs):
-        """Thinning bound ``bound(lags, sources)`` on the excitation ahead."""
+    def thinning(self, coeffs):
+        """Thinning closures over lists of window lags and source marks: ``bound``, an
+        upper bound on the excitation ahead, and ``excite``, each target's excitation."""
         # sup of each renormalized basis over lags >= x: peak if x below the
         # center, the decreasing tail value otherwise
         peak = 1.0 / (self.bandwidth * np.sqrt(2.0 * np.pi) * self._norms)  # (M,)
         row_sum = coeffs.sum(axis=2)  # (M, D): total outgoing weight per basis/source
+        D = coeffs.shape[1]
 
-        def bound(lags, src_marks):
-            if lags.size == 0:
+        def bound(lags, marks):
+            if not lags:
                 return 0.0
+            lags = np.array(lags)
             below = lags[None, :] <= self.centers[:, None]
             sup = np.where(below, peak[:, None], self.density(lags))  # (M, W)
             sup = np.where(lags[None, :] < self.support, sup, 0.0)
-            return float((sup * row_sum[:, src_marks]).sum())
+            return float((sup * row_sum[:, marks]).sum())
 
-        return bound
+        def excite(lags, marks):
+            if not lags:
+                return [0.0] * D
+            dens = self.density(np.array(lags))  # (M, W)
+            return (dens.reshape(-1) @ coeffs[:, marks, :].reshape(-1, D)).tolist()
+
+        return bound, excite
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianBasisKernel):
@@ -435,20 +446,25 @@ class DiscretizedKernel:
         start = comp * self.dt
         return start + u01 * np.clip(upper - start, 0.0, self.dt)
 
-    def thinning_bound(self, coeffs):
-        """Thinning bound ``bound(lags, sources)`` on the excitation ahead."""
-        # suffix max over lag bins, summed over targets: bound per source dim
+    def thinning(self, coeffs):
+        """Thinning closures over lists of window lags and source marks, in plain floats:
+        ``bound``, an upper bound on the excitation ahead, and ``excite``, each target's
+        excitation (a lag counts in bin ``floor(lag / dt)`` below ``n_lags``, as in
+        ``density``)."""
+        # suffix max over lag bins, summed over targets: bound per bin and source
         suf = np.maximum.accumulate(coeffs[::-1], axis=0)[::-1]  # (L, D, D)
-        bound_tbl = suf.sum(axis=2)  # (L, D)
+        tbl, rows = suf.sum(axis=2).tolist(), coeffs.tolist()
+        tbl.append(tbl[-1])  # for a lag below the support whose ratio to dt rounds to n_lags
+        dt, top, support, zero = self.dt, self.n_lags - 1, self.support, [0.0] * coeffs.shape[1]
 
-        def bound(lags, src_marks):
-            if lags.size == 0:
-                return 0.0
-            k = np.minimum((lags / self.dt).astype(np.int64), self.n_lags - 1)
-            inside = lags < self.support
-            return float((bound_tbl[k, src_marks] * inside).sum())
+        def bound(lags, marks):
+            return sum([tbl[int(x / dt)][v] for x, v in zip(lags, marks) if x < support], 0.0)
 
-        return bound
+        def excite(lags, marks):
+            live = [rows[k][v] for k, v in zip([math.floor(x / dt) for x in lags], marks) if k <= top]
+            return list(map(sum, zip(zero, *live)))  # per target; zero keeps D for no rows
+
+        return bound, excite
 
 
 KernelSpec = Union[ExponentialKernel, GaussianBasisKernel, DiscretizedKernel]

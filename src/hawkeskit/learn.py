@@ -38,6 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     DiscretizedKernel,
+    EventSequence,
     HawkesError,
     HawkesModel,
     KernelSpec,
@@ -692,6 +693,16 @@ def fit_mle_ode(
 # least squares on binned counts
 
 
+def _bin_counts(seq: EventSequence, edges: np.ndarray) -> np.ndarray:
+    """Events per mark and bin, (D, K), as ``np.histogram`` counts them: bins are
+    half-open except the last, which holds an event on its right edge."""
+    K = edges.size - 1
+    j = np.searchsorted(edges, seq.times, side="right") - 1
+    j[seq.times == edges[-1]] = K - 1
+    keep = (j >= 0) & (j < K)
+    return np.bincount(seq.marks[keep] * K + j[keep], minlength=seq.dim * K).reshape(seq.dim, K)
+
+
 def fit_ls(
     corpus,
     bin_width: float,
@@ -725,14 +736,7 @@ def fit_ls(
     sse_const = np.zeros(D)
     for seq in corpus:
         K = int(seq.duration / dt)
-        edges = seq.t_start + np.arange(K + 1) * dt
-        X = np.stack(
-            [
-                np.histogram(seq.times[seq.marks == v], bins=edges)[0]
-                for v in range(D)
-            ],
-            axis=0,
-        ).astype(np.float64)  # (D, K)
+        X = _bin_counts(seq, seq.t_start + np.arange(K + 1) * dt).astype(np.float64)  # (D, K)
         k_rows = K - L
         if k_rows <= 0:
             continue

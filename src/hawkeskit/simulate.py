@@ -7,7 +7,8 @@ Three samplers for the same model family:
   window-truncated kernel mass.  Requires a subcritical model.
 * ``simulate_ogata``: thinning against an adaptive upper bound on the total
   intensity, refreshed after every proposal.  Works for every kernel; with
-  finite support the history lives in two arrays that grow by doubling.
+  finite support the history lives in two Python lists, and each proposal
+  scans its window and picks its mark in plain floats.
 * ``simulate_exact_exp``: rejection-free interarrival inversion for
   exponential kernels, using the Markov decay of the excitation state.  One
   path for every dimension: O(D) plain-float work per event, randoms drawn
@@ -24,7 +25,9 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -186,45 +189,39 @@ def _ogata_one(model, T, rng, max_events):
         return np.array(times), np.array(marks, dtype=np.int64)
 
     support = kern.support
-    coeffs = model.coeffs
-    bound_contrib = kern.thinning_bound(coeffs)
-
-    # history: the first n slots of two buffers that grow by doubling
-    ts_arr = np.empty(64)
-    ms_arr = np.empty(64, dtype=np.int64)
-    n = 0
+    bound, excite = kern.thinning(model.coeffs)
+    mu_list = mu.tolist()
+    ts: list[float] = []  # history, in time order
+    ms: list[int] = []
     w0 = 0  # history window start: events older than `support` are spent
     while True:
-        while w0 < n and ts_arr[w0] <= t - support:
+        n, spent = len(ts), t - support
+        while w0 < n and ts[w0] <= spent:
             w0 += 1
-        lbar = mu_total + bound_contrib(t - ts_arr[w0:n], ms_arr[w0:n])
+        lbar = mu_total + bound([t - s for s in ts[w0:]], ms[w0:])
         if lbar <= 0.0:
             break
-        dt = rng.exponential(1.0 / lbar)
-        t_new = t + dt
+        t_new = t + rng.exponential(1.0 / lbar)
         if t_new > T:
             break
-        while w0 < n and ts_arr[w0] <= t_new - support:
+        spent = t_new - support
+        while w0 < n and ts[w0] <= spent:
             w0 += 1
-        # intensities at t_new from the strict past inside the window
-        past = slice(w0, int(ts_arr[:n].searchsorted(t_new)))
-        dens = kern.density(t_new - ts_arr[past])  # (C, W)
-        lam = mu + dens.reshape(-1) @ coeffs[:, ms_arr[past], :].reshape(-1, D)
-        total = float(lam.sum())
-        v01 = rng.random()
-        if v01 * lbar < total:
-            u = int(np.searchsorted(np.cumsum(lam), v01 * lbar, side="right"))
-            u = min(u, D - 1)
-            if n == ts_arr.size:
-                ts_arr = np.concatenate((ts_arr, np.empty_like(ts_arr)))
-                ms_arr = np.concatenate((ms_arr, np.empty_like(ms_arr)))
-            ts_arr[n] = t_new
-            ms_arr[n] = u
-            n += 1
-            if n > max_events:
+        # intensities at t_new from the strict past inside the window: events
+        # tied with t_new add nothing
+        end = n
+        while end > w0 and ts[end - 1] >= t_new:
+            end -= 1
+        exc = excite([t_new - s for s in ts[w0:end]], ms[w0:end])
+        cum = list(accumulate(m + e for m, e in zip(mu_list, exc)))  # the last is the total
+        x = rng.random() * lbar
+        if x < cum[-1]:
+            ts.append(t_new)
+            ms.append(min(bisect_right(cum, x), D - 1))
+            if len(ts) > max_events:
                 break
         t = t_new
-    return ts_arr[:n].copy(), ms_arr[:n].copy()
+    return np.array(ts), np.array(ms, dtype=np.int64)
 
 
 def simulate_exact_exp(cfg: SimConfig) -> Corpus:

@@ -21,6 +21,7 @@ from hawkeskit.learn import (
     LearnConfig,
     Penalty,
     RankDeficiencyError,
+    _bin_counts,
     estimation_error,
     exp_nll_and_grad,
     fit_ls,
@@ -363,6 +364,21 @@ class TestLeastSquares:
         mu, phi = ref_ls_coefficients(corpus, 0.25, L, 1e-3)
         assert np.array_equal(rep.model.mu, mu)
         assert np.array_equal(rep.model.A, phi)
+
+    def test_bin_counts_match_histogram_on_every_edge(self):
+        # events on each bin edge and on the last edge t_start + K * dt, which
+        # np.histogram puts in the last bin, plus events past it
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            D, dt, K = int(rng.integers(1, 4)), rng.uniform(0.05, 2.0), int(rng.integers(1, 30))
+            t0 = rng.choice([0.0, rng.uniform(0.0, 50.0)])
+            t1 = t0 + K * dt + rng.choice([0.0, rng.uniform(0.0, dt)])
+            edges = t0 + np.arange(int((t1 - t0) / dt) + 1) * dt
+            times = np.concatenate([edges[edges <= t1], rng.uniform(t0, t1, int(rng.integers(0, 40)))])
+            times = np.sort(np.repeat(times, rng.integers(1, 3, times.size)))
+            seq = EventSequence(times, rng.integers(0, D, times.size), t0, t1, D, "s")
+            want = [np.histogram(seq.times[seq.marks == v], bins=edges)[0] for v in range(D)]
+            assert np.array_equal(_bin_counts(seq, edges), want)
 
     def test_duplicating_corpus_changes_nothing(self):
         corpus = sim_corpus(truth_2d(), 60.0, 8, seed=14)
