@@ -103,24 +103,36 @@ def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
 
 
 def ndtr(x) -> np.ndarray:
-    """Standard normal CDF, elementwise; within a few ulp of Cephes' ndtr."""
-    a = np.asarray(x, dtype=np.float64) * math.sqrt(0.5)
+    """Standard normal CDF, elementwise; within a few ulp of Cephes' ndtr.
+
+    Each band of |x|/sqrt(2) is gathered by index, evaluated and scattered
+    back, and the sign is applied by arithmetic, so no masked select runs
+    over the whole input.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    a = x.reshape(-1) * math.sqrt(0.5)
     z = np.abs(a)
-    erfc = np.where(np.isnan(z), np.nan, 0.0)  # erfc(|a|); stays 0 where it underflows
-    inner = z < 1.0
+    erfc = np.minimum(z, 0.0)  # erfc(|a|); stays 0 where it underflows, NaN at NaN
+    inner = np.flatnonzero(z < 1.0)
     t = z[inner]
     erf = t * _polevl(t * t, _ERF_T) / _polevl(t * t, _ERF_U)
     erfc[inner] = 1.0 - erf
-    for lo, hi, num, den in ((1.0, 8.0, _ERFC_P, _ERFC_Q), (8.0, np.inf, _ERFC_R, _ERFC_S)):
-        with np.errstate(over="ignore"):  # z * z = inf past 1e154 fails the bound as it should
-            band = (z >= lo) & (z < hi) & (z * z <= _MAXLOG)
-        t = z[band]
-        erfc[band] = (np.exp(-t * t) * _polevl(t, num)) / _polevl(t, den)
-    y = np.where(a > 0, 1.0 - 0.5 * erfc, 0.5 * erfc)
+    mid = np.flatnonzero((z >= 1.0) & (z < 8.0))
+    far = np.flatnonzero(z >= 8.0)
+    with np.errstate(over="ignore"):  # z * z = inf past 1e154 fails the bound as it should
+        far = far[z[far] * z[far] <= _MAXLOG]
+    for band, num, den in ((mid, _ERFC_P, _ERFC_Q), (far, _ERFC_R, _ERFC_S)):
+        if band.size:  # the far band is usually empty
+            u = z[band]
+            erfc[band] = (np.exp(-u * u) * _polevl(u, num)) / _polevl(u, den)
+    # 1 - erfc/2 above zero, erfc/2 below: s + (1 - 2s) erfc/2 with s = [a > 0]
+    s = (a > 0).astype(np.float64)
+    y = (1.0 - 2.0 * s) * (0.5 * erfc) + s
     # near 0, 0.5 + erf/2 keeps the digits that 1 - erfc/2 would lose
-    central = z < math.sqrt(0.5)
-    y[central] = 0.5 + 0.5 * np.copysign(erf[central[inner]], a[central])
-    return y
+    near = np.flatnonzero(t < math.sqrt(0.5))
+    central = inner[near]
+    y[central] = 0.5 + 0.5 * np.copysign(erf[near], a[central])
+    return y.reshape(x.shape)
 
 
 # Wichura's AS241 (PPND16), as in the standard library's NormalDist.inv_cdf.

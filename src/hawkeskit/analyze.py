@@ -589,9 +589,10 @@ def fit_tvhp(
     Each event's excitation evidence lands on the two grid nodes bracketing
     its PARENT's time with linear weights; node updates solve the chain
     systems of every source/target pair by one batched projected Newton
-    (``_Roughness``), keeping the penalized objective nonincreasing, and
-    ``details`` carries its counters.  Large beta ties all nodes together
-    and recovers the stationary fit.
+    (``_Roughness``), each pair started at whichever of its warm start and
+    its unpenalized minimizer N/E has the lower surrogate, keeping the
+    penalized objective nonincreasing, and ``details`` carries its counters.
+    Large beta ties all nodes together and recovers the stationary fit.
     """
     cfg = cfg or LearnConfig()
     if cfg.penalty.kind != "none":

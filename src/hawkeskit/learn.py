@@ -586,10 +586,16 @@ class _Roughness:
     """Quadratic roughness 0.5 * sum_{v,u} A[:, v, u]' P A[:, v, u] along the
     channel axis, with its M-step: ``_projected_newton`` over the D² columns
     A[:, v, u], each a single block (C = 1) with E = G[:, v], Q = P and k = 1.
+    Each column starts at the warm start A[:, v, u] or at N/E (zero where
+    N = 0), the minimizer without the penalty, whichever has the lower
+    surrogate; a non-finite surrogate loses and a tie keeps the warm start.
+    Where the log terms outweigh the penalty N/E lies a step or two from the
+    optimum; where the penalty dominates the warm start wins.
 
     Counters, summed over columns and M-steps: ``clamps`` entries pinned at
     zero from below, ``newton_steps`` accepted steps, ``objective_evals``
-    surrogate evaluations (each column's starting value included).
+    surrogate evaluations (each column's starting value included, the
+    comparison of the two starts not).
     """
 
     def __init__(self, P: np.ndarray):
@@ -615,7 +621,15 @@ class _Roughness:
         # a source with no exposure has N = E = 0, so zero minimises its columns'
         # surrogate 0.5 x'Px (P PSD); the solve would stop anywhere in P's null space
         A = np.where((G.sum(axis=0) == 0)[None, :, None], 0.0, A)
-        x, clamps, steps, evals = _projected_newton(cols(A), cols(N), E, self.P, 1.0)
+        x, N = cols(A), cols(N)
+        twice = lambda a: np.concatenate([a, a])
+        with np.errstate(all="ignore"):
+            plain = np.divide(N, E, out=np.zeros_like(N), where=N > 0)
+            f = _surrogate(np.concatenate([x, plain]), twice(N), twice(E), self.P, 1.0,
+                           twice(N > 0))
+        f_warm, f_plain = f[:D * D], f[D * D:]
+        x = np.where((np.isfinite(f_plain) & ~(f_warm <= f_plain))[:, None, None], plain, x)
+        x, clamps, steps, evals = _projected_newton(x, N, E, self.P, 1.0)
         self.clamps += clamps
         self.newton_steps += steps
         self.objective_evals += evals
@@ -657,9 +671,11 @@ def fit_mle_ode(
     Each kernel update minimizes, for every source/target pair, the
     attribution surrogate plus alpha * integral of squared second derivative
     (free boundaries), by one projected Newton solve over all pairs at once
-    (``_Roughness``).  Penalty kinds from cfg are not supported here;
-    smoothing is the regularizer.  ``details`` carries the M-step counters
-    ``clamp_count``, ``newton_steps`` and ``objective_evals``.
+    (``_Roughness``), each pair started at whichever of its warm start and
+    its unpenalized minimizer N/E has the lower surrogate.  Penalty kinds
+    from cfg are not supported here; smoothing is the regularizer.
+    ``details`` carries the M-step counters ``clamp_count``,
+    ``newton_steps`` and ``objective_evals``.
     """
     cfg = cfg or LearnConfig()
     if cfg.penalty.kind != "none":

@@ -90,6 +90,21 @@ def test_mle_ode_refuses_a_penalty_scale_out_of_range(corpus, dt):
         fit_mle_ode(corpus, dt, 3, LearnConfig(max_iters=2))
 
 
+@pytest.fixture(scope="module")
+def corpus_200():
+    return simulate_branch(SimConfig(TRUTH, t_end=200.0, n_sequences=4, rng_seed=501))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dt", [1e-10, 1e-20, 1e-30, 1e-60])
+def test_mle_ode_without_a_pair_in_its_support_fits_zero(corpus_200, dt):
+    # no pair lies within 3·dt, so the M-step's N is zero and its minimizer is
+    # A = 0; the stiff curvature penalty must not hold the random start
+    report = fit_mle_ode(corpus_200, dt, 3, LearnConfig(max_iters=5))
+    assert not np.any(report.model.A)
+    assert np.all(np.isfinite(report.objective_trace[1:]))
+
+
 @pytest.mark.parametrize("dt", [1e-110, 1e150])
 def test_mle_ode_without_penalty_fits_at_any_dt(corpus, dt):
     with warnings.catch_warnings():
