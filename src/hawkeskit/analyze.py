@@ -299,6 +299,24 @@ def cluster_mixture(
     )
 
 
+def save_cluster(res: ClusterResult, sequence_ids, path: str, config=None) -> None:
+    """The clustering document of ``hawkeskit cluster`` and of the demo."""
+    dump_json(
+        {
+            "method": "mixture" if res.medoids is None else "distance",
+            "K": int(res.K),
+            "assignments": res.assignments.tolist(),
+            "mixing": res.mixing.tolist(),
+            "responsibilities": res.responsibilities.tolist(),
+            "medoids": None if res.medoids is None else [int(i) for i in res.medoids],
+            "objective_trace": [float(x) for x in res.objective_trace],
+            "sequence_ids": list(sequence_ids),
+            "config": config or {},
+        },
+        path,
+    )
+
+
 def cluster_purity(assignments: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of points whose cluster's dominant true label matches theirs."""
     assignments = np.asarray(assignments)

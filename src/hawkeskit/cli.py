@@ -26,6 +26,7 @@ from .analyze import (
     distance_matrix,
     fit_tvhp,
     granger_graph,
+    save_cluster,
     save_distance_csv,
     save_granger,
     save_granger_dot,
@@ -474,18 +475,7 @@ def _cmd_cluster(r: dict) -> int:
         res = cluster_distance(
             corpus, r["k"], _distance_params(r), rng_seed=r["seed"]
         )
-    doc = {
-        "method": r["method"],
-        "K": int(res.K),
-        "assignments": [int(x) for x in res.assignments],
-        "mixing": [float(x) for x in res.mixing],
-        "responsibilities": [[float(x) for x in row] for row in res.responsibilities],
-        "medoids": None if res.medoids is None else [int(i) for i in res.medoids],
-        "objective_trace": [float(x) for x in res.objective_trace],
-        "sequence_ids": [seq.id for seq in corpus],
-        "config": _echoable(r),
-    }
-    dump_json(doc, r["out"])
+    save_cluster(res, [seq.id for seq in corpus], r["out"], _echoable(r))
     return 0
 
 
@@ -652,17 +642,7 @@ def run_demo(out_dir: str, seed: int, config_echo: dict | None = None) -> dict:
     mat = distance_matrix(small)
     save_distance_csv(mat, [seq.id for seq in small], join("distance.csv"))
     clus = cluster_distance(small, 2, rng_seed=seed)
-    dump_json(
-        {
-            "method": "distance",
-            "K": 2,
-            "assignments": [int(x) for x in clus.assignments],
-            "mixing": [float(x) for x in clus.mixing],
-            "medoids": [int(i) for i in clus.medoids],
-            "sequence_ids": [seq.id for seq in small],
-        },
-        join("cluster.json"),
-    )
+    save_cluster(clus, [seq.id for seq in small], join("cluster.json"), config_echo)
 
     manifest = {
         "seed": int(seed),

@@ -15,20 +15,20 @@ the model's coefficients ``coeffs[c, v, u]``.  At lags >= 0 it provides the
 per-component ``density(lags)`` and ``mass(lags, start=0)`` (integral over
 ``[start, lag]``; ``mass(inf)`` is the total), each of shape ``(C,) +
 lags.shape``; its ``support`` (``inf`` for the exponential kernel);
-``quantile(comp, u01, upper)`` for the branch sampler; and, for finite
-support, ``thinning(coeffs)``, two closures over lists of window lags and
-source marks for the Ogata loop (a bound on the excitation ahead and each
-target's excitation), and ``pair_terms(lags, tail=False)``, each lag's
-nonzero components as (component, value) terms (one grid bin, every
-basis).  Every primitive below uses only these.  The sum over past
-events has one builder, ``_excitation``, the one place that decides its
-layout, features (q, C·D) with column c·D + v, and how to build them: the
-exponential kernel's O(n·D) recursion (``exp_weighted_excitation``, which
-scatters each event's weight into its own mark's column and takes one
-cumulative sum per feature over blocks of up to 600 e-folds), else pair
-terms within the support, scattered by one bincount.  Its ``tail`` mode
-sums the mass still ahead in place of the density.  Intensity grids, every
-event intensity and compensator and every EM statistic read it.
+``quantile(comp, u01, upper)`` for the branch sampler; ``thinning(coeffs,
+ts, ms)``, the Ogata loop's two closures of time over its history lists (a
+bound on the excitation ahead and each target's excitation from the strict
+past); and, for finite support, ``pair_terms(lags, tail=False)``, each lag's
+nonzero components as (component, value) terms (one grid bin, every basis).
+Every primitive below uses only these.  The sum over past events has one
+builder, ``_excitation``, the one place that decides its layout, features
+(q, C·D) with column c·D + v, and how to build them: the exponential
+kernel's O(n·D) recursion (``exp_weighted_excitation``, which scatters each
+event's weight into its own mark's column and takes one cumulative sum per
+feature over blocks of up to 600 e-folds), else pair terms within the
+support, scattered by one bincount.  Its ``tail`` mode sums the mass still
+ahead in place of the density.  Intensity grids, every event intensity and
+compensator and every EM statistic read it.
 """
 
 from __future__ import annotations
@@ -242,6 +242,27 @@ class EventSequence:
         return hash((self.id, self.dim, self.t_start, self.t_end, len(self)))
 
 
+def _windowed(support, ts, ms, bound, excite):
+    """A finite kernel's ``thinning`` closures of time, from closures over window lags.
+
+    ``ts`` (in time order) and ``ms`` are only appended to, and query times never
+    decrease.  ``excite(t)`` drops the events spent by t (lag >= support) for good
+    and leaves out those at t; ``bound(t)`` reads the window as ``excite`` left it,
+    events at t included (an event spent since adds nothing to a bound)."""
+    start = 0
+
+    def excite_at(t):
+        nonlocal start
+        spent, end = t - support, len(ts)
+        while start < end and ts[start] <= spent:
+            start += 1
+        while end > start and ts[end - 1] >= t:  # events tied with t add nothing
+            end -= 1
+        return excite([t - s for s in ts[start:end]], ms[start:end])
+
+    return (lambda t: bound([t - s for s in ts[start:]], ms[start:])), excite_at
+
+
 def _dense_pair_terms(kernel, lags, tail: bool) -> tuple[np.ndarray, np.ndarray]:
     """Pair terms that list all C components of each lag: comp (C, 1), vals (C, P)."""
     vals = kernel.mass(np.inf)[:, None] - kernel.mass(lags) if tail else kernel.density(lags)
@@ -280,6 +301,28 @@ class ExponentialKernel:
     def quantile(self, comp, u01, upper) -> np.ndarray:
         """Lags whose mass is ``u01`` times the mass of ``[0, upper]``."""
         return -np.log1p(-u01 * (1.0 - np.exp(-self.decay * upper))) / self.decay
+
+    def thinning(self, coeffs, ts, ms):
+        """Thinning closures of time over the history lists ``ts`` and ``ms``, in plain
+        floats: ``bound(t)``, the total excitation at t (it only decays ahead), and
+        ``excite(t)``, each target's from the strict past.  A decaying state per target
+        takes in each event once, as in the exact sampler: O(D) per event and query."""
+        omega, jump = self.decay, (self.decay * coeffs[0]).tolist()  # jump[v][u]: v adds to u
+        out = [sum(row) for row in jump]  # all that an event in v adds
+        t0, g, n = -math.inf, [0.0] * len(jump), 0  # g: excitation at t0 from ts[:n]
+
+        def excite(t):
+            nonlocal t0, g, n
+            while n < len(ts) and ts[n] < t:
+                decay = math.exp(-omega * (ts[n] - t0))
+                g = [x * decay + j for x, j in zip(g, jump[ms[n]])]
+                t0, n = ts[n], n + 1
+            decay = math.exp(-omega * (t - t0))
+            g, t0 = [x * decay for x in g], t
+            return g
+
+        # excite(t) runs first and takes in the events before t; those at t count in full
+        return (lambda t: sum(excite(t)) + sum([out[v] for v in ms[n:]])), excite
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,9 +398,9 @@ class GaussianBasisKernel:
         hi = ndtr((b - c) / s)
         return np.clip(c + s * ndtri(lo + u01 * (hi - lo)), 0.0, b)
 
-    def thinning(self, coeffs):
-        """Thinning closures over lists of window lags and source marks: ``bound``, an
-        upper bound on the excitation ahead, and ``excite``, each target's excitation."""
+    def thinning(self, coeffs, ts, ms):
+        """Thinning closures of time over the history lists (see ``_windowed``): ``bound(t)``
+        bounds the excitation ahead of t, ``excite(t)`` is each target's at t."""
         # sup of each renormalized basis over lags >= x: peak if x below the
         # center, the decreasing tail value otherwise
         peak = 1.0 / (self.bandwidth * np.sqrt(2.0 * np.pi) * self._norms)  # (M,)
@@ -379,7 +422,7 @@ class GaussianBasisKernel:
             dens = self.density(np.array(lags))  # (M, W)
             return (dens.reshape(-1) @ coeffs[:, marks, :].reshape(-1, D)).tolist()
 
-        return bound, excite
+        return _windowed(self.support, ts, ms, bound, excite)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianBasisKernel):
@@ -446,11 +489,10 @@ class DiscretizedKernel:
         start = comp * self.dt
         return start + u01 * np.clip(upper - start, 0.0, self.dt)
 
-    def thinning(self, coeffs):
-        """Thinning closures over lists of window lags and source marks, in plain floats:
-        ``bound``, an upper bound on the excitation ahead, and ``excite``, each target's
-        excitation (a lag counts in bin ``floor(lag / dt)`` below ``n_lags``, as in
-        ``density``)."""
+    def thinning(self, coeffs, ts, ms):
+        """Plain-float thinning closures of time over the history lists (see ``_windowed``):
+        ``bound(t)`` bounds the excitation ahead of t, ``excite(t)`` is each target's at t
+        (a lag counts in bin ``floor(lag / dt)`` below ``n_lags``, as in ``density``)."""
         # suffix max over lag bins, summed over targets: bound per bin and source
         suf = np.maximum.accumulate(coeffs[::-1], axis=0)[::-1]  # (L, D, D)
         tbl, rows = suf.sum(axis=2).tolist(), coeffs.tolist()
@@ -464,7 +506,7 @@ class DiscretizedKernel:
             live = [rows[k][v] for k, v in zip([math.floor(x / dt) for x in lags], marks) if k <= top]
             return list(map(sum, zip(zero, *live)))  # per target; zero keeps D for no rows
 
-        return bound, excite
+        return _windowed(support, ts, ms, bound, excite)
 
 
 KernelSpec = Union[ExponentialKernel, GaussianBasisKernel, DiscretizedKernel]

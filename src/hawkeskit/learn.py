@@ -271,6 +271,8 @@ def _fit_from_stats(stats: _EmStats, cfg: LearnConfig, init, mstep, penalty,
 
     lam = stats.rates(mu, A)
     obj = stats.nll(mu, A, lam, ev_w, G, T_w) + penalty(A)
+    if not math.isfinite(obj):
+        raise ValidationError(f"the starting objective is {obj}: its terms overflow floats")
     trace = [obj]
     checker = _Converge(cfg.tol)
     converged = False

@@ -6,9 +6,9 @@ Three samplers for the same model family:
   offspring generation by generation, each parent spawning children from its
   window-truncated kernel mass.  Requires a subcritical model.
 * ``simulate_ogata``: thinning against an adaptive upper bound on the total
-  intensity, refreshed after every proposal.  Works for every kernel; with
-  finite support the history lives in two Python lists, and each proposal
-  scans its window and picks its mark in plain floats.
+  intensity, refreshed after every proposal.  One loop serves every kernel: it
+  keeps the history in two lists, which the kernel's ``thinning`` closures
+  read for the bound and the intensities, and picks each mark in plain floats.
 * ``simulate_exact_exp``: rejection-free interarrival inversion for
   exponential kernels, using the Markov decay of the excitation state.  One
   path for every dimension: O(D) plain-float work per event, randoms drawn
@@ -153,67 +153,21 @@ def simulate_ogata(cfg: SimConfig) -> Corpus:
 
 def _ogata_one(model, T, rng, max_events):
     D = model.dim
-    mu = model.mu
-    mu_total = float(mu.sum())
-    kern = model.kernel
-    t = 0.0
-
-    if isinstance(kern, ExponentialKernel):
-        times: list[float] = []
-        marks: list[int] = []
-        omega = kern.decay
-        R = np.zeros(D)  # per-source excitation state at current t
-        AT = model.A.T  # (u, v) for fast lam = mu + AT @ R
-        while True:
-            lam_now = mu + AT @ R
-            lbar = float(lam_now.sum())
-            if lbar <= 0.0:
-                break
-            dt = rng.exponential(1.0 / lbar)
-            t_new = t + dt
-            if t_new > T:
-                break
-            R = R * np.exp(-omega * dt)
-            lam = mu + AT @ R
-            total = float(lam.sum())
-            v01 = rng.random()
-            if v01 * lbar < total:
-                u = int(np.searchsorted(np.cumsum(lam), v01 * lbar, side="right"))
-                u = min(u, D - 1)
-                times.append(t_new)
-                marks.append(u)
-                R[u] += omega
-                if len(times) > max_events:
-                    break
-            t = t_new
-        return np.array(times), np.array(marks, dtype=np.int64)
-
-    support = kern.support
-    bound, excite = kern.thinning(model.coeffs)
-    mu_list = mu.tolist()
+    mu_list = model.mu.tolist()
+    mu_total = float(model.mu.sum())
     ts: list[float] = []  # history, in time order
     ms: list[int] = []
-    w0 = 0  # history window start: events older than `support` are spent
+    bound, excite = model.kernel.thinning(model.coeffs, ts, ms)
+    t = 0.0
     while True:
-        n, spent = len(ts), t - support
-        while w0 < n and ts[w0] <= spent:
-            w0 += 1
-        lbar = mu_total + bound([t - s for s in ts[w0:]], ms[w0:])
+        lbar = mu_total + bound(t)
         if lbar <= 0.0:
             break
         t_new = t + rng.exponential(1.0 / lbar)
         if t_new > T:
             break
-        spent = t_new - support
-        while w0 < n and ts[w0] <= spent:
-            w0 += 1
-        # intensities at t_new from the strict past inside the window: events
-        # tied with t_new add nothing
-        end = n
-        while end > w0 and ts[end - 1] >= t_new:
-            end -= 1
-        exc = excite([t_new - s for s in ts[w0:end]], ms[w0:end])
-        cum = list(accumulate(m + e for m, e in zip(mu_list, exc)))  # the last is the total
+        # intensities at t_new, cumulated over targets: the last is the total
+        cum = list(accumulate(m + e for m, e in zip(mu_list, excite(t_new))))
         x = rng.random() * lbar
         if x < cum[-1]:
             ts.append(t_new)

@@ -547,6 +547,22 @@ class TestDemo:
         assert header == ["n_sequences", "mu_relerr", "kernel_relerr"]
         assert [r[0] for r in rows] == ["10", "20", "40"]
 
+    def test_demo_cluster_document_is_the_cluster_commands(self, tmp_path):
+        out = str(tmp_path / "demo")
+        assert main(["demo", "--out", out, "--seed", "0"]) == 0
+        demo = json.load(open(os.path.join(out, "cluster.json")))
+        # the demo clusters the first 25 training sequences by distance
+        train = load_corpus(os.path.join(out, "demo_train.json"))
+        data, cl = str(tmp_path / "small.json"), str(tmp_path / "cl.json")
+        save_corpus(Corpus(train.sequences[:25], train.dim, train.label_map), data)
+        assert main(["cluster", "--data", data, "--method", "distance", "--k", "2",
+                     "--seed", "0", "--out", cl]) == 0
+        doc = json.load(open(cl))
+        assert list(demo) == list(doc)
+        assert {k: v for k, v in demo.items() if k != "config"} == {
+            k: v for k, v in doc.items() if k != "config"}
+        assert demo["config"] == {"command": "demo", "seed": 0}
+
     def test_two_runs_same_seed_are_byte_identical(self, tmp_path):
         a, b = str(tmp_path / "d1"), str(tmp_path / "d2")
         assert main(["demo", "--out", a, "--seed", "3"]) == 0

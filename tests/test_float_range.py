@@ -188,3 +188,25 @@ def test_model_file_with_an_infinite_decay_exits_2(corpus_file, tmp_path, capsys
     assert main(["simulate", "--model", str(path), "--t-end", "10", "--out", str(out)]) == 2
     assert "decay must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- a starting objective outside the float range ------------------------------------
+
+
+def test_mle_ode_refuses_a_non_finite_starting_objective(corpus):
+    # dt = 1e-100 keeps the penalty scale finite, but the random start's
+    # penalty 0.5·x'Px (x of order 1/dt, P of order 1/dt³) evaluates to inf - inf
+    with pytest.raises(ValidationError, match="starting objective is nan"):
+        fit_mle_ode(corpus, 1e-100, 3, LearnConfig(max_iters=2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_starting_objective_exits_2_writing_nothing(corpus_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc = main(["fit", "--data", corpus_file, "--learner", "mle-ode", "--kernel", "grid",
+               "--dt", "1e-100", "--n-lags", "3", "--out", str(out_dir / "m.json"),
+               "--report", str(out_dir / "r.json")])
+    assert rc == 2
+    assert "starting objective" in capsys.readouterr().err
+    assert os.listdir(out_dir) == []

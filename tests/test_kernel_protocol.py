@@ -6,9 +6,10 @@ each member against its definition: ``mass`` is the integral of
 ``mass(inf)`` gives the totals behind ``branching_matrix``, the finite
 kernels' ``pair_terms`` scatter to ``density`` and to the mass beyond each
 lag (for the grid kernel this checks its bin lookup against its own
-indicator basis), their ``thinning`` closures give the array bound and
-``density`` contraction in plain floats, and ``quantile`` samples a
-component's mass on ``[0, upper]``.
+indicator basis), every kernel's ``thinning`` closures of time over a
+history give the array bound and ``density`` contraction in plain floats
+(an event at the query time counts in the bound alone), and ``quantile``
+samples a component's mass on ``[0, upper]``.
 """
 
 import math
@@ -126,42 +127,55 @@ def test_pair_terms_scatter_to_density_and_tail_mass(name):
 def _sup_table(kern, coeffs):
     # per lag and source, the most each component can excite from that lag on,
     # summed over components and targets: for the grid the suffix max over
-    # bins, for a basis its peak before the center and its density after
+    # bins, for a basis its peak before the center and its density after, for
+    # the exponential its (decreasing) density
     if isinstance(kern, DiscretizedKernel):
         suf = np.maximum.accumulate(coeffs[::-1], axis=0)[::-1].sum(axis=2)  # (L, D)
         return lambda x: suf[np.minimum((x / kern.dt).astype(np.int64), kern.n_lags - 1)] * (
             x < kern.support)[:, None]
-    peak = kern.density(kern.centers).diagonal()
-    sup = lambda x: np.where(x <= kern.centers[:, None], peak[:, None], kern.density(x))
+    if isinstance(kern, ExponentialKernel):
+        sup = kern.density
+    else:
+        peak = kern.density(kern.centers).diagonal()
+        sup = lambda x: np.where(x <= kern.centers[:, None], peak[:, None], kern.density(x))
     return lambda x: np.einsum("cw,cv->wv", sup(x), coeffs.sum(axis=2))
 
 
-@pytest.mark.parametrize("name", ["basis", "grid", "grid-edge"])
+@pytest.mark.parametrize("name", ["exp", "basis", "grid", "grid-edge"])
 def test_thinning_members_match_the_array_formulas(name):
     kern = DiscretizedKernel(dt=0.7, n_lags=10) if name == "grid-edge" else _kernel(name)
     D = 3
     coeffs = _coeffs(kern, D)
-    bound, excite = kern.thinning(coeffs)
     rng = np.random.default_rng(5)
-    step = getattr(kern, "dt", kern.support / 4)
-    edges = np.arange(0.0, kern.support + step / 2, step)  # 0, bin edges, support
-    lags = np.concatenate([edges, [np.nextafter(kern.support, 0.0)],
-                           rng.uniform(0.0, 1.2 * kern.support, 6)])
+    top = 8.0 if math.isinf(kern.support) else kern.support
+    step = getattr(kern, "dt", top / 4)
+    edges = np.arange(0.0, top + step / 2, step)  # 0, bin edges, support
+    lags = np.concatenate([edges, [np.nextafter(top, 0.0)], rng.uniform(0.0, 1.2 * top, 6)])
     marks = rng.integers(0, D, lags.size)
     table = _sup_table(kern, coeffs)
+    # the exponential state sums its events in time order, not as one dot product
+    rtol = 1e-14 if name == "exp" else 1e-15
+    t0 = 0.0  # so the lags t0 - ts are exactly the lags above
     for w in (0, 5, lags.size):  # empty, shorter and longer than 8 events
-        x, m = lags[:w], marks[:w]
-        got_b, got_e = bound(x.tolist(), m.tolist()), excite(x.tolist(), m.tolist())
+        order = np.argsort(-lags[:w], kind="stable")  # the history in time order
+        x, m = lags[:w][order], marks[:w][order]
+        bound, excite = kern.thinning(coeffs, (t0 - x).tolist(), m.tolist())
+        got_b, got_e = bound(t0), excite(t0)
         assert type(got_b) is float and len(got_e) == D
-        want_e = kern.density(x).reshape(-1) @ coeffs[:, m, :].reshape(-1, D)
+        past = x > 0.0  # the event at lag 0 counts in the bound, not in the excitation
+        want_e = kern.density(x[past]).reshape(-1) @ coeffs[:, m[past], :].reshape(-1, D)
         want_b = float(table(x)[np.arange(w), m].sum())
         if w == 0:
             assert got_b == 0.0 and got_e == [0.0] * D
-        np.testing.assert_allclose(got_b, want_b, rtol=1e-15, atol=0.0)
-        np.testing.assert_allclose(got_e, want_e, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(got_b, want_b, rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(got_e, want_e, rtol=rtol, atol=0.0)
         # it bounds the excitation at every later time
-        for ahead in np.linspace(0.0, kern.support, 41):
-            assert sum(excite((x + ahead).tolist(), m.tolist())) <= got_b * (1 + 1e-15)
+        for ahead in np.linspace(0.0, top, 41):
+            assert sum(excite(t0 + ahead)) <= got_b * (1 + 1e-15)
+    # an event tied with t: its full weight in the bound, nothing in the excitation
+    bound, excite = kern.thinning(coeffs, [t0], [1])
+    np.testing.assert_allclose(bound(t0), table(np.zeros(1))[0, 1], rtol=1e-15, atol=0.0)
+    assert bound(t0) > 0.0 and excite(t0) == [0.0] * D
 
 
 @pytest.mark.parametrize("name", IDS)

@@ -7,6 +7,11 @@ numpy; ``_reference_bound`` is the ``thinning_bound`` member each finite
 kernel then had.  Both are kept here only as the reference.  The loop that
 replaced them draws the same randoms in the same order, so counts and marks
 are equal and times differ only by the order of floating-point sums.
+
+``_reference_exp_ogata_one`` is the exponential branch the loop had beside
+it, a numpy per-source state ``R`` and intensities ``mu + A.T @ R``.  The
+exponential kernel's ``thinning`` member keeps a per-target state in plain
+floats instead, so its times differ from the reference by rounding alone.
 """
 
 import numpy as np
@@ -15,6 +20,7 @@ import pytest
 from hawkeskit._util import spawn_rngs
 from hawkeskit.core import (
     DiscretizedKernel,
+    ExponentialKernel,
     GaussianBasisKernel,
     HawkesModel,
     spectral_radius,
@@ -157,3 +163,84 @@ def test_overflow_partial_is_the_reference_prefix(name):
     partial = info.value.partial
     assert partial.id == "s0" and len(partial) == cap
     _assert_same(partial.times, partial.marks, ref_times[:cap], ref_marks[:cap])
+
+
+def _reference_exp_ogata_one(model, T, rng, max_events):
+    D = model.dim
+    mu = model.mu
+    omega = model.kernel.decay
+    times, marks = [], []
+    R = np.zeros(D)  # per-source excitation state at current t
+    AT = model.A.T
+    t = 0.0
+    while True:
+        lam_now = mu + AT @ R
+        lbar = float(lam_now.sum())
+        if lbar <= 0.0:
+            break
+        dt = rng.exponential(1.0 / lbar)
+        t_new = t + dt
+        if t_new > T:
+            break
+        R = R * np.exp(-omega * dt)
+        lam = mu + AT @ R
+        total = float(lam.sum())
+        v01 = rng.random()
+        if v01 * lbar < total:
+            u = int(np.searchsorted(np.cumsum(lam), v01 * lbar, side="right"))
+            u = min(u, D - 1)
+            times.append(t_new)
+            marks.append(u)
+            R[u] += omega
+            if len(times) > max_events:
+                break
+        t = t_new
+    return np.array(times), np.array(marks, dtype=np.int64)
+
+
+def _exp_model(D, seed):
+    # spectral radius 0.7 again; the diagonal is kept, so D = 1 excites itself
+    rng = np.random.default_rng([seed, D, 1])
+    A = rng.uniform(0.0, 1.0, (D, D))
+    A[(rng.random(A.shape) < 0.3) & ~np.eye(D, dtype=bool)] = 0.0
+    A *= 0.7 / spectral_radius(A)
+    return HawkesModel(rng.uniform(0.1, 0.2, D), ExponentialKernel(1.5), A)
+
+
+def _exp_reference(model, seed, max_events=1_000_000):
+    return [_reference_exp_ogata_one(model, T_END, rng, max_events)
+            for rng in spawn_rngs(seed, N_SEQ)]
+
+
+@pytest.mark.parametrize("D", DIMS)
+def test_exponential_counts_marks_and_times_match_the_numpy_branch(D):
+    counts = []
+    for seed in SEEDS:
+        model = _exp_model(D, seed)
+        got = simulate_ogata(SimConfig(model, T_END, N_SEQ, seed))
+        for seq, (ref_times, ref_marks) in zip(got, _exp_reference(model, seed)):
+            _assert_same(seq.times, seq.marks, ref_times, ref_marks)
+            counts.append(len(seq))
+    assert min(counts) >= 5 * D  # streams long enough that the state takes in many events
+
+
+def test_exponential_overflow_partial_is_the_reference_prefix():
+    model, cap = _exp_model(5, 0), 40
+    ref_times, ref_marks = _exp_reference(model, 0)[0]
+    assert ref_times.size > cap
+    with pytest.raises(SimulationOverflowError) as info:
+        simulate_ogata(SimConfig(model, T_END, N_SEQ, 0, max_events=cap))
+    partial = info.value.partial
+    assert partial.id == "s0" and len(partial) == cap
+    _assert_same(partial.times, partial.marks, ref_times[:cap], ref_marks[:cap])
+
+
+@pytest.mark.parametrize("name", ["exp", "basis-3", "grid-0.5x10"])
+def test_zero_baseline_returns_empty_sequences(name):
+    # no baseline and no history: the bound is 0 and the loop stops at once
+    D = 3
+    model = _exp_model(D, 0) if name == "exp" else _model(name, D, 0)
+    model = HawkesModel(np.zeros(D), model.kernel, model.A)
+    corpus = simulate_ogata(SimConfig(model, T_END, N_SEQ, 0))
+    assert [len(seq) for seq in corpus] == [0] * N_SEQ
+    assert all(seq.times.dtype == np.float64 and seq.marks.dtype == np.int64 for seq in corpus)
