@@ -373,6 +373,13 @@ def _fitter(name: str, r: dict):
     return lambda corpus: fit_mle_ode(corpus, r["dt"], r["n_lags"], cfg, alpha=r["alpha"])
 
 
+def _check_float_flags(r: dict) -> None:
+    """Refuse a non-finite float flag, read or not; --support=inf is untruncated."""
+    for key, value in r.items():
+        if isinstance(value, float) and not (key == "support" and value == np.inf):
+            _check_real("--" + key.replace("_", "-"), value)
+
+
 def _node_labels(corpus: Corpus) -> list[str] | None:
     if corpus.label_map is None:
         return None
@@ -438,6 +445,7 @@ def _fit_report_doc(report, resolved: dict) -> dict:
 
 def _cmd_fit(r: dict) -> int:
     fit = _fitter(r["learner"], r)
+    _check_float_flags(r)
     report = fit(_read_corpus(r["data"]))
     save_model(report.model, r["out"])
     if r["report"]:
@@ -467,6 +475,7 @@ def _distance_params(r: dict) -> DistanceParams:
 
 
 def _cmd_cluster(r: dict) -> int:
+    _check_float_flags(r)
     corpus = _read_corpus(r["data"])
     if r["method"] == "mixture":
         kernel, cfg = _kernel_from(r["kernel"], r), _learn_cfg(r, _penalty(r))

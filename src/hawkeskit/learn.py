@@ -16,13 +16,14 @@ expectation pass attributes each event to the baseline or to one past
 event; the attribution totals N feed the learner's minimization step, which
 is passed to the loop together with the matching penalty term of the
 recorded objective: a structural penalty (``_mstep``) or a quadratic
-roughness (``_Roughness``).  Where the step is a convex quadratic plus
-sum(-N log x + E x) over x >= 0, as under the low-rank trace bound and every
-roughness penalty, one batched projected Newton, ``_projected_newton``,
-solves all columns at once; it ends in full Newton steps and a stop on step
-size, so its result moves by rounding when its inputs do.  Each step is
-exact or majorized, which keeps the recorded penalized objective
-nonincreasing up to the rounding of the untested full Newton steps.
+roughness (``_Roughness``).  The group-sparse step is closed form per entry,
+from a bound made separable by De Pierro's weighting.  Where the step is a
+convex quadratic plus sum(-N log x + E x) over x >= 0, as under the low-rank
+trace bound and every roughness penalty, one batched projected Newton,
+``_projected_newton``, solves all columns at once; it ends in full Newton
+steps and a stop on step size, so its result moves by rounding when its
+inputs do.  Each step minimizes or lowers a majorizer, which keeps the
+recorded objective nonincreasing up to the rounding of full Newton steps.
 """
 
 from __future__ import annotations
@@ -304,12 +305,13 @@ def _penalty_value(pen: Penalty, A: np.ndarray) -> float:
 
 
 def _mstep(N: np.ndarray, G: np.ndarray, A_old: np.ndarray, pen: Penalty) -> np.ndarray:
-    """Minimize the attribution surrogate plus penalty over A >= 0.
+    """Lower the attribution surrogate plus penalty over A >= 0.
 
     N and A have shape (C, D, D); G has shape (C, D) and broadcasts over the
-    target axis.  The surrogate is sum(-N log A + A G) and each branch below
-    solves it with the penalty folded in, so the outer penalized objective
-    cannot increase.
+    target axis.  The surrogate is sum(-N log A + A G).  No penalty and
+    sparse are solved exactly; low rank and group sparse are majorized at
+    A_old and the bound minimized, or for group sparse with C > 1 lowered,
+    so the outer penalized objective cannot increase.
     """
     Gb = np.broadcast_to(G[:, :, None], N.shape)
     if pen.kind == "none" or pen.weight == 0.0:
@@ -324,30 +326,17 @@ def _mstep(N: np.ndarray, G: np.ndarray, A_old: np.ndarray, pen: Penalty) -> np.
 
 
 def _mstep_group(N, Gb, A_old, k):
-    # majorize k*||B_v|| by its tangent quadratic at the current row norms,
-    # then solve the per-entry stationarity through the row sums b
-    C = N.shape[0]
+    # majorize k*||B_v|| by its tangent quadratic 0.5*q_v*||B_v||^2 at the
+    # current row norms, and each (sum_c x_c)^2 by sum_c (b0 / x0_c) x_c^2
+    # (equal at A_old); every entry is then the positive root of
+    # d x^2 + G x - N = 0 with d = q_v b0 / x0_c, and N = 0 wherever A_old
+    # is.  d N is formed through N / A_old, which stays finite as A_old -> 0
     B_old = A_old.sum(axis=0)
-    r = np.maximum(np.linalg.norm(B_old, axis=1), 1e-12)  # (D,)
-    q = k / r  # (D,) per-row quadratic weight
-    qb = q[:, None]
-    b = B_old.copy()
-    Nsum = N.sum(axis=0)
-    for _ in range(60):
-        denom = Gb + qb[None, :, :] * b[None, :, :]
-        terms = np.where(N > 0, N / np.maximum(denom, 1e-300), 0.0)
-        h = b - terms.sum(axis=0)
-        hp = 1.0 + np.where(
-            N > 0, N * qb[None, :, :] / np.maximum(denom * denom, 1e-300), 0.0
-        ).sum(axis=0)
-        b_new = np.clip(b - h / hp, 0.0, None)
-        if np.max(np.abs(b_new - b)) < 1e-14 * (1.0 + np.max(b_new)):
-            b = b_new
-            break
-        b = b_new
-    b = np.where(Nsum > 0, b, 0.0)
-    denom = Gb + qb[None, :, :] * b[None, :, :]
-    return np.where(N > 0, N / np.maximum(denom, 1e-300), 0.0)
+    q = k / np.maximum(np.linalg.norm(B_old, axis=1), 1e-12)  # (D,)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dN = q[:, None] * B_old * (N / A_old)
+        x = 2.0 * N / (Gb + np.sqrt(Gb * Gb + 4.0 * dN))
+    return np.where(N > 0, x, 0.0)
 
 
 def _mstep_lowrank(N, Gb, A_old, k):
@@ -516,9 +505,10 @@ def fit_mle(
     n_lags) are fixed; only the baseline rates and the nonnegative
     coefficients are estimated.  For a grid kernel these are the step values,
     and the structural penalties act on their sum over lags.
-    ``weights`` are optional per-sequence multiplicities (used by mixture
-    clustering); ``init`` may carry (mu0, A0) to warm-start, with A0 in the
-    fitted model's layout, e.g. a previous fit's ``model.mu`` and ``model.A``.
+    ``weights`` (one >= 0 per sequence) scale each sequence's log-likelihood
+    term: a weight of 2 counts it twice and 0 drops it.  ``init`` may carry
+    (mu0, A0) to warm-start, with A0 in the fitted model's layout, e.g. a
+    previous fit's ``model.mu`` and ``model.A``.
 
     The objective floors each event's intensity at 1e-300, so an event with
     zero intensity adds ``-log(1e-300)`` (about 690.8) to the negative

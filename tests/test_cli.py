@@ -761,6 +761,42 @@ def test_non_finite_knob_exits_2_writing_nothing(argv, named, corpus_file, tmp_p
 
 
 @pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["fit", "--ridge", "nan", "--bandwidth", "inf"], "--bandwidth must be finite"),
+        (["fit", "--ridge", "nan"], "--ridge must be finite"),
+        (["fit", "--learner", "ls", "--kernel", "grid", "--alpha=-inf"],
+         "--alpha must be finite"),
+        (["fit", "--learner", "mle-ode", "--weight", "nan"], "--weight must be finite"),
+        (["cluster", "--k", "2", "--time-cost", "nan"], "--time-cost must be finite"),
+        (["cluster", "--k", "2", "--method", "distance", "--decay", "inf"],
+         "--decay must be finite"),
+        (["cluster", "--k", "2", "--support", "nan"], "--support must be finite"),
+    ],
+)
+def test_non_finite_flag_the_command_does_not_read_exits_2(
+    argv, named, corpus_file, tmp_path, capsys
+):
+    # a report or clustering document echoes every flag, so none may be
+    # non-finite, read or not
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    extra = ["--report", str(out_dir / "r.json")] if argv[0] == "fit" else []
+    rc = main([argv[0], "--data", corpus_file, *argv[1:], *extra,
+               "--out", str(out_dir / "o.json")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert os.listdir(out_dir) == []
+
+
+def test_an_untruncated_basis_support_is_accepted(corpus_file, tmp_path):
+    out = tmp_path / "m.json"
+    assert main(["fit", "--data", corpus_file, "--kernel", "basis", "--support", "inf",
+                 "--max-iters", "3", "--out", str(out)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize(
     "flags,named",
     [
         (["--learners", "mle", "--kernel", "grid"], "mle-ode or ls"),
