@@ -473,6 +473,8 @@ def cluster_distance(
     Seeding follows the usual spread-out rule (next medoid drawn with
     probability proportional to squared distance from the chosen set), then
     alternates nearest-medoid assignment with per-cluster medoid refresh.
+    Each medoid is assigned to its own cluster whatever the distance ties,
+    so no cluster is empty.
     """
     n = len(corpus)
     _check_int("K", K, 1)
@@ -493,19 +495,24 @@ def cluster_distance(
             medoids.append(remaining[int(rng.integers(len(remaining)))])
         else:
             medoids.append(int(rng.choice(n, p=w / total)))
+
+    def nearest(med):
+        assign = np.argmin(dm[:, med], axis=1)
+        assign[med] = np.arange(K)
+        return assign
+
     med = np.array(sorted(medoids), dtype=np.int64)
     for _ in range(max_iters):
-        assign = np.argmin(dm[:, med], axis=1)
+        assign = nearest(med)
         new_med = med.copy()
         for k in range(K):
             members = np.flatnonzero(assign == k)
-            if members.size:
-                inner = dm[np.ix_(members, members)].sum(axis=0)
-                new_med[k] = members[int(np.argmin(inner))]
+            inner = dm[np.ix_(members, members)].sum(axis=0)
+            new_med[k] = members[int(np.argmin(inner))]
         if np.array_equal(new_med, med):
             break
         med = new_med
-    assign = np.argmin(dm[:, med], axis=1)
+    assign = nearest(med)
     resp = np.zeros((n, K))
     resp[np.arange(n), assign] = 1.0
     mixing = np.bincount(assign, minlength=K).astype(np.float64) / n
@@ -605,11 +612,12 @@ def fit_tvhp(
     """EM for node infectivities with a squared-difference drift penalty.
 
     Each event's excitation evidence lands on the two grid nodes bracketing
-    its PARENT's time with linear weights; node updates solve the chain
-    systems of every source/target pair by one batched projected Newton
-    (``_Roughness``), each pair started at whichever of its warm start and
-    its unpenalized minimizer N/E has the lower surrogate, keeping the
-    penalized objective nonincreasing, and ``details`` carries its counters.
+    its PARENT's time with linear weights; node updates lower the chain
+    surrogates of every source/target pair by one batched projected Newton
+    step (``_Roughness``), each pair started at whichever of its warm start
+    and its unpenalized minimizer N/E has the lower surrogate: a generalized
+    EM step that keeps the penalized objective nonincreasing, and
+    ``details`` carries its counters.
     Large beta ties all nodes together and recovers the stationary fit.
     """
     cfg = cfg or LearnConfig()

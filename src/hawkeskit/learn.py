@@ -19,11 +19,12 @@ recorded objective: a structural penalty (``_mstep``) or a quadratic
 roughness (``_Roughness``).  The group-sparse step is closed form per entry,
 from a bound made separable by De Pierro's weighting.  Where the step is a
 convex quadratic plus sum(-N log x + E x) over x >= 0, as under the low-rank
-trace bound and every roughness penalty, one batched projected Newton,
-``_projected_newton``, solves all columns at once; it ends in full Newton
-steps and a stop on step size, so its result moves by rounding when its
-inputs do.  Each step minimizes or lowers a majorizer, which keeps the
-recorded objective nonincreasing up to the rounding of full Newton steps.
+trace bound and every roughness penalty, it is one batched projected Newton
+step per column, ``_newton_step``, not a solve: EM needs each M-step only
+to lower its surrogate (generalized EM), and near the optimum the step is a
+full Newton step, so its result moves by rounding when its inputs do.  Each
+step minimizes or lowers a majorizer, which keeps the recorded objective
+nonincreasing up to the rounding of full Newton steps.
 """
 
 from __future__ import annotations
@@ -59,16 +60,13 @@ if TYPE_CHECKING:
 
 _PENALTY_KINDS = ("none", "sparse", "group_sparse", "low_rank")
 
-# ``_projected_newton``, the M-step of low rank and of every roughness
-# penalty: its iteration cap, backtracking halvings, the relative margin by
-# which a backtracked step must lower a column's surrogate to be accepted,
-# the step size (relative to the column's largest entry) below which a
-# column stops, and the predicted decrease (relative to the surrogate) below
-# which a feasible full step is taken untested
-_NEWTON_ITERS = 30
+# ``_newton_step``, the M-step of low rank and of every roughness penalty:
+# its backtracking halvings, the relative margin by which a backtracked step
+# must lower a column's surrogate to be accepted, and the predicted decrease
+# (relative to the surrogate) within which a feasible full step is taken
+# untested
 _NEWTON_HALVINGS = 40
 _ACCEPT_RTOL = 1e-15
-_STEP_RTOL = 1e-13
 _PURE_RTOL = 1e-9
 
 
@@ -258,8 +256,9 @@ def _fit_from_stats(stats: _EmStats, cfg: LearnConfig, init, mstep, penalty,
                     weights=None, max_iters=None):
     """The EM loop of every learner; returns (mu, A, trace, converged).
 
-    ``mstep(N, G, A)`` minimizes the attribution surrogate sum(-N log A + A G)
-    plus the penalty from the current A, which it may overwrite;
+    ``mstep(N, G, A)`` minimizes or lowers the attribution surrogate
+    sum(-N log A + A G) plus the penalty (or a majorizer of it) from the
+    current A, which it may overwrite;
     ``penalty(A)`` is the penalty term of the recorded objective.
     """
     D = stats.dim
@@ -310,8 +309,10 @@ def _mstep(N: np.ndarray, G: np.ndarray, A_old: np.ndarray, pen: Penalty) -> np.
     N and A have shape (C, D, D); G has shape (C, D) and broadcasts over the
     target axis.  The surrogate is sum(-N log A + A G).  No penalty and
     sparse are solved exactly; low rank and group sparse are majorized at
-    A_old and the bound minimized, or for group sparse with C > 1 lowered,
-    so the outer penalized objective cannot increase.
+    A_old and the bound lowered (minimized for group sparse with C = 1):
+    group sparse by one closed-form root per entry, low rank by one
+    projected Newton step per target column.  So the outer penalized
+    objective cannot increase.
     """
     Gb = np.broadcast_to(G[:, :, None], N.shape)
     if pen.kind == "none" or pen.weight == 0.0:
@@ -351,7 +352,7 @@ def _mstep_lowrank(N, Gb, A_old, k):
     eps = 1e-13 * max(float(sig.max()), 1e-3)
     Q = (V / np.maximum(sig, eps)[None, :]) @ V.T  # M_eps^{-1}, symmetric PD
     cols = partial(np.transpose, axes=(2, 0, 1))
-    x = _projected_newton(cols(A_old), cols(N), cols(Gb), Q, k)[0]
+    x = _newton_step(cols(A_old), cols(N), cols(Gb), Q, k)[0]
     return np.ascontiguousarray(x.transpose(1, 2, 0))
 
 
@@ -363,7 +364,7 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _surrogate(x, N, E, Q, k, pos):
     """Column surrogates of x (m, C, K); inf where x leaves the log's domain.
 
-    ``pos`` is the mask N > 0, built once per solve.
+    ``pos`` is the mask N > 0, built once per step.
     """
     logs = np.where(pos, -N * np.log(np.maximum(x, 1e-300)), 0.0)
     b = x.sum(axis=1)
@@ -373,102 +374,81 @@ def _surrogate(x, N, E, Q, k, pos):
     return f
 
 
-def _projected_newton(x, N, E, Q, k):
-    """Minimize sum(-N log x + E x) + 0.5 k b'Qb over x >= 0, per column.
+def _newton_step(x, N, E, Q, k):
+    """Lower sum(-N log x + E x) + 0.5 k b'Qb over x >= 0 by one projected
+    Newton step per column.
 
     x, N and E have shape (m, C, K): m independent columns of C blocks over
     K rows, with b = x[i].sum(axis=0), so a column's Hessian is
-    kron(11', kQ) + diag(curvature).  Starting from x, an iteration solves
-    every active column's Newton system in one batched call, over the
-    entries that are not held at zero (an entry at zero whose gradient is
-    positive stays there, the active set of a projected Newton), then per
-    column:
+    kron(11', kQ) + diag(curvature).  Every column's Newton system is solved
+    in one batched call, over the entries that are not held at zero (an
+    entry at zero whose gradient is positive stays there, the active set of
+    a projected Newton), then per column:
 
-    - stops it when the Newton step s is below rounding of the column,
-      max|s| <= 1e-13 * max(1, max|x|);
-    - near the optimum, where the predicted decrease -0.5 g's is within
-      1e-9 * max(1, |f|) and x + s stays feasible, takes the full step with
+    - where the predicted decrease -0.5 g's is within 1e-9 * max(1, |f|) in
+      absolute value and x + s stays feasible, takes the full step s with
       no function-value test (a pure Newton step);
     - otherwise backtracks from the full step, accepting only a step that
-      lowers the surrogate by 1e-15 of its value, and drops the column when
-      no step does.
+      lowers the surrogate by 1e-15 of its value, and keeps x when no step
+      does.
 
-    Near the optimum a column ends in pure steps and the step-size stop,
-    and neither compares two surrogate values that agree to rounding, so
-    the result is a continuous function of N, E and x: inputs that differ
-    by rounding give results that differ by rounding.  A pure step is a
-    Newton step where the quadratic model holds, so it lowers the surrogate
-    up to rounding, and the EM objective trace stays nonincreasing within
-    the 1e-10 relative slack its checks allow.  Each column's products round
-    as in a per-column solve: k * (Q b) in the gradient, ((k/2) b Q) . b in
-    the surrogate, one dot for the predicted decrease.
+    The absolute value sends an ascent direction, which an ill-conditioned
+    system can return with a huge negative predicted decrease, to the line
+    search, which refuses it.  A pure step lowers the surrogate up to
+    rounding, so no column's surrogate rises.  Near the optimum every column
+    takes a pure step and no decision compares two surrogate values that
+    agree to rounding, so inputs that differ by rounding give results that
+    differ by rounding.  Each column's products round as in a per-column
+    step: k * (Q b) in the gradient, ((k/2) b Q) . b in the surrogate, one
+    dot for the predicted decrease.
 
     Returns (x, clamps, newton_steps, objective_evals), the counts summed
     over columns: entries pinned at zero from below, steps taken, and
-    surrogate evaluations (each column's starting value and each pure step
-    included).
+    surrogate evaluations (each column's starting value included).
     """
     m, C, K = x.shape
     # C order, so that every sum over a column's entries runs in one order
     N = np.ascontiguousarray(N)
     E = np.ascontiguousarray(E)
     x = np.maximum(np.ascontiguousarray(x), 0.0)
-    # constants of the solve, built once: the log terms' support and the
-    # Hessian's coupling and diagonal
     pos = N > 0
-    kQ = np.tile(k * Q, (C, C))  # kron(11', kQ)
-    eye = np.eye(C * K)
     # restart entries an earlier clamp left at zero against their log barrier
     x[pos & (x <= 0)] = 1e-12
     f = _surrogate(x, N, E, Q, k, pos)
-    evals, clamps, steps = m, 0, 0
-    active = np.arange(m)
-    for _ in range(_NEWTON_ITERS):
-        xa, Na, pa = x[active], N[active], pos[active]
-        grad = E[active] + k * np.matmul(Q, xa.sum(axis=1)[:, :, None]).transpose(0, 2, 1)
-        grad = grad - np.where(pa, Na / np.maximum(xa, 1e-300), 0.0)
-        curv = np.where(pa, Na / np.maximum(xa * xa, 1e-300), 0.0)
-        # held entries get a unit diagonal, no coupling and a zero step
-        free = ((xa > 0) | (grad <= 0)).reshape(-1, C * K)
-        H = kQ * (free[:, :, None] & free[:, None, :])
-        H += np.where(free, curv.reshape(-1, C * K) + 1e-12, 1.0)[:, :, None] * eye
-        step = _newton_directions(H, np.where(free, grad.reshape(-1, C * K), 0.0))
-        step = np.where(free, step, 0.0).reshape(grad.shape)
-        scale = np.maximum(1.0, np.abs(f[active]))
-        go = np.abs(step).max(axis=(1, 2)) > _STEP_RTOL * np.maximum(1.0, xa.max(axis=(1, 2)))
-        full = xa + step
-        decrease = -0.5 * _rowdot(grad.reshape(-1, C * K), step.reshape(-1, C * K))
-        pure = go & (decrease <= _PURE_RTOL * scale)
-        pure &= np.where(pa, full > 0, full >= 0).all(axis=(1, 2))
-        took = active[pure]
-        if took.size:
-            x[took] = full[pure]
-            f[took] = _surrogate(full[pure], Na[pure], E[took], Q, k, pa[pure])
-            evals += took.size
-        moved = [took]
-        search = go & ~pure
-        cols, step = active[search], step[search]
-        bar = f[cols] - _ACCEPT_RTOL * scale[search]
-        t = 1.0
-        for _ in range(_NEWTON_HALVINGS):
-            if cols.size == 0:
-                break
-            cand = x[cols] + t * step
-            low = cand < 0
-            cand[low] = 0.0
-            fc = _surrogate(cand, N[cols], E[cols], Q, k, pos[cols])
-            evals += cols.size
-            ok = fc < bar
-            acc = cols[ok]
-            x[acc], f[acc] = cand[ok], fc[ok]
-            clamps += int(np.count_nonzero(low[ok] & (N[acc] == 0)))
-            moved.append(acc)
-            cols, step, bar = cols[~ok], step[~ok], bar[~ok]
-            t *= 0.5
-        active = np.concatenate(moved)
-        steps += active.size
-        if active.size == 0:
+    grad = E + k * np.matmul(Q, x.sum(axis=1)[:, :, None]).transpose(0, 2, 1)
+    grad -= np.where(pos, N / np.maximum(x, 1e-300), 0.0)
+    curv = np.where(pos, N / np.maximum(x * x, 1e-300), 0.0)
+    # held entries get a unit diagonal, no coupling and a zero step
+    free = ((x > 0) | (grad <= 0)).reshape(m, C * K)
+    H = np.tile(k * Q, (C, C)) * (free[:, :, None] & free[:, None, :])  # kron(11', kQ)
+    H += np.where(free, curv.reshape(m, C * K) + 1e-12, 1.0)[:, :, None] * np.eye(C * K)
+    g = np.where(free, grad.reshape(m, C * K), 0.0)
+    step = np.where(free, _newton_directions(H, g), 0.0)
+    scale = np.maximum(1.0, np.abs(f))
+    pure = np.abs(0.5 * _rowdot(g, step)) <= _PURE_RTOL * scale
+    step = step.reshape(x.shape)
+    full = x + step
+    pure &= np.where(pos, full > 0, full >= 0).all(axis=(1, 2))
+    x[pure] = full[pure]
+    evals, clamps, steps = m, 0, int(np.count_nonzero(pure))
+    cols = np.flatnonzero(~pure)
+    step, bar = step[cols], f[cols] - _ACCEPT_RTOL * scale[cols]
+    t = 1.0
+    for _ in range(_NEWTON_HALVINGS):
+        if cols.size == 0:
             break
+        cand = x[cols] + t * step
+        low = cand < 0
+        cand[low] = 0.0
+        fc = _surrogate(cand, N[cols], E[cols], Q, k, pos[cols])
+        evals += cols.size
+        ok = fc < bar
+        acc = cols[ok]
+        x[acc] = cand[ok]
+        clamps += int(np.count_nonzero(low[ok] & (N[acc] == 0)))
+        steps += acc.size
+        cols, step, bar = cols[~ok], step[~ok], bar[~ok]
+        t *= 0.5
     return x, clamps, steps, evals
 
 
@@ -576,13 +556,16 @@ def _diff_gram(L: int, order: int) -> np.ndarray:
 
 class _Roughness:
     """Quadratic roughness 0.5 * sum_{v,u} A[:, v, u]' P A[:, v, u] along the
-    channel axis, with its M-step: ``_projected_newton`` over the D² columns
+    channel axis, with its M-step: one ``_newton_step`` over the D² columns
     A[:, v, u], each a single block (C = 1) with E = G[:, v], Q = P and k = 1.
-    Each column starts at the warm start A[:, v, u] or at N/E (zero where
-    N = 0), the minimizer without the penalty, whichever has the lower
-    surrogate; a non-finite surrogate loses and a tie keeps the warm start.
-    Where the log terms outweigh the penalty N/E lies a step or two from the
-    optimum; where the penalty dominates the warm start wins.
+    The step lowers each column's surrogate rather than minimizing it, a
+    generalized EM step.  Each column starts at the warm start A[:, v, u] or
+    at N/E (zero where N = 0), the minimizer without the penalty, whichever
+    has the lower surrogate; a non-finite surrogate loses and a tie keeps
+    the warm start.  Where the log terms outweigh the penalty N/E lies a
+    step or two from the optimum; where the penalty dominates the warm start
+    wins.  The Newton step uses P itself, so it moves along P's null space
+    (all nodes or lags shifted together) as readily as across it.
 
     Counters, summed over columns and M-steps: ``clamps`` entries pinned at
     zero from below, ``newton_steps`` accepted steps, ``objective_evals``
@@ -611,7 +594,7 @@ class _Roughness:
         cols = lambda a: a.transpose(1, 2, 0).reshape(D * D, 1, C)  # column v * D + u
         E = np.repeat(G.T, D, axis=0)[:, None, :]
         # a source with no exposure has N = E = 0, so zero minimises its columns'
-        # surrogate 0.5 x'Px (P PSD); the solve would stop anywhere in P's null space
+        # surrogate 0.5 x'Px (P PSD); a Newton step would keep the part in P's null space
         A = np.where((G.sum(axis=0) == 0)[None, :, None], 0.0, A)
         x, N = cols(A), cols(N)
         twice = lambda a: np.concatenate([a, a])
@@ -621,7 +604,7 @@ class _Roughness:
                            twice(N > 0))
         f_warm, f_plain = f[:D * D], f[D * D:]
         x = np.where((np.isfinite(f_plain) & ~(f_warm <= f_plain))[:, None, None], plain, x)
-        x, clamps, steps, evals = _projected_newton(x, N, E, self.P, 1.0)
+        x, clamps, steps, evals = _newton_step(x, N, E, self.P, 1.0)
         self.clamps += clamps
         self.newton_steps += steps
         self.objective_evals += evals
@@ -660,11 +643,12 @@ def fit_mle_ode(
 ) -> FitReport:
     """EM for a step kernel on a lag grid with a curvature penalty.
 
-    Each kernel update minimizes, for every source/target pair, the
+    Each kernel update lowers, for every source/target pair, the
     attribution surrogate plus alpha * integral of squared second derivative
-    (free boundaries), by one projected Newton solve over all pairs at once
+    (free boundaries), by one projected Newton step over all pairs at once
     (``_Roughness``), each pair started at whichever of its warm start and
-    its unpenalized minimizer N/E has the lower surrogate.  Penalty kinds
+    its unpenalized minimizer N/E has the lower surrogate: a generalized EM
+    step, with the fixed points of the exact M-step.  Penalty kinds
     from cfg are not supported here; smoothing is the regularizer.
     ``details`` carries the M-step counters ``clamp_count``,
     ``newton_steps`` and ``objective_evals``.

@@ -9,14 +9,23 @@ to the largest entry of the recorded array (entries that a penalty drives
 towards zero carry no relative precision of their own).  RTOL is 1e-12 for
 every case.
 
-That holds for the learners whose M-step is the projected Newton solve
-``_projected_newton`` (low rank, mle_ode and tvhp) because the solve is a
-continuous function of its inputs: near the optimum it takes full Newton
-steps and stops on step size, so no decision hangs on two values that agree
-to rounding.  A change of summation order upstream, such as the order of
-the corpus's sequences, moves every fit by rounding only; each case but the
-mixture (whose two clusters may swap labels) is also run on the corpora
+That holds for the learners whose M-step is one projected Newton step,
+``_newton_step`` (low rank, mle_ode and tvhp), because the step is a
+continuous function of its inputs near the optimum.  There is no stop on
+step size, so this rests on the pure-step rule alone: there the step is the
+full Newton step, taken untested, and no decision hangs on two values that
+agree to rounding.  A change of summation order upstream, such as the order
+of the corpus's sequences, moves every fit by rounding only; each case but
+the mixture (whose two clusters may swap labels) is also run on the corpora
 with their sequences reversed and must match the forward run to RTOL.
+
+One Newton step per M-step makes those three learners generalized EM: the
+step lowers the M-step's surrogate where the former inner solve minimized
+it, with the same fixed points.  So, fitted to tol 1e-13, they must reach
+the optimum that the inner solve reaches (``_inner_solve`` below, the
+former 30-iteration loop, kept as the reference): final objectives within
+1e-12 relative, and ``A`` within 1e-5 of its largest entry, the accuracy
+to which plain EM's slow approach pins the optimum at that tolerance.
 
 Rewrite the file only on purpose, from a checkout whose learners are the
 reference: ``PYTHONPATH=src python tests/test_em_equivalence.py --write``.
@@ -29,6 +38,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hawkeskit.learn as learn
 from hawkeskit import (
     Corpus,
     EventSequence,
@@ -44,6 +54,7 @@ from hawkeskit import (
     fit_tvhp,
     simulate_branch,
 )
+from hawkeskit.learn import _newton_directions, _rowdot, _surrogate
 
 GOLDEN = Path(__file__).with_name("em_golden.json")
 RTOL = 1e-12
@@ -87,8 +98,8 @@ def _mixture_record(res) -> dict:
 
 
 def _structural(kind):
-    def run(corpora):
-        cfg = LearnConfig(max_iters=300, tol=1e-7, penalty=Penalty(kind, 0.5), rng_seed=3)
+    def run(corpora, max_iters=300, tol=1e-7):
+        cfg = LearnConfig(max_iters=max_iters, tol=tol, penalty=Penalty(kind, 0.5), rng_seed=3)
         return _fit_record(fit_mle(corpora["exp"], EXP, cfg))
 
     return run
@@ -98,16 +109,16 @@ def _basis(corpora):
     return _fit_record(fit_mle(corpora["lag"], BASIS, LearnConfig(max_iters=300, tol=1e-7)))
 
 
-def _ode(corpora):
-    cfg = LearnConfig(max_iters=100, tol=1e-6, rng_seed=1)
+def _ode(corpora, max_iters=100, tol=1e-6):
+    cfg = LearnConfig(max_iters=max_iters, tol=tol, rng_seed=1)
     return _fit_record(fit_mle_ode(corpora["lag"], 0.5, 6, cfg, alpha=1.0))
 
 
-def _tvhp(corpora):
+def _tvhp(corpora, max_iters=100, tol=1e-6):
     corpus = corpora["lag"]
     t_end = max(seq.t_end for seq in corpus)
     fit = fit_tvhp(corpus, np.linspace(0.0, t_end, 4), 1.0,
-                   LearnConfig(max_iters=100, tol=1e-6, rng_seed=2), beta=0.5)
+                   LearnConfig(max_iters=max_iters, tol=tol, rng_seed=2), beta=0.5)
     return _fit_record(fit)
 
 
@@ -196,6 +207,76 @@ def test_reversed_sequence_order_gives_the_same_fit(golden, case):
     corpora, _ = golden
     reversed_corpora = {name: Corpus(c.sequences[::-1], c.dim) for name, c in corpora.items()}
     _assert_same_fit(CASES[case](reversed_corpora), CASES[case](corpora), case)
+
+
+def _inner_solve(x, N, E, Q, k):
+    """The former M-step solver: projected Newton iterated per column until a
+    step-size stop (max|s| <= 1e-13 * max(1, max|x|)) or 30 iterations, with
+    the backtracking rule of ``_newton_step`` and a pure step wherever the
+    predicted decrease is below 1e-9 of the surrogate, as it was (later
+    iterations made up for an ascent direction taken there)."""
+    m, C, K = x.shape
+    N = np.ascontiguousarray(N)
+    E = np.ascontiguousarray(E)
+    x = np.maximum(np.ascontiguousarray(x), 0.0)
+    pos = N > 0
+    kQ = np.tile(k * Q, (C, C))
+    eye = np.eye(C * K)
+    x[pos & (x <= 0)] = 1e-12
+    f = _surrogate(x, N, E, Q, k, pos)
+    active = np.arange(m)
+    for _ in range(30):
+        xa, Na, pa = x[active], N[active], pos[active]
+        grad = E[active] + k * np.matmul(Q, xa.sum(axis=1)[:, :, None]).transpose(0, 2, 1)
+        grad = grad - np.where(pa, Na / np.maximum(xa, 1e-300), 0.0)
+        curv = np.where(pa, Na / np.maximum(xa * xa, 1e-300), 0.0)
+        free = ((xa > 0) | (grad <= 0)).reshape(-1, C * K)
+        H = kQ * (free[:, :, None] & free[:, None, :])
+        H += np.where(free, curv.reshape(-1, C * K) + 1e-12, 1.0)[:, :, None] * eye
+        step = _newton_directions(H, np.where(free, grad.reshape(-1, C * K), 0.0))
+        step = np.where(free, step, 0.0).reshape(grad.shape)
+        scale = np.maximum(1.0, np.abs(f[active]))
+        go = np.abs(step).max(axis=(1, 2)) > 1e-13 * np.maximum(1.0, xa.max(axis=(1, 2)))
+        full = xa + step
+        decrease = -0.5 * _rowdot(grad.reshape(-1, C * K), step.reshape(-1, C * K))
+        pure = go & (decrease <= 1e-9 * scale)
+        pure &= np.where(pa, full > 0, full >= 0).all(axis=(1, 2))
+        took = active[pure]
+        x[took] = full[pure]
+        f[took] = _surrogate(full[pure], Na[pure], E[took], Q, k, pa[pure])
+        moved = [took]
+        search = go & ~pure
+        cols, step = active[search], step[search]
+        bar = f[cols] - 1e-15 * scale[search]
+        t = 1.0
+        for _ in range(40):
+            if cols.size == 0:
+                break
+            cand = np.maximum(x[cols] + t * step, 0.0)
+            fc = _surrogate(cand, N[cols], E[cols], Q, k, pos[cols])
+            ok = fc < bar
+            acc = cols[ok]
+            x[acc], f[acc] = cand[ok], fc[ok]
+            moved.append(acc)
+            cols, step, bar = cols[~ok], step[~ok], bar[~ok]
+            t *= 0.5
+        active = np.concatenate(moved)
+        if active.size == 0:
+            break
+    return x, 0, 0, 0
+
+
+@pytest.mark.parametrize("case", ["mle_exp_low_rank", "mle_ode", "tvhp"])
+def test_one_newton_step_reaches_the_inner_solve_optimum(golden, monkeypatch, case):
+    corpora, _ = golden
+    got = CASES[case](corpora, max_iters=5000, tol=1e-13)
+    monkeypatch.setattr(learn, "_newton_step", _inner_solve)
+    want = CASES[case](corpora, max_iters=5000, tol=1e-13)
+    assert got["iterations"] < 5000 and want["iterations"] < 5000
+    f_got, f_want = got["trace"][-1], want["trace"][-1]
+    assert abs(f_got - f_want) <= 1e-12 * abs(f_want)
+    A_got, A_want = np.asarray(got["A"]), np.asarray(want["A"])
+    assert np.abs(A_got - A_want).max() <= 1e-5 * np.abs(A_want).max()
 
 
 if __name__ == "__main__":

@@ -16,8 +16,10 @@ features from scratch.
   must agree with the reference within 1e-15 of the largest entry.
 - Every EM learner on the new layout must agree with the same learner on
   the reference layout to 1e-12: equal iteration counts, traces elementwise
-  and ``mu``/``A`` relative to their largest entry.  ``_projected_newton``
-  makes the M-step a continuous function of its inputs, so statistics that
+  and ``mu``/``A`` relative to their largest entry.  The low-rank and
+  roughness M-step, one ``_newton_step``, has no stop on step size, and
+  near the optimum its pure-step rule takes the full Newton step untested,
+  so the step is a continuous function of its inputs there: statistics that
   differ by rounding give fits that differ by rounding.
 """
 

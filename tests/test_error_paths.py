@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from hawkeskit.analyze import cluster_distance, cluster_mixture, load_granger_dot, load_tvhp_csv
+from hawkeskit.analyze import (
+    TvhpModel,
+    cluster_distance,
+    cluster_mixture,
+    fit_tvhp,
+    load_granger_dot,
+    load_tvhp_csv,
+    tvhp_log_likelihood,
+)
 from hawkeskit.core import (
     EventSequence,
     ExponentialKernel,
@@ -12,7 +20,7 @@ from hawkeskit.core import (
     compensator,
 )
 from hawkeskit.data import Corpus, FormatError
-from hawkeskit.learn import LearnConfig
+from hawkeskit.learn import LearnConfig, Penalty, fit_ls, fit_mle, fit_mle_ode
 
 
 def _seq(sid, times=(1.0, 2.5, 4.0), marks=(0, 1, 0)):
@@ -32,6 +40,17 @@ def test_medoids_seed_uniformly_when_every_distance_is_zero():
     res = cluster_distance(corpus, 3, rng_seed=0)
     assert len(set(res.medoids)) == 3
     assert res.objective_trace == (0.0,)
+
+
+def test_every_medoid_sits_in_its_own_nonempty_cluster():
+    # ties at distance 0 used to send every sequence, medoids included, to
+    # the first medoid's cluster
+    corpus = Corpus(tuple(_seq(f"s{i}") for i in range(4)), 2)
+    res = cluster_distance(corpus, 3, rng_seed=0)
+    assert [res.assignments[m] for m in res.medoids] == [0, 1, 2]
+    assert np.all(np.bincount(res.assignments, minlength=3) > 0)
+    assert res.assignments.tolist() == [0, 0, 1, 2]
+    np.testing.assert_allclose(res.mixing, [0.5, 0.25, 0.25])
 
 
 @pytest.mark.parametrize(
@@ -61,3 +80,40 @@ def test_compensator_over_a_reversed_window_is_refused():
                         A=np.full((2, 2), 0.1))
     with pytest.raises(ValidationError, match="need t0 <= t1"):
         compensator(model, _seq("a"), 0, 5.0, 4.0)
+
+
+EXP = ExponentialKernel(decay=1.0)
+PAIR = Corpus((_seq("a"), _seq("b")), 2)
+EMPTY = Corpus((), 2)
+
+
+def test_an_unknown_penalty_kind_is_refused():
+    with pytest.raises(ValidationError, match="penalty kind 'bogus' not one of"):
+        Penalty("bogus")
+
+
+@pytest.mark.parametrize(
+    "fit,named",
+    [
+        (lambda: fit_mle(EMPTY, EXP), "corpus is empty"),
+        (lambda: fit_ls(EMPTY, 0.5, 2), "corpus is empty"),
+        (lambda: fit_mle(PAIR, EXP, weights=[1.0]), r"one entry per sequence \(2\)"),
+        (lambda: fit_mle(PAIR, EXP, weights=[0.0, 0.0]),
+         "total weighted observation time is zero"),
+        (lambda: fit_mle_ode(PAIR, 0.5, 1), "need n_lags >= 2"),
+        (lambda: fit_tvhp(PAIR, [0.0, 10.0], 1.0,
+                          LearnConfig(penalty=Penalty("sparse", 0.5))),
+         "structural penalties are not supported"),
+        (lambda: fit_tvhp(PAIR, [0.0], 1.0), "grid must be strictly increasing with >= 2 nodes"),
+    ],
+    ids=["mle-empty", "ls-empty", "weights-length", "weights-zero", "ode-one-lag",
+         "tvhp-penalty", "tvhp-one-node"],
+)
+def test_em_learner_arguments_it_cannot_use_are_refused(fit, named):
+    with pytest.raises(ValidationError, match=named):
+        fit()
+
+
+def test_tvhp_log_likelihood_of_an_event_at_zero_intensity_is_minus_infinity():
+    model = TvhpModel(np.zeros(2), [0.0, 10.0], np.zeros((2, 2, 2)), 1.0)
+    assert tvhp_log_likelihood(model, PAIR) == -np.inf

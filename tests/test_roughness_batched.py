@@ -1,18 +1,24 @@
-"""The batched roughness M-step against the per-pair Newton solve it replaced.
+"""The batched roughness M-step against a per-pair Newton step.
 
-``_Roughness.mstep`` runs one projected Newton over all D² columns
-A[:, v, u] at once.  The reference below is one projected Newton per (v, u)
-pair with the batched solver's rules: the same 30-iteration cap, entries at
-zero with a positive gradient held out of the Newton system, a stop on step
-size, full Newton steps near the optimum and backtracking elsewhere.  Both
-minimize the same convex surrogate from the start the rule picks (the warm
-start or the unpenalized minimizer N/E, whichever has the lower surrogate),
-so the batched solution must agree with the reference to 1e-9 of its scale,
-its surrogate may not exceed the reference's by more than 1e-12 relative,
-and both must pin the same number of entries at zero.  The batched
-solution must also reach the optimum, even where entries that start
-positive lack attributions: the projected gradient within 1e-8 of the
-gradient's terms.
+``_Roughness.mstep`` takes one projected Newton step over all D² columns
+A[:, v, u] at once, from the start the rule picks (the warm start or the
+unpenalized minimizer N/E, whichever has the lower surrogate).  The
+reference below is one projected Newton step per (v, u) pair with the
+batched step's rules: entries at zero with a positive gradient held out of
+the Newton system, the full step untested where its predicted decrease is
+within 1e-9 of the surrogate in absolute value, and backtracking
+elsewhere.  The batched step must agree with the reference to 1e-9 of its
+scale, its surrogate may not exceed the reference's by more than 1e-12
+relative, and both must pin the same number of entries at zero.  There is
+no stop on step size, so that agreement, and the continuity of the step in
+its inputs, rest on the pure-step rule alone: near the optimum both take
+the full step, and no decision compares two surrogates that agree to
+rounding.
+
+One step only lowers the surrogate (generalized EM), so the step must never
+raise it, and repeated on fixed inputs it must reach the optimum, even
+where entries that start positive lack attributions: after 30 steps the
+projected gradient within 1e-8 of the gradient's terms.
 """
 
 import numpy as np
@@ -26,15 +32,15 @@ from test_lowrank_batched import kkt_residual
 
 
 def ref_penalized_newton(N, E, P, x0):
-    """Minimize sum(-N log x + E x) + 0.5 x'Px over x >= 0.
+    """Lower sum(-N log x + E x) + 0.5 x'Px over x >= 0 by one Newton step.
 
     Starts at x0 or at N/E (zero where N = 0), whichever has the lower
-    surrogate; a non-finite surrogate loses, and a tie keeps x0.  Projected
-    Newton with the batched solver's rules: entries at zero with a positive
-    gradient stay there; stop when the Newton step is below 1e-13 of the
-    largest entry; take a feasible full step untested when its
-    predicted decrease is within 1e-9 of the objective; else backtrack and
-    accept only a decrease by more than 1e-15 of the objective.  Returns
+    surrogate; a non-finite surrogate loses, and a tie keeps x0.  One
+    projected Newton step with the batched step's rules: entries at zero
+    with a positive gradient stay there; take a feasible full step untested
+    when its predicted decrease is within 1e-9 of the objective in absolute
+    value; else backtrack and accept only a decrease by more than 1e-15 of
+    the objective, keeping x when no halving gives one.  Returns
     (x, clamp_count) where clamps count entries pinned at zero from below.
     """
     def obj(xx):
@@ -54,40 +60,28 @@ def ref_penalized_newton(N, E, P, x0):
     x[bad] = 1e-12
 
     f = obj(x)
-    clamps = 0
-    for _ in range(30):
-        grad = E + P @ x - np.where(N > 0, N / np.maximum(x, 1e-300), 0.0)
-        curv = np.where(N > 0, N / np.maximum(x * x, 1e-300), 0.0)
-        free = (x > 0) | (grad <= 0)
-        H = P + np.diag(curv + 1e-12)
-        step = np.zeros_like(x)
-        try:
-            step[free] = np.linalg.solve(H[np.ix_(free, free)], -grad[free])
-        except np.linalg.LinAlgError:
-            step[free] = -grad[free]
-        if np.abs(step).max() <= 1e-13 * max(1.0, x.max()):
-            break
-        full = x + step
-        if (-0.5 * float(grad @ step) <= 1e-9 * max(1.0, abs(f))
-                and np.all(np.where(N > 0, full > 0, full >= 0))):
-            x, f = full, obj(full)
-            continue
-        t = 1.0
-        improved = False
-        for _ in range(40):
-            cand = x + t * step
-            clip_low = cand < 0
-            cand = np.where(clip_low, 0.0, cand)
-            fc = obj(cand)
-            if fc < f - 1e-15 * max(1.0, abs(f)):
-                clamps += int(np.count_nonzero(clip_low & (N == 0)))
-                x, f = cand, fc
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    return x, clamps
+    grad = E + P @ x - np.where(N > 0, N / np.maximum(x, 1e-300), 0.0)
+    curv = np.where(N > 0, N / np.maximum(x * x, 1e-300), 0.0)
+    free = (x > 0) | (grad <= 0)
+    H = P + np.diag(curv + 1e-12)
+    step = np.zeros_like(x)
+    try:
+        step[free] = np.linalg.solve(H[np.ix_(free, free)], -grad[free])
+    except np.linalg.LinAlgError:
+        step[free] = -grad[free]
+    full = x + step
+    if (abs(0.5 * float(grad @ step)) <= 1e-9 * max(1.0, abs(f))
+            and np.all(np.where(N > 0, full > 0, full >= 0))):
+        return full, 0
+    t = 1.0
+    for _ in range(40):
+        cand = x + t * step
+        clip_low = cand < 0
+        cand = np.where(clip_low, 0.0, cand)
+        if obj(cand) < f - 1e-15 * max(1.0, abs(f)):
+            return cand, int(np.count_nonzero(clip_low & (N == 0)))
+        t *= 0.5
+    return x, 0
 
 
 def ref_mstep(N, G, A, P):
@@ -129,7 +123,9 @@ def make_problem(D, C, seed, dense=False):
 
 
 def worst_kkt(N, G, A, P):
-    got = _Roughness(P).mstep(N, G, A.copy())
+    got = A
+    for _ in range(30):
+        got = _Roughness(P).mstep(N, G, got)
     D = A.shape[1]
     return max(kkt_residual(got[:, v, u], N[:, v, u], G[:, v], P @ got[:, v, u])
                for v in range(D) for u in range(D))
@@ -174,7 +170,8 @@ def test_kkt_holds_where_every_positive_start_has_attributions(D, C, kind):
 
 def test_kkt_where_positive_starts_lack_attributions():
     # from the warm start alone one column of these problems stalls, as the
-    # low-rank M-step, which keeps that start, still can (test_lowrank_batched.py)
+    # low-rank M-step, which keeps that start, still can (test_lowrank_batched.py);
+    # the better-of start keeps every column moving
     worst = max(worst_kkt(*make_problem(D, C, seed=100 * D + 10 * C + seed), penalty(C, kind))
                 for D in (1, 2, 5) for C in (2, 6, 10) for kind in ("order1", "order2", "ridge")
                 for seed in range(3))
@@ -195,8 +192,9 @@ def test_columns_without_attributions_and_zero_starts(kind):
 
 def test_a_case_that_clamps():
     # a column with mass at the first two lags only under a stiff curvature
-    # penalty: from the warm start and from N/E alike, unconstrained Newton
-    # steps drive the tail below zero, so the projection pins entries there
+    # penalty: from the warm start and from N/E alike, the unconstrained
+    # Newton step drives the tail below zero, so the projection pins entries
+    # there
     C, D = 8, 1
     N = np.zeros((C, D, D))
     N[:2, 0, 0] = [44.0, 33.0]
@@ -204,6 +202,37 @@ def test_a_case_that_clamps():
     A = np.full((C, D, D), 0.3)
     smooth, clamps = check_against_reference(N, G, A, 10.0 * penalty(C, "order2"))
     assert clamps > 0 and smooth.clamps == clamps
+
+
+def assert_step_never_raises(N, G, A, P):
+    # against the start the rule picks, the lower of the warm start and N/E
+    got = _Roughness(P).mstep(N, G, A)
+    D = A.shape[1]
+    for v in range(D):
+        for u in range(D):
+            n, args = N[:, v, u], (N[:, v, u], G[:, v], P)
+            plain = np.divide(n, G[:, v], out=np.zeros_like(n), where=n > 0)
+            f0 = min(surrogate(A[:, v, u], *args), surrogate(plain, *args))
+            assert surrogate(got[:, v, u], *args) <= f0 + 1e-12 * max(1.0, abs(f0))
+
+
+@pytest.mark.parametrize("kind", ["order1", "order2", "ridge"])
+def test_one_step_never_raises_the_surrogate(kind):
+    for scale in 10.0 ** np.arange(-8, 9, 2):
+        for D, C in ((1, 2), (2, 6), (5, 6), (3, 10)):
+            for seed in range(3):
+                N, G, A = make_problem(D, C, seed=1000 * seed + 10 * D + C)
+                assert_step_never_raises(N, G, A, scale * penalty(C, kind))
+
+
+def test_an_ascent_direction_is_not_taken_untested():
+    # in column (4, 3) entries with N = 0 and x > 0 get curvature only from
+    # the 1e-12 floor, so the computed Newton step runs far along P's null
+    # space with a hugely negative predicted decrease; a test without the
+    # absolute value takes it untested and raises the column's surrogate
+    # from 3.1e4 to 3.6e13
+    N, G, A = make_problem(5, 6, seed=5062)
+    assert_step_never_raises(N, G, A, 1e4 * penalty(6, "order2"))
 
 
 def corpus_2d(seed):
