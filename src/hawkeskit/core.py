@@ -16,10 +16,12 @@ per-component ``density(lags)`` and ``mass(lags, start=0)`` (integral over
 ``[start, lag]``; ``mass(inf)`` is the total), each of shape ``(C,) +
 lags.shape``; its ``support`` (``inf`` for the exponential kernel);
 ``quantile(comp, u01, upper)`` for the branch sampler; ``thinning(coeffs,
-ts, ms)``, the Ogata loop's two closures of time over its history lists (a
-bound on the excitation ahead and each target's excitation from the strict
-past); and, for finite support, ``pair_terms(lags, tail=False)``, each lag's
-nonzero components as (component, value) terms (one grid bin, every basis).
+ts, ms)``, the Ogata loop's ``(scan, fresh)`` over its history lists
+(``scan(t)`` returns, from one pass over the window, each target's excitation
+from the strict past and a bound on the excitation ahead of t; ``fresh[m]``
+is a new mark-m event's bound term); and, for finite support,
+``pair_terms(lags, tail=False)``, each lag's nonzero components as
+(component, value) terms (one grid bin, every basis).
 Every primitive below uses only these.  The sum over past events has one
 builder, ``_excitation``, the one place that decides its layout, features
 (q, C·D) with column c·D + v, and how to build them: the exponential
@@ -148,13 +150,14 @@ class Event:
             raise ValidationError(f"event mark must be >= 0, got {mark}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class EventSequence:
     """An ordered sequence of events on an observation window.
 
     ``times`` and ``marks`` are parallel arrays sorted nondecreasing in time;
     marks are dimension indices in ``[0, dim)``.  Instances are immutable and
-    safe to share across threads.
+    safe to share across threads; they keep their fields in slots, with no
+    per-instance ``__dict__``, since a corpus may hold many short sequences.
     """
 
     times: np.ndarray
@@ -242,25 +245,26 @@ class EventSequence:
         return hash((self.id, self.dim, self.t_start, self.t_end, len(self)))
 
 
-def _windowed(support, ts, ms, bound, excite):
-    """A finite kernel's ``thinning`` closures of time, from closures over window lags.
+def _windowed(support, ts):
+    """A finite kernel's window of time over the history list ``ts``, for its ``scan``.
 
-    ``ts`` (in time order) and ``ms`` are only appended to, and query times never
-    decrease.  ``excite(t)`` drops the events spent by t (lag >= support) for good
-    and leaves out those at t; ``bound(t)`` reads the window as ``excite`` left it,
-    events at t included (an event spent since adds nothing to a bound)."""
+    ``ts`` is in time order and only appended to, and query times never decrease.
+    ``window(t)`` drops the events spent by t (lag >= support) for good and returns
+    ``(start, end)``: ``ts[start:end]`` is the strict past within the support, which
+    both sums of ``scan(t)`` read, and ``ts[end:]`` the events tied with t, which add
+    to the bound at full weight and nothing to the excitation."""
     start = 0
 
-    def excite_at(t):
+    def window(t):
         nonlocal start
         spent, end = t - support, len(ts)
         while start < end and ts[start] <= spent:
             start += 1
-        while end > start and ts[end - 1] >= t:  # events tied with t add nothing
+        while end > start and ts[end - 1] >= t:
             end -= 1
-        return excite([t - s for s in ts[start:end]], ms[start:end])
+        return start, end
 
-    return (lambda t: bound([t - s for s in ts[start:]], ms[start:])), excite_at
+    return window
 
 
 def _dense_pair_terms(kernel, lags, tail: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -303,15 +307,17 @@ class ExponentialKernel:
         return -np.log1p(-u01 * (1.0 - np.exp(-self.decay * upper))) / self.decay
 
     def thinning(self, coeffs, ts, ms):
-        """Thinning closures of time over the history lists ``ts`` and ``ms``, in plain
-        floats: ``bound(t)``, the total excitation at t (it only decays ahead), and
-        ``excite(t)``, each target's from the strict past.  A decaying state per target
-        takes in each event once, as in the exact sampler: O(D) per event and query."""
+        """Thinning ``(scan, fresh)`` over the history lists ``ts`` and ``ms``, in plain
+        floats.  ``scan(t)`` decays a state per target to t, taking in each event before
+        t once, as in the exact sampler (O(D) per event and query), and returns that
+        state, each target's excitation from the strict past, with its total plus the
+        full weight of the events at t as the bound (it only decays ahead); ``fresh[m]``
+        is all that an event in m adds."""
         omega, jump = self.decay, (self.decay * coeffs[0]).tolist()  # jump[v][u]: v adds to u
-        out = [sum(row) for row in jump]  # all that an event in v adds
+        out = [sum(row) for row in jump]
         t0, g, n = -math.inf, [0.0] * len(jump), 0  # g: excitation at t0 from ts[:n]
 
-        def excite(t):
+        def scan(t):
             nonlocal t0, g, n
             while n < len(ts) and ts[n] < t:
                 decay = math.exp(-omega * (ts[n] - t0))
@@ -319,10 +325,9 @@ class ExponentialKernel:
                 t0, n = ts[n], n + 1
             decay = math.exp(-omega * (t - t0))
             g, t0 = [x * decay for x in g], t
-            return g
+            return g, sum(g) + sum([out[v] for v in ms[n:]])
 
-        # excite(t) runs first and takes in the events before t; those at t count in full
-        return (lambda t: sum(excite(t)) + sum([out[v] for v in ms[n:]])), excite
+        return scan, out
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,30 +404,35 @@ class GaussianBasisKernel:
         return np.clip(c + s * ndtri(lo + u01 * (hi - lo)), 0.0, b)
 
     def thinning(self, coeffs, ts, ms):
-        """Thinning closures of time over the history lists (see ``_windowed``): ``bound(t)``
-        bounds the excitation ahead of t, ``excite(t)`` is each target's at t."""
-        # sup of each renormalized basis over lags >= x: peak if x below the
-        # center, the decreasing tail value otherwise
-        peak = 1.0 / (self.bandwidth * np.sqrt(2.0 * np.pi) * self._norms)  # (M,)
+        """Thinning ``(scan, fresh)`` over the history lists (see ``_windowed``).  ``scan(t)``
+        makes one array of the window's lags, one of its marks and one ``density`` call,
+        which give each target's excitation at t and a bound on the excitation ahead;
+        ``fresh`` is the bound term at lag 0."""
+        # sup of each renormalized basis over lags >= x: its peak while x is at most
+        # the center, its decreasing tail value after, nothing from the support on;
+        # x <= center is x below the next double, so one cut per basis decides
+        peak = 1.0 / (self.bandwidth * np.sqrt(2.0 * np.pi) * self._norms)[:, None]  # (M, 1)
+        cut = np.where(self.centers < self.support, np.nextafter(self.centers, np.inf),
+                       self.support)[:, None]
         row_sum = coeffs.sum(axis=2)  # (M, D): total outgoing weight per basis/source
         D = coeffs.shape[1]
+        rows, eye, zero = coeffs.reshape(-1, D), np.eye(D), [0.0] * D  # rows[c·D + v]
+        fresh, window = (peak[:, 0] @ row_sum).tolist(), _windowed(self.support, ts)
 
-        def bound(lags, marks):
-            if not lags:
-                return 0.0
-            lags = np.array(lags)
-            below = lags[None, :] <= self.centers[:, None]
-            sup = np.where(below, peak[:, None], self.density(lags))  # (M, W)
-            sup = np.where(lags[None, :] < self.support, sup, 0.0)
-            return float((sup * row_sum[:, marks]).sum())
+        def scan(t):
+            start, end = window(t)
+            if start == len(ts):
+                return zero, 0.0
+            lags = t - np.array(ts[start:])
+            src = eye.take(ms[start:], axis=0)  # (W, D): each event's source, one-hot
+            dens = self.density(lags)  # (M, W)
+            sup = np.where(lags < cut, peak, dens)
+            if end < len(ts):
+                dens[:, end - start:] = 0.0  # events tied with t excite nothing yet
+            excite = (dens @ src).ravel() @ rows
+            return excite.tolist(), float(np.vdot(sup @ src, row_sum))
 
-        def excite(lags, marks):
-            if not lags:
-                return [0.0] * D
-            dens = self.density(np.array(lags))  # (M, W)
-            return (dens.reshape(-1) @ coeffs[:, marks, :].reshape(-1, D)).tolist()
-
-        return _windowed(self.support, ts, ms, bound, excite)
+        return scan, fresh
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianBasisKernel):
@@ -490,23 +500,32 @@ class DiscretizedKernel:
         return start + u01 * np.clip(upper - start, 0.0, self.dt)
 
     def thinning(self, coeffs, ts, ms):
-        """Plain-float thinning closures of time over the history lists (see ``_windowed``):
-        ``bound(t)`` bounds the excitation ahead of t, ``excite(t)`` is each target's at t
-        (a lag counts in bin ``floor(lag / dt)`` below ``n_lags``, as in ``density``)."""
+        """Plain-float thinning ``(scan, fresh)`` over the history lists (see ``_windowed``).
+        ``scan(t)`` bins each window lag once, ``floor(lag / dt)``: below ``n_lags`` it adds
+        its coefficient row to each target's excitation, as in ``density``, and below the
+        support its bin's bound on the excitation ahead; ``fresh`` is bin 0's bound."""
         # suffix max over lag bins, summed over targets: bound per bin and source
         suf = np.maximum.accumulate(coeffs[::-1], axis=0)[::-1]  # (L, D, D)
         tbl, rows = suf.sum(axis=2).tolist(), coeffs.tolist()
         tbl.append(tbl[-1])  # for a lag below the support whose ratio to dt rounds to n_lags
         dt, top, support, zero = self.dt, self.n_lags - 1, self.support, [0.0] * coeffs.shape[1]
+        fresh, window = tbl[0], _windowed(support, ts)
 
-        def bound(lags, marks):
-            return sum([tbl[int(x / dt)][v] for x, v in zip(lags, marks) if x < support], 0.0)
+        def scan(t):
+            start, end = window(t)
+            b, live = 0.0, []
+            for s, v in zip(ts[start:end], ms[start:end]):
+                x = t - s
+                k = int(x / dt)
+                if x < support:
+                    b += tbl[k][v]
+                if k <= top:
+                    live.append(rows[k][v])
+            for v in ms[end:]:
+                b += fresh[v]
+            return list(map(sum, zip(zero, *live))), b  # zero keeps D targets for no rows
 
-        def excite(lags, marks):
-            live = [rows[k][v] for k, v in zip([math.floor(x / dt) for x in lags], marks) if k <= top]
-            return list(map(sum, zip(zero, *live)))  # per target; zero keeps D for no rows
-
-        return _windowed(support, ts, ms, bound, excite)
+        return scan, fresh
 
 
 KernelSpec = Union[ExponentialKernel, GaussianBasisKernel, DiscretizedKernel]

@@ -7,8 +7,10 @@ Three samplers for the same model family:
   window-truncated kernel mass.  Requires a subcritical model.
 * ``simulate_ogata``: thinning against an adaptive upper bound on the total
   intensity, refreshed after every proposal.  One loop serves every kernel: it
-  keeps the history in two lists, which the kernel's ``thinning`` closures
-  read for the bound and the intensities, and picks each mark in plain floats.
+  keeps the history in two lists, and the kernel's ``thinning`` member scans
+  their window once per proposal for both the intensities at the proposal and
+  the bound ahead of it, to which an accepted event adds its own term.  The
+  mark is picked in plain floats.
 * ``simulate_exact_exp``: rejection-free interarrival inversion for
   exponential kernels, using the Markov decay of the excitation state.  One
   path for every dimension: O(D) plain-float work per event, randoms drawn
@@ -89,8 +91,11 @@ def _sample(cfg: SimConfig, one) -> Corpus:
     seqs = []
     for i, rng in enumerate(spawn_rngs(cfg.rng_seed, cfg.n_sequences)):
         times, marks = one(model, T, rng, cap)
-        seq = EventSequence(times[:cap], marks[:cap], 0.0, T, model.dim, f"s{i}")
-        if times.size > cap:
+        over = times.size > cap
+        if over:  # a sequence within the cap keeps its arrays, not views of them
+            times, marks = times[:cap], marks[:cap]
+        seq = EventSequence(times, marks, 0.0, T, model.dim, f"s{i}")
+        if over:
             raise SimulationOverflowError(
                 f"sequence {seq.id!r} exceeded max_events={cap}", partial=seq
             )
@@ -157,24 +162,24 @@ def _ogata_one(model, T, rng, max_events):
     mu_total = float(model.mu.sum())
     ts: list[float] = []  # history, in time order
     ms: list[int] = []
-    bound, excite = model.kernel.thinning(model.coeffs, ts, ms)
-    t = 0.0
-    while True:
-        lbar = mu_total + bound(t)
-        if lbar <= 0.0:
+    scan, fresh = model.kernel.thinning(model.coeffs, ts, ms)
+    t, lbar = 0.0, mu_total  # no history yet: nothing excites
+    while lbar > 0.0:
+        t += rng.exponential(1.0 / lbar)
+        if t > T:
             break
-        t_new = t + rng.exponential(1.0 / lbar)
-        if t_new > T:
-            break
-        # intensities at t_new, cumulated over targets: the last is the total
-        cum = list(accumulate(m + e for m, e in zip(mu_list, excite(t_new))))
+        excite, b = scan(t)
+        # intensities at t, cumulated over targets: the last is the total
+        cum = list(accumulate(m + e for m, e in zip(mu_list, excite)))
         x = rng.random() * lbar
         if x < cum[-1]:
-            ts.append(t_new)
-            ms.append(min(bisect_right(cum, x), D - 1))
+            u = min(bisect_right(cum, x), D - 1)
+            ts.append(t)
+            ms.append(u)
             if len(ts) > max_events:
                 break
-        t = t_new
+            b += fresh[u]  # the new event, at lag 0, joins the bound last
+        lbar = mu_total + b
     return np.array(ts), np.array(ms, dtype=np.int64)
 
 

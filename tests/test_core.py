@@ -1,7 +1,10 @@
 """Model primitives: intensities, compensators, likelihoods, kernels."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -627,3 +630,17 @@ class TestProperties:
     def test_loglik_is_finite_for_positive_baseline(self, case):
         model, seq = case
         assert math.isfinite(log_likelihood(model, seq))
+
+
+def test_a_sequence_keeps_no_instance_dict_and_still_copies():
+    seq = EventSequence(np.array([0.5, 1.0, 2.5]), np.array([1, 0, 1]), 0.0, 3.0, 2, "s0")
+    assert not hasattr(seq, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        seq.id = "other"
+    renamed = dataclasses.replace(seq, id="s1")
+    assert renamed.id == "s1" and np.array_equal(renamed.times, seq.times)
+    assert not renamed.times.flags.writeable  # replace runs the checks again
+    for twin in (copy.deepcopy(seq), pickle.loads(pickle.dumps(seq)), copy.copy(seq)):
+        assert twin == seq and twin.dim == 2 and twin.marks.dtype == np.int64
+    with pytest.raises(ValidationError, match="marks must lie in"):
+        dataclasses.replace(seq, dim=1)

@@ -28,7 +28,10 @@ former 30-iteration loop, kept as the reference): final objectives within
 to which plain EM's slow approach pins the optimum at that tolerance.
 
 Rewrite the file only on purpose, from a checkout whose learners are the
-reference: ``PYTHONPATH=src python tests/test_em_equivalence.py --write``.
+reference: ``PYTHONPATH=src python tests/test_em_equivalence.py --write
+[CASE ...]``.  Named cases are rerun and every other case keeps its stored
+values byte for byte, so a rewrite of one learner's case does not also record
+rounding drift in the others; a bare ``--write`` reruns every case.
 """
 
 import json
@@ -159,17 +162,21 @@ def _corpus_from_doc(doc: dict) -> Corpus:
     return Corpus(seqs, doc["dim"])
 
 
-def _write_golden() -> None:
-    """Record every case, on the stored corpora once the file exists, so that
-    a rewrite moves only the learners' values, not their inputs."""
+def _write_golden(names=()) -> None:
+    """Record the named cases (every case if none is named, or if the file does not
+    exist yet), on the stored corpora once the file exists, so that a rewrite moves
+    only the learners' values, not their inputs; the other cases keep theirs."""
+    stored = {"cases": {}}
     if GOLDEN.exists():
-        stored = json.loads(GOLDEN.read_text(encoding="utf-8"))["corpora"]
-        corpora = {name: _corpus_from_doc(c) for name, c in stored.items()}
+        stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        corpora = {name: _corpus_from_doc(c) for name, c in stored["corpora"].items()}
     else:
         corpora = _simulated_corpora()
+    rerun = set(names or CASES) | (CASES.keys() - stored["cases"].keys())
     doc = {
         "corpora": {name: _corpus_doc(c) for name, c in corpora.items()},
-        "cases": {name: run(corpora) for name, run in CASES.items()},
+        "cases": {name: run(corpora) if name in rerun else stored["cases"][name]
+                  for name, run in CASES.items()},
     }
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
@@ -280,6 +287,7 @@ def test_one_newton_step_reaches_the_inner_solve_optimum(golden, monkeypatch, ca
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_em_equivalence.py --write")
-    _write_golden()
+    if sys.argv[1:2] != ["--write"] or not CASES.keys() >= set(sys.argv[2:]):
+        sys.exit("usage: PYTHONPATH=src python tests/test_em_equivalence.py --write [CASE ...]"
+                 f"\ncases: {' '.join(CASES)}")
+    _write_golden(sys.argv[2:])

@@ -15,6 +15,7 @@ from hawkeskit.analyze import (
 from hawkeskit.core import (
     EventSequence,
     ExponentialKernel,
+    GaussianBasisKernel,
     HawkesModel,
     ValidationError,
     compensator,
@@ -85,6 +86,29 @@ def test_compensator_over_a_reversed_window_is_refused():
 EXP = ExponentialKernel(decay=1.0)
 PAIR = Corpus((_seq("a"), _seq("b")), 2)
 EMPTY = Corpus((), 2)
+
+
+@pytest.mark.parametrize(
+    "build,named",
+    [
+        (lambda: EventSequence(np.ones((2, 2)), np.zeros((2, 2)), 0.0, 10.0, 2),
+         "times and marks must be 1-d arrays of equal length"),
+        (lambda: EventSequence(np.array([]), np.array([]), 0.0, 10.0, 0), "dim must be >= 1"),
+        (lambda: EventSequence(np.array([]), np.array([]), 5.0, 4.0, 1),
+         r"t_end \(4.0\) must be >= t_start \(5.0\)"),
+        (lambda: GaussianBasisKernel(np.array([1.0, 0.5]), 0.5),
+         "centers must be sorted nondecreasing"),
+        (lambda: HawkesModel(np.array([]), EXP, np.zeros((0, 0))),
+         "mu must be a nonempty 1-d array"),
+        (lambda: HawkesModel(np.full((2, 2), 0.1), EXP, np.zeros((2, 2))),
+         "mu must be a nonempty 1-d array"),
+    ],
+    ids=["seq-2d-times", "seq-dim-0", "seq-reversed-window", "basis-unsorted-centers",
+         "model-empty-mu", "model-2d-mu"],
+)
+def test_malformed_core_objects_are_refused(build, named):
+    with pytest.raises(ValidationError, match=named):
+        build()
 
 
 def test_an_unknown_penalty_kind_is_refused():

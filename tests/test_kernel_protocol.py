@@ -6,9 +6,9 @@ each member against its definition: ``mass`` is the integral of
 ``mass(inf)`` gives the totals behind ``branching_matrix``, the finite
 kernels' ``pair_terms`` scatter to ``density`` and to the mass beyond each
 lag (for the grid kernel this checks its bin lookup against its own
-indicator basis), every kernel's ``thinning`` closures of time over a
-history give the array bound and ``density`` contraction in plain floats
-(an event at the query time counts in the bound alone), and ``quantile``
+indicator basis), every kernel's ``thinning`` scan of a history gives the
+``density`` contraction and the array bound in plain floats (an event at the
+query time counts in the bound alone, by its ``fresh`` term), and ``quantile``
 samples a component's mass on ``[0, upper]``.
 """
 
@@ -136,14 +136,21 @@ def _sup_table(kern, coeffs):
     if isinstance(kern, ExponentialKernel):
         sup = kern.density
     else:
-        peak = kern.density(kern.centers).diagonal()
-        sup = lambda x: np.where(x <= kern.centers[:, None], peak[:, None], kern.density(x))
+        # the renormalized Gaussian at its center, which a center beyond the
+        # support (density 0 there) keeps as its peak up to the support
+        peak = 1.0 / (kern.bandwidth * math.sqrt(2.0 * math.pi) * kern._norms)
+        sup = lambda x: np.where(x <= kern.centers[:, None], peak[:, None], kern.density(x)) * (
+            x < kern.support)
     return lambda x: np.einsum("cw,cv->wv", sup(x), coeffs.sum(axis=2))
 
 
-@pytest.mark.parametrize("name", ["exp", "basis", "grid", "grid-edge"])
+@pytest.mark.parametrize("name", ["exp", "basis", "basis-far", "grid", "grid-edge"])
 def test_thinning_members_match_the_array_formulas(name):
-    kern = DiscretizedKernel(dt=0.7, n_lags=10) if name == "grid-edge" else _kernel(name)
+    kern = {
+        "grid-edge": DiscretizedKernel(dt=0.7, n_lags=10),
+        # a center beyond the support: the peak holds up to the support, not the center
+        "basis-far": GaussianBasisKernel(centers=np.array([0.5, 4.0]), bandwidth=1.0, support=3.0),
+    }.get(name) or _kernel(name)
     D = 3
     coeffs = _coeffs(kern, D)
     rng = np.random.default_rng(5)
@@ -159,8 +166,8 @@ def test_thinning_members_match_the_array_formulas(name):
     for w in (0, 5, lags.size):  # empty, shorter and longer than 8 events
         order = np.argsort(-lags[:w], kind="stable")  # the history in time order
         x, m = lags[:w][order], marks[:w][order]
-        bound, excite = kern.thinning(coeffs, (t0 - x).tolist(), m.tolist())
-        got_b, got_e = bound(t0), excite(t0)
+        scan, fresh = kern.thinning(coeffs, (t0 - x).tolist(), m.tolist())
+        got_e, got_b = scan(t0)
         assert type(got_b) is float and len(got_e) == D
         past = x > 0.0  # the event at lag 0 counts in the bound, not in the excitation
         want_e = kern.density(x[past]).reshape(-1) @ coeffs[:, m[past], :].reshape(-1, D)
@@ -171,11 +178,24 @@ def test_thinning_members_match_the_array_formulas(name):
         np.testing.assert_allclose(got_e, want_e, rtol=rtol, atol=0.0)
         # it bounds the excitation at every later time
         for ahead in np.linspace(0.0, top, 41):
-            assert sum(excite(t0 + ahead)) <= got_b * (1 + 1e-15)
-    # an event tied with t: its full weight in the bound, nothing in the excitation
-    bound, excite = kern.thinning(coeffs, [t0], [1])
-    np.testing.assert_allclose(bound(t0), table(np.zeros(1))[0, 1], rtol=1e-15, atol=0.0)
-    assert bound(t0) > 0.0 and excite(t0) == [0.0] * D
+            assert sum(scan(t0 + ahead)[0]) <= got_b * (1 + 1e-15)
+    # an event tied with t: its full weight in the bound, nothing in the excitation;
+    # that full weight is the event's fresh term
+    for v in range(D):
+        scan, fresh = kern.thinning(coeffs, [t0], [v])
+        got_e, got_b = scan(t0)
+        tie = table(np.zeros(1))[0, v]
+        np.testing.assert_allclose(got_b, tie, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(fresh[v], tie, rtol=1e-15, atol=0.0)
+        assert type(fresh[v]) is float and len(fresh) == D
+        assert got_b > 0.0 and got_e == [0.0] * D
+    if math.isfinite(kern.support):
+        # an event just after t - support, which the window keeps, whose lag rounds
+        # to the support: it adds to neither sum
+        t = next(float(t) for t in np.arange(0.1, 50.0, 0.1)
+                 if t - np.nextafter(t - kern.support, np.inf) >= kern.support)
+        scan, fresh = kern.thinning(coeffs, [float(np.nextafter(t - kern.support, np.inf))], [1])
+        assert scan(t) == ([0.0] * D, 0.0)
 
 
 @pytest.mark.parametrize("name", IDS)

@@ -12,7 +12,19 @@ are equal and times differ only by the order of floating-point sums.
 it, a numpy per-source state ``R`` and intensities ``mu + A.T @ R``.  The
 exponential kernel's ``thinning`` member keeps a per-target state in plain
 floats instead, so its times differ from the reference by rounding alone.
+
+``_two_closure_ogata_one`` is the plain-float loop as it was before each
+kernel's ``thinning`` member returned one ``scan`` for both sums: every
+proposal then scanned the window twice, ``bound(t)`` and ``excite(t_new)``
+(``_two_closure_thinning``).  The grid and exponential members sum the same
+terms in the same order, so their streams equal it to the bit; the basis
+member contracts its one ``density`` call in another order, so its times move
+by rounding alone.
 """
+
+import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -244,3 +256,119 @@ def test_zero_baseline_returns_empty_sequences(name):
     corpus = simulate_ogata(SimConfig(model, T_END, N_SEQ, 0))
     assert [len(seq) for seq in corpus] == [0] * N_SEQ
     assert all(seq.times.dtype == np.float64 and seq.marks.dtype == np.int64 for seq in corpus)
+
+
+def _two_closure_thinning(kern, coeffs, ts, ms):
+    """Each kernel's former ``thinning`` member: ``(bound, excite)`` closures of time."""
+    D = coeffs.shape[1]
+    if isinstance(kern, ExponentialKernel):
+        omega, jump = kern.decay, (kern.decay * coeffs[0]).tolist()
+        out = [sum(row) for row in jump]
+        t0, g, n = -math.inf, [0.0] * D, 0
+
+        def excite_exp(t):
+            nonlocal t0, g, n
+            while n < len(ts) and ts[n] < t:
+                decay = math.exp(-omega * (ts[n] - t0))
+                g = [x * decay + j for x, j in zip(g, jump[ms[n]])]
+                t0, n = ts[n], n + 1
+            decay = math.exp(-omega * (t - t0))
+            g, t0 = [x * decay for x in g], t
+            return g
+
+        return (lambda t: sum(excite_exp(t)) + sum([out[v] for v in ms[n:]])), excite_exp
+    if isinstance(kern, DiscretizedKernel):
+        suf = np.maximum.accumulate(coeffs[::-1], axis=0)[::-1]
+        tbl, rows = suf.sum(axis=2).tolist(), coeffs.tolist()
+        tbl.append(tbl[-1])
+        dt, top, support, zero = kern.dt, kern.n_lags - 1, kern.support, [0.0] * D
+
+        def bound(lags, marks):
+            return sum([tbl[int(x / dt)][v] for x, v in zip(lags, marks) if x < support], 0.0)
+
+        def excite(lags, marks):
+            live = [rows[k][v] for k, v in zip([math.floor(x / dt) for x in lags], marks)
+                    if k <= top]
+            return list(map(sum, zip(zero, *live)))
+    else:
+        peak = 1.0 / (kern.bandwidth * np.sqrt(2.0 * np.pi) * kern._norms)
+        row_sum = coeffs.sum(axis=2)
+
+        def bound(lags, marks):
+            if not lags:
+                return 0.0
+            lags = np.array(lags)
+            below = lags[None, :] <= kern.centers[:, None]
+            sup = np.where(below, peak[:, None], kern.density(lags))
+            sup = np.where(lags[None, :] < kern.support, sup, 0.0)
+            return float((sup * row_sum[:, marks]).sum())
+
+        def excite(lags, marks):
+            if not lags:
+                return [0.0] * D
+            dens = kern.density(np.array(lags))
+            return (dens.reshape(-1) @ coeffs[:, marks, :].reshape(-1, D)).tolist()
+
+    start = 0  # the former ``_windowed``: excite drops spent events, bound reads what is left
+
+    def excite_at(t):
+        nonlocal start
+        spent, end = t - kern.support, len(ts)
+        while start < end and ts[start] <= spent:
+            start += 1
+        while end > start and ts[end - 1] >= t:
+            end -= 1
+        return excite([t - s for s in ts[start:end]], ms[start:end])
+
+    return (lambda t: bound([t - s for s in ts[start:]], ms[start:])), excite_at
+
+
+def _two_closure_ogata_one(model, T, rng, max_events):
+    D = model.dim
+    mu_list = model.mu.tolist()
+    mu_total = float(model.mu.sum())
+    ts, ms = [], []
+    bound, excite = _two_closure_thinning(model.kernel, model.coeffs, ts, ms)
+    t = 0.0
+    while True:
+        lbar = mu_total + bound(t)
+        if lbar <= 0.0:
+            break
+        t_new = t + rng.exponential(1.0 / lbar)
+        if t_new > T:
+            break
+        cum = list(accumulate(m + e for m, e in zip(mu_list, excite(t_new))))
+        x = rng.random() * lbar
+        if x < cum[-1]:
+            ts.append(t_new)
+            ms.append(min(bisect_right(cum, x), D - 1))
+            if len(ts) > max_events:
+                break
+        t = t_new
+    return np.array(ts), np.array(ms, dtype=np.int64)
+
+
+@pytest.mark.parametrize("D", DIMS)
+@pytest.mark.parametrize("name", ["exp", "grid-0.7x10"] + list(KERNELS))
+def test_one_scan_matches_the_two_closure_loop(name, D):
+    events = 0
+    for seed in SEEDS:
+        if name == "exp":
+            model = _exp_model(D, seed)
+        elif name == "grid-0.7x10":
+            # bins whose edges do not sit on doubles: lags near the support
+            # whose ratio to dt rounds to n_lags
+            model = _model("grid-0.5x10", D, seed)
+            model = HawkesModel(model.mu, DiscretizedKernel(0.7, 10), model.A)
+        else:
+            model = _model(name, D, seed)
+        got = simulate_ogata(SimConfig(model, T_END, N_SEQ, seed))
+        for seq, rng in zip(got, spawn_rngs(seed, N_SEQ)):
+            ref_times, ref_marks = _two_closure_ogata_one(model, T_END, rng, 1_000_000)
+            np.testing.assert_array_equal(seq.marks, ref_marks)
+            if name.startswith("basis"):
+                np.testing.assert_allclose(seq.times, ref_times, rtol=1e-12, atol=0.0)
+            else:
+                assert np.array_equal(seq.times, ref_times)
+            events += len(seq)
+    assert events >= 20 * D
