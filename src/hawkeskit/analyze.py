@@ -345,52 +345,122 @@ class DistanceParams:
             _check_real(name, getattr(self, name), 0)
 
 
-# Largest padded DP row block (partners x columns) one batch may hold.
-_DP_BATCH_CELLS = 1 << 18
+# Largest padded DP block, pairs x (columns + 1), that one batch may hold:
+# about 100 KB of buffers.  A larger limit puts more pairs of long sequences
+# in each row step (ROADMAP item 2 says why it is not larger yet).
+_DP_BATCH_CELLS = 1 << 11
 
 
-def _dp_distance(ta, ma, partners, params: DistanceParams) -> np.ndarray:
-    """Alignment costs of one sequence (times ta, marks ma) against each partner.
+def _dp_distance(pairs, params: DistanceParams) -> np.ndarray:
+    """Alignment costs of (row, column) sequence pairs, one row loop per batch.
 
-    ``partners`` is a list of (times, marks) pairs; the sequence is the row
-    side of every DP.  Partners are padded to a common width and each row of
-    the recurrence runs for a whole batch at once.  A column only ever reads
-    columns to its left, so padding never reaches a partner's own last
-    column, and every entry is computed by the same operations as a
+    ``pairs`` is a list of ((times, marks), (times, marks)) pairs, the row
+    sequence first; ``distance_matrix`` and ``sequence_distance`` put the
+    shorter sequence there, so a batch's table of row events is no larger
+    than its DP buffers.  Pairs are sorted by row length, longest first,
+    then by column length, and cut into batches of at most
+    ``_DP_BATCH_CELLS`` padded cells; a pair wider than that is a batch of
+    its own.  A batch keeps one DP row per pair, side by side in one flat
+    buffer, so each step of the recurrence is one numpy call over the whole
+    batch: reading the flat buffer one cell to the left gives every pair its
+    left neighbours, and the cell that crosses into the next pair lands in
+    column 0, which each row then sets.  The row event's time and mark are
+    one value per pair, or one scalar when the batch has a single row
+    sequence.  The row loop runs to the batch's longest row.  Row i updates
+    only the prefix of pairs with at least i rows, over the columns that
+    prefix needs; a pair's cost is read as it leaves the prefix, and the
+    buffers are then packed to the new prefix.  A column only ever reads
+    columns to its left, so padding never reaches a pair's own last column,
+    and every entry is computed by the same floating-point operations as a
     pair-at-a-time DP.
     """
-    out = np.empty(len(partners))
-    ind = params.indel_cost
-    start = 0
-    while start < len(partners):
-        stop = start + 1
-        width = partners[start][0].size
-        while stop < len(partners):
-            w = max(width, partners[stop][0].size)
+    ind, tc, mc = params.indel_cost, params.time_cost, params.mark_mismatch_cost
+    rows = np.array([r[0].size for r, _ in pairs], dtype=np.int64)
+    cols = np.array([c[0].size for _, c in pairs], dtype=np.int64)
+    order = np.lexsort((cols, -rows))
+    batches, start = [], 0
+    while start < order.size:
+        stop, width = start + 1, int(cols[order[start]])
+        while stop < order.size:
+            w = max(width, int(cols[order[stop]]))
             if (stop + 1 - start) * (w + 1) > _DP_BATCH_CELLS:
                 break
             width, stop = w, stop + 1
-        batch = partners[start:stop]
-        lens = np.array([tb.size for tb, _ in batch])
-        tb = np.zeros((len(batch), width))
-        mb = np.zeros((len(batch), width), dtype=np.int64)
-        for k, (times, marks) in enumerate(batch):
-            tb[k, : times.size] = times
-            mb[k, : marks.size] = marks
-        ladder = ind * np.arange(width + 1, dtype=np.float64)
-        prev = np.tile(ladder, (len(batch), 1))
-        cand = np.empty_like(prev)
-        for i in range(1, ta.size + 1):
-            match = params.time_cost * np.abs(ta[i - 1] - tb) + (
-                params.mark_mismatch_cost * (ma[i - 1] != mb)
-            )
-            cand[:, 0] = i * ind
-            np.minimum(prev[:, 1:] + ind, prev[:, :-1] + match, out=cand[:, 1:])
-            cand -= ladder
-            np.minimum.accumulate(cand, axis=1, out=prev)
-            prev += ladder
-        out[start:stop] = prev[np.arange(len(batch)), lens]
+        batches.append((order[start:stop], width))
         start = stop
+    cells = max((b.size * (w + 1) for b, w in batches), default=0)
+    prev_buf, cand_buf, tb_buf, tmp_buf, lad_buf = (np.empty(cells) for _ in range(5))
+    mb_buf = np.empty(cells, dtype=np.int64)
+    ladder = ind * np.arange(max((w for _, w in batches), default=0) + 1, dtype=np.float64)
+    out = np.empty(len(pairs))
+
+    def view(buf, n_pairs, n_cols):
+        return buf[: n_pairs * n_cols].reshape(n_pairs, n_cols)
+
+    def pack(buf, a, n_pairs, n_cols):
+        # the leading block of a, moved to the front of its own buffer;
+        # numpy copies through a temporary where the two overlap
+        packed = view(buf, n_pairs, n_cols)
+        packed[:] = a[:n_pairs, :n_cols]
+        return packed
+
+    for batch, width in batches:
+        size, n_rows, n_cols = batch.size, rows[batch], cols[batch]
+        # column j + 1 of a pair holds its column event j, column 0 is spare
+        tb, mb = view(tb_buf, size, width + 1), view(mb_buf, size, width + 1)
+        tb[:], mb[:] = 0, 0
+        # ta[i - 1, k] is pair k's row event i
+        ta = np.zeros((int(n_rows[0]), size))
+        ma = np.zeros((int(n_rows[0]), size), dtype=np.int64)
+        for k, p in enumerate(batch):
+            (t_row, m_row), (t_col, m_col) = pairs[p]
+            ta[: t_row.size, k], ma[: m_row.size, k] = t_row, m_row
+            tb[k, 1 : t_col.size + 1], mb[k, 1 : m_col.size + 1] = t_col, m_col
+        # with one row sequence in the batch, the row event is a scalar
+        single = len({id(pairs[p][0][0]) for p in batch}) == 1
+        t_one, m_one = ta[:, 0].tolist(), ma[:, 0].tolist()
+        w, live, fresh = width, size, True
+        prev = view(prev_buf, live, w + 1)
+        prev[:] = ladder[: w + 1]
+        # active[i] is how many pairs have at least i rows
+        active = np.searchsorted(-n_rows, -np.arange(n_rows[0] + 2), side="right").tolist()
+        for i in range(1, n_rows[0] + 2):
+            if active[i] < live:
+                gone = np.arange(active[i], live)
+                out[batch[gone]] = prev[gone, n_cols[gone]]
+                live = active[i]
+                if not live:
+                    break
+                w, fresh = int(n_cols[:live].max()), True
+                moves = ((prev_buf, prev), (tb_buf, tb), (mb_buf, mb))
+                prev, tb, mb = (pack(b, a, live, w + 1) for b, a in moves)
+            if fresh:  # views change only with the prefix
+                fresh = False
+                cand, tmp, lad = (view(b, live, w + 1) for b in (cand_buf, tmp_buf, lad_buf))
+                lad[:] = ladder[: w + 1]
+                # the elementwise steps run on flat views of the buffers
+                bufs = (cand_buf, prev_buf, tb_buf, mb_buf, tmp_buf, lad_buf)
+                cand_f, prev_f, tb_f, mb_f, tmp_f, lad_f = (b[: live * (w + 1)] for b in bufs)
+                diag, up, left = cand_f[1:], prev_f[1:], prev_f[:-1]
+                col0, t_rows, m_rows = cand[:, 0], ta[:, :live, None], ma[:, :live, None]
+            if single:
+                np.subtract(t_one[i - 1], tb_f, out=cand_f)
+                np.not_equal(m_one[i - 1], mb_f, out=tmp_f)
+            else:
+                cand[:] = t_rows[i - 1]
+                np.subtract(cand_f, tb_f, out=cand_f)
+                np.not_equal(m_rows[i - 1], mb, out=tmp)
+            np.abs(cand_f, out=cand_f)
+            np.multiply(cand_f, tc, out=cand_f)
+            np.multiply(tmp_f, mc, out=tmp_f)
+            np.add(cand_f, tmp_f, out=cand_f)
+            np.add(left, diag, out=diag)
+            np.add(up, ind, out=up)
+            np.minimum(up, diag, out=diag)
+            col0.fill(i * ind)
+            np.subtract(cand_f, lad_f, out=cand_f)
+            np.minimum.accumulate(cand, axis=1, out=prev)
+            np.add(prev_f, lad_f, out=prev_f)
     return out
 
 
@@ -415,25 +485,25 @@ def sequence_distance(
         )
     if _canonical_key(seq_b) < _canonical_key(seq_a):
         seq_a, seq_b = seq_b, seq_a
-    partner = [(seq_b.times, seq_b.marks)]
-    return float(_dp_distance(seq_a.times, seq_a.marks, partner, params)[0])
+    pair = ((seq_a.times, seq_a.marks), (seq_b.times, seq_b.marks))
+    return float(_dp_distance([pair], params)[0])
 
 
 def distance_matrix(corpus: Corpus, params: DistanceParams = DistanceParams()) -> np.ndarray:
-    """All pairwise ``sequence_distance`` values, one batched DP per sequence.
+    """All pairwise ``sequence_distance`` values, from one DP over every pair.
 
-    Sequences are ranked by the canonical key of ``sequence_distance``, so
-    the sequence at each rank is the row side against every later rank,
-    exactly as in the pairwise call.
+    Sequences are ranked by the canonical key of ``sequence_distance``, and
+    each of the n(n-1)/2 pairs puts its lower rank on the row side, exactly
+    as the pairwise call does; ``_dp_distance`` then runs all of them at once.
     """
     n = len(corpus)
-    out = np.zeros((n, n))
     order = sorted(range(n), key=lambda i: _canonical_key(corpus[i]))
     seqs = [(corpus[i].times, corpus[i].marks) for i in order]
-    for r in range(n - 1):
-        ta, ma = seqs[r]
-        rest = np.array(order[r + 1:])
-        out[order[r], rest] = out[rest, order[r]] = _dp_distance(ta, ma, seqs[r + 1:], params)
+    values = _dp_distance([(seqs[r], seqs[c]) for r in range(n) for c in range(r + 1, n)], params)
+    rank = np.array(order, dtype=np.int64)
+    first, second = np.triu_indices(n, 1)
+    out = np.zeros((n, n))
+    out[rank[first], rank[second]] = out[rank[second], rank[first]] = values
     return out
 
 

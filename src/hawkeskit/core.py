@@ -202,6 +202,11 @@ class EventSequence:
                     f"sequence {self.id!r}: marks must lie in [0, {self.dim})"
                 )
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor, which rechecks
+        # the arrays and makes them read-only again
+        return type(self), (self.times, self.marks, self.t_start, self.t_end, self.dim, self.id)
+
     @classmethod
     def from_events(
         cls,

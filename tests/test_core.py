@@ -644,3 +644,25 @@ def test_a_sequence_keeps_no_instance_dict_and_still_copies():
         assert twin == seq and twin.dim == 2 and twin.marks.dtype == np.int64
     with pytest.raises(ValidationError, match="marks must lie in"):
         dataclasses.replace(seq, dim=1)
+
+
+@pytest.mark.parametrize(
+    "twin",
+    [
+        lambda s: pickle.loads(pickle.dumps(s)),
+        lambda s: pickle.loads(pickle.dumps(s, protocol=0)),
+        copy.deepcopy,
+        copy.copy,
+        lambda s: dataclasses.replace(s),
+    ],
+    ids=["pickle", "pickle-protocol-0", "deepcopy", "copy", "replace"],
+)
+def test_a_copied_or_unpickled_sequence_is_equal_and_read_only(twin):
+    seq = EventSequence(np.array([0.5, 1.0, 2.5]), np.array([1, 0, 1]), 0.0, 3.0, 2, "s0")
+    out = twin(seq)
+    assert type(out) is EventSequence and out == seq
+    assert (out.t_start, out.t_end, out.dim, out.id) == (0.0, 3.0, 2, "s0")
+    assert out.times.dtype == np.float64 and out.marks.dtype == np.int64
+    assert not out.times.flags.writeable and not out.marks.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        out.times[0] = 0.0

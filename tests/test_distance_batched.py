@@ -1,11 +1,13 @@
 """The batched alignment DP against the pair-at-a-time DP it replaced.
 
-``distance_matrix`` runs one DP row pass per sequence against all of its
-later-ranked partners at once, padded to a common width, and
-``sequence_distance`` runs the same kernel with a single partner.  The
-reference below is the former implementation: one row loop per pair, with
-the pair put in canonical order first.  Every cell is computed by the same
-floating-point operations in both, so results must be equal to the bit.
+``distance_matrix`` runs one DP over all of its canonical pairs at once:
+pairs are sorted by row length and batched, and one row loop per batch
+updates every pair that still has rows, padded to a common width.
+``sequence_distance`` runs the same kernel with a single pair.  The
+reference below is the original implementation: one row loop per pair,
+with the pair put in canonical order first.  Every cell is computed by the
+same floating-point operations in both, so results must be equal to the
+bit.
 """
 
 import numpy as np
@@ -80,10 +82,12 @@ PARAMS = [
     DistanceParams(time_cost=0.37, mark_mismatch_cost=2.5, indel_cost=0.61),
     DistanceParams(time_cost=0.0, mark_mismatch_cost=0.0, indel_cost=3.0),
     DistanceParams(time_cost=4.0, mark_mismatch_cost=0.1, indel_cost=0.0),
+    DistanceParams(time_cost=0.0, mark_mismatch_cost=1.3, indel_cost=0.0),
 ]
+PARAM_IDS = ["default", "fractional", "free_match", "free_indel", "free_time_and_indel"]
 
 
-@pytest.mark.parametrize("params", PARAMS, ids=["default", "fractional", "free_match", "free_indel"])
+@pytest.mark.parametrize("params", PARAMS, ids=PARAM_IDS)
 @pytest.mark.parametrize("name", sorted(CORPORA))
 def test_matrix_equals_pairwise_reference(name, params):
     corpus = CORPORA[name]()
@@ -122,6 +126,54 @@ def test_kernel_splits_long_partners_at_the_real_limit():
     ]
     assert len(partners) * (max(lengths) + 1) > analyze._DP_BATCH_CELLS
     params = PARAMS[1]
-    got = _dp_distance(ta, ma, partners, params)
+    got = _dp_distance([((ta, ma), partner) for partner in partners], params)
     want = [ref_dp_distance(ta, ma, tb, mb, params) for tb, mb in partners]
     assert np.array_equal(got, np.array(want))
+
+
+def _pairs(rng, row_lengths, col_lengths, dim=2, t_end=50.0):
+    def seq(n):
+        return np.sort(rng.uniform(0.0, t_end, size=n)), rng.integers(0, dim, size=n)
+
+    return [(seq(n), seq(m)) for n, m in zip(row_lengths, col_lengths)]
+
+
+def _check_pairs(pairs, params):
+    got = _dp_distance(pairs, params)
+    want = [ref_dp_distance(ta, ma, tb, mb, params) for (ta, ma), (tb, mb) in pairs]
+    assert np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=PARAM_IDS)
+def test_one_batch_whose_prefix_shrinks_at_several_rows(params):
+    # rows of 120, 24, 3, 1 and 0 events in one batch: the prefix of pairs
+    # still updating shrinks four times, and the widest pair leaves early
+    rng = np.random.default_rng(10)
+    pairs = _pairs(rng, [0, 120, 3, 24, 1, 3, 24], [7, 121, 130, 24, 2, 3, 60])
+    assert len(pairs) * (max(tb.size for _, (tb, _) in pairs) + 1) <= analyze._DP_BATCH_CELLS
+    _check_pairs(pairs, params)
+
+
+def test_a_pair_wider_than_the_batch_limit_sits_alone():
+    rng = np.random.default_rng(11)
+    wide = analyze._DP_BATCH_CELLS + 5
+    pairs = _pairs(rng, [3, 2, 5, 0, 40], [wide, 4, 9, wide, 41], t_end=float(wide))
+    assert wide + 1 > analyze._DP_BATCH_CELLS
+    _check_pairs(pairs, PARAMS[1])
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=PARAM_IDS)
+def test_times_tied_across_the_two_sequences(params):
+    # both sides draw from the same few instants, so many gaps are exactly 0
+    rng = np.random.default_rng(12)
+    grid = np.array([0.0, 0.5, 0.5, 1.25, 2.0, 3.0, 3.0, 3.0])
+
+    def tied(n):
+        return np.sort(rng.choice(grid, size=n)), rng.integers(0, 3, size=n)
+
+    pairs = [(tied(n), tied(m)) for n, m in [(5, 8), (8, 8), (1, 6), (7, 3), (0, 4), (6, 6)]]
+    _check_pairs(pairs, params)
+    sides = [side for pair in pairs for side in pair]
+    seqs = [EventSequence(t, mk, 0.0, 5.0, 3, f"s{i}") for i, (t, mk) in enumerate(sides)]
+    corpus = Corpus(tuple(seqs), 3, None)
+    assert np.array_equal(distance_matrix(corpus, params), ref_matrix(corpus, params))

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from hawkeskit.analyze import (
+    ClusterResult,
+    GrangerGraph,
     TvhpModel,
     cluster_distance,
     cluster_mixture,
+    cluster_purity,
     fit_tvhp,
+    granger_to_dot,
+    load_distance_csv,
     load_granger_dot,
     load_tvhp_csv,
+    save_distance_csv,
     tvhp_log_likelihood,
 )
 from hawkeskit.core import (
@@ -141,3 +147,95 @@ def test_em_learner_arguments_it_cannot_use_are_refused(fit, named):
 def test_tvhp_log_likelihood_of_an_event_at_zero_intensity_is_minus_infinity():
     model = TvhpModel(np.zeros(2), [0.0, 10.0], np.zeros((2, 2, 2)), 1.0)
     assert tvhp_log_likelihood(model, PAIR) == -np.inf
+
+
+# ---------------------------------------------------------------------------
+# analyze: constructor and file-format refusals
+
+
+@pytest.mark.parametrize(
+    "infectivity, adjacency, message",
+    [
+        (np.zeros((2, 3)), np.zeros((2, 3), bool), "infectivity must be a square matrix"),
+        (np.zeros(4), np.zeros(4, bool), "infectivity must be a square matrix"),
+        (np.zeros((2, 2)), np.zeros((3, 3), bool), "adjacency shape must match infectivity"),
+        (np.zeros((2, 2)), np.zeros(2, bool), "adjacency shape must match infectivity"),
+    ],
+)
+def test_granger_graph_refuses_bad_shapes(infectivity, adjacency, message):
+    with pytest.raises(ValidationError, match=message):
+        GrangerGraph(infectivity, adjacency, 0.1)
+
+
+def test_granger_dot_needs_one_label_per_dimension():
+    graph = GrangerGraph(np.array([[0.0, 0.3], [0.0, 0.0]]), np.array([[0, 1], [0, 0]], bool), 0.1)
+    assert "digraph" in granger_to_dot(graph, ["x", "y"])
+    with pytest.raises(ValidationError, match="need 2 labels, got 1"):
+        granger_to_dot(graph, ["x"])
+    with pytest.raises(ValidationError, match="need 2 labels, got 3"):
+        granger_to_dot(graph, ["x", "y", "z"])
+
+
+@pytest.mark.parametrize(
+    "K, resp, assign, mixing",
+    [
+        (3, [[1.0, 0.0]], [0], [0.5, 0.5]),  # K disagrees with the responsibilities
+        (2, [[1.0, 0.0]], [0], [1.0]),  # mixing of the wrong length
+        (2, [[1.0, 0.0]], [0, 0], [0.5, 0.5]),  # one assignment too many
+    ],
+)
+def test_cluster_result_refuses_inconsistent_shapes(K, resp, assign, mixing):
+    with pytest.raises(ValidationError, match="cluster result shapes are inconsistent"):
+        ClusterResult(K=K, responsibilities=np.array(resp), assignments=np.array(assign),
+                      models=(), mixing=np.array(mixing))
+
+
+def test_cluster_result_refuses_mixing_that_does_not_sum_to_one():
+    with pytest.raises(ValidationError, match="mixing must sum to 1"):
+        ClusterResult(K=2, responsibilities=np.array([[1.0, 0.0]]), assignments=np.array([0]),
+                      models=(), mixing=np.array([0.5, 0.4]))
+
+
+@pytest.mark.parametrize("assignments, labels", [([0, 1], [0]), ([], []), ([[0, 1]], [0, 1])])
+def test_purity_refuses_unequal_or_empty_inputs(assignments, labels):
+    with pytest.raises(ValidationError, match="must be equal-length, nonempty"):
+        cluster_purity(np.array(assignments, dtype=np.int64), np.array(labels, dtype=np.int64))
+
+
+def test_distance_csv_needs_one_id_per_row_and_writes_nothing(tmp_path):
+    path = tmp_path / "distance.csv"
+    with pytest.raises(ValidationError, match="one id per matrix row required"):
+        save_distance_csv(np.zeros((2, 2)), ["a"], str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x,a,b\na,0.0,1.0\nb,1.0,0.0\n", "expected empty corner cell"),
+        (",a,b\na,0.0,1.0\n", "matrix shape does not match id count"),
+        (",a\na,0.0\nb,1.0\n", "matrix shape does not match id count"),
+    ],
+)
+def test_distance_csv_refuses_a_bad_header_or_shape(tmp_path, text, message):
+    path = tmp_path / "distance.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=message):
+        load_distance_csv(str(path))
+
+
+def test_distance_csv_round_trips(tmp_path):
+    path = tmp_path / "distance.csv"
+    mat = np.array([[0.0, 1.5], [1.5, 0.0]])
+    save_distance_csv(mat, ["a", "b"], str(path))
+    ids, got = load_distance_csv(str(path))
+    assert ids == ["a", "b"] and np.array_equal(got, mat)
+
+
+def test_tvhp_model_refuses_coefficients_off_the_grid():
+    message = r"node coefficients must have shape \(2, 1, 1\), got \(3, 1, 1\)"
+    with pytest.raises(ValidationError, match=message):
+        TvhpModel(np.array([0.1]), np.array([0.0, 1.0]), np.zeros((3, 1, 1)), 1.0)
+    message = r"node coefficients must have shape \(2, 2, 2\), got \(2, 1, 1\)"
+    with pytest.raises(ValidationError, match=message):
+        TvhpModel(np.array([0.1, 0.2]), np.array([0.0, 1.0]), np.zeros((2, 1, 1)), 1.0)
