@@ -157,33 +157,19 @@ _AS241_F = (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751
 
 
 def ndtri(p) -> np.ndarray:
-    """Inverse of :func:`ndtr`, elementwise: -inf at 0, inf at 1, NaN outside [0, 1].
-
-    As in :func:`ndtr`, the central band (|p - 1/2| <= 0.425) and the near
-    (r <= 5) and far tails are each gathered by index, evaluated and
-    scattered back; everything else stays NaN.
-    """
+    """Inverse of :func:`ndtr`, elementwise: -inf at 0, inf at 1, NaN outside [0, 1]."""
     p = np.asarray(p, dtype=np.float64)
-    flat = p.reshape(-1)
-    q = flat - 0.5
-    x = np.full(flat.shape, np.nan)
-    central = np.flatnonzero(np.abs(q) <= 0.425)
-    s = q[central]
-    r = 0.180625 - s * s
-    x[central] = s * _polevl(r, _AS241_A) / _polevl(r, _AS241_B)
-    tail = np.flatnonzero((flat > 0.0) & (flat < 1.0) & (np.abs(q) > 0.425))
-    s = q[tail]
-    r = np.sqrt(-np.log(np.where(s <= 0.0, flat[tail], 1.0 - flat[tail])))
-    y = np.empty_like(r)
-    near = np.flatnonzero(r <= 5.0)
-    far = np.flatnonzero(r > 5.0)
-    for band, shift, num, den in ((near, 1.6, _AS241_C, _AS241_D), (far, 5.0, _AS241_E, _AS241_F)):
-        u = r[band] - shift
-        y[band] = _polevl(u, num) / _polevl(u, den)
-    x[tail] = np.where(s < 0.0, -y, y)
-    edge = np.flatnonzero((flat == 0.0) | (flat == 1.0))
-    x[edge] = np.copysign(np.inf, q[edge])
-    return x.reshape(p.shape)
+    q = p - 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = 0.180625 - q * q
+        central = q * _polevl(r, _AS241_A) / _polevl(r, _AS241_B)
+        r = np.sqrt(-np.log(np.where(q <= 0.0, p, 1.0 - p)))
+        near = _polevl(r - 1.6, _AS241_C) / _polevl(r - 1.6, _AS241_D)
+        far = _polevl(r - 5.0, _AS241_E) / _polevl(r - 5.0, _AS241_F)
+        tail = np.where(r <= 5.0, near, far)
+        x = np.where(np.abs(q) <= 0.425, central, np.where(q < 0.0, -tail, tail))
+    x = np.where(p == 0.0, -np.inf, np.where(p == 1.0, np.inf, x))
+    return np.where((p >= 0.0) & (p <= 1.0), x, np.nan)
 
 
 def logsumexp(a, axis=None) -> np.ndarray:

@@ -345,10 +345,13 @@ class DistanceParams:
             _check_real(name, getattr(self, name), 0)
 
 
-# Largest padded DP block, pairs x (columns + 1), that one batch may hold:
-# about 100 KB of buffers.  A larger limit puts more pairs of long sequences
-# in each row step (ROADMAP item 2 says why it is not larger yet).
-_DP_BATCH_CELLS = 1 << 11
+# Largest padded DP block, pairs x (columns + 1), that one batch of more
+# than _DP_BATCH_PAIRS pairs may hold: about 60 KB of buffers (ROADMAP
+# item 2 says why it is not larger yet).  Every batch but the last holds at
+# least _DP_BATCH_PAIRS pairs, however wide, so that pairs of long
+# sequences still share each row step's numpy calls.
+_DP_BATCH_CELLS = 1280
+_DP_BATCH_PAIRS = 8
 
 
 def _dp_distance(pairs, params: DistanceParams) -> np.ndarray:
@@ -358,21 +361,20 @@ def _dp_distance(pairs, params: DistanceParams) -> np.ndarray:
     sequence first; ``distance_matrix`` and ``sequence_distance`` put the
     shorter sequence there, so a batch's table of row events is no larger
     than its DP buffers.  Pairs are sorted by row length, longest first,
-    then by column length, and cut into batches of at most
-    ``_DP_BATCH_CELLS`` padded cells; a pair wider than that is a batch of
-    its own.  A batch keeps one DP row per pair, side by side in one flat
-    buffer, so each step of the recurrence is one numpy call over the whole
-    batch: reading the flat buffer one cell to the left gives every pair its
-    left neighbours, and the cell that crosses into the next pair lands in
-    column 0, which each row then sets.  The row event's time and mark are
-    one value per pair, or one scalar when the batch has a single row
-    sequence.  The row loop runs to the batch's longest row.  Row i updates
-    only the prefix of pairs with at least i rows, over the columns that
-    prefix needs; a pair's cost is read as it leaves the prefix, and the
-    buffers are then packed to the new prefix.  A column only ever reads
-    columns to its left, so padding never reaches a pair's own last column,
-    and every entry is computed by the same floating-point operations as a
-    pair-at-a-time DP.
+    then by column length, and cut into batches: a batch holds at least
+    ``_DP_BATCH_PAIRS`` pairs, and more while it stays within
+    ``_DP_BATCH_CELLS`` padded cells.  A batch keeps one DP row per pair,
+    side by side in one flat buffer, so each step of the recurrence is one
+    numpy call over the whole batch: reading the flat buffer one cell to the
+    left gives every pair its left neighbours, and the cell that crosses
+    into the next pair lands in column 0, which each row then sets.  The
+    row event's time and mark are one value per pair.  The row loop runs to
+    the batch's longest row.  Row i updates only the prefix of pairs with at
+    least i rows, over the columns that prefix needs; a pair's cost is read
+    as it leaves the prefix, and the buffers are then packed to the new
+    prefix.  A column only ever reads columns to its left, so padding never
+    reaches a pair's own last column, and every entry is computed by the
+    same floating-point operations as a pair-at-a-time DP.
     """
     ind, tc, mc = params.indel_cost, params.time_cost, params.mark_mismatch_cost
     rows = np.array([r[0].size for r, _ in pairs], dtype=np.int64)
@@ -383,7 +385,7 @@ def _dp_distance(pairs, params: DistanceParams) -> np.ndarray:
         stop, width = start + 1, int(cols[order[start]])
         while stop < order.size:
             w = max(width, int(cols[order[stop]]))
-            if (stop + 1 - start) * (w + 1) > _DP_BATCH_CELLS:
+            if stop - start >= _DP_BATCH_PAIRS and (stop + 1 - start) * (w + 1) > _DP_BATCH_CELLS:
                 break
             width, stop = w, stop + 1
         batches.append((order[start:stop], width))
@@ -416,9 +418,6 @@ def _dp_distance(pairs, params: DistanceParams) -> np.ndarray:
             (t_row, m_row), (t_col, m_col) = pairs[p]
             ta[: t_row.size, k], ma[: m_row.size, k] = t_row, m_row
             tb[k, 1 : t_col.size + 1], mb[k, 1 : m_col.size + 1] = t_col, m_col
-        # with one row sequence in the batch, the row event is a scalar
-        single = len({id(pairs[p][0][0]) for p in batch}) == 1
-        t_one, m_one = ta[:, 0].tolist(), ma[:, 0].tolist()
         w, live, fresh = width, size, True
         prev = view(prev_buf, live, w + 1)
         prev[:] = ladder[: w + 1]
@@ -443,13 +442,9 @@ def _dp_distance(pairs, params: DistanceParams) -> np.ndarray:
                 cand_f, prev_f, tb_f, mb_f, tmp_f, lad_f = (b[: live * (w + 1)] for b in bufs)
                 diag, up, left = cand_f[1:], prev_f[1:], prev_f[:-1]
                 col0, t_rows, m_rows = cand[:, 0], ta[:, :live, None], ma[:, :live, None]
-            if single:
-                np.subtract(t_one[i - 1], tb_f, out=cand_f)
-                np.not_equal(m_one[i - 1], mb_f, out=tmp_f)
-            else:
-                cand[:] = t_rows[i - 1]
-                np.subtract(cand_f, tb_f, out=cand_f)
-                np.not_equal(m_rows[i - 1], mb, out=tmp)
+            cand[:] = t_rows[i - 1]
+            np.subtract(cand_f, tb_f, out=cand_f)
+            np.not_equal(m_rows[i - 1], mb, out=tmp)
             np.abs(cand_f, out=cand_f)
             np.multiply(cand_f, tc, out=cand_f)
             np.multiply(tmp_f, mc, out=tmp_f)

@@ -10,6 +10,8 @@ same floating-point operations in both, so results must be equal to the
 bit.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -154,12 +156,37 @@ def test_one_batch_whose_prefix_shrinks_at_several_rows(params):
     _check_pairs(pairs, params)
 
 
-def test_a_pair_wider_than_the_batch_limit_sits_alone():
+@pytest.mark.parametrize("floor", [1, None], ids=["alone", "at_the_pair_floor"])
+def test_pairs_wider_than_the_cell_limit(monkeypatch, floor):
+    # A batch is cut at the cell limit once it holds _DP_BATCH_PAIRS pairs,
+    # so a wide pair shares its row steps with the next pairs; with a floor
+    # of one, each wide pair is a batch of its own.
+    if floor is not None:
+        monkeypatch.setattr(analyze, "_DP_BATCH_PAIRS", floor)
     rng = np.random.default_rng(11)
     wide = analyze._DP_BATCH_CELLS + 5
-    pairs = _pairs(rng, [3, 2, 5, 0, 40], [wide, 4, 9, wide, 41], t_end=float(wide))
-    assert wide + 1 > analyze._DP_BATCH_CELLS
+    lengths = [(3, wide), (2, 4), (5, 9), (0, wide), (40, 41), (6, wide), (1, 1)] * 2
+    pairs = _pairs(rng, *zip(*lengths), t_end=float(wide))
+    assert len(pairs) > analyze._DP_BATCH_PAIRS and wide + 1 > analyze._DP_BATCH_CELLS
     _check_pairs(pairs, PARAMS[1])
+
+
+def test_sequences_that_share_their_times_array():
+    # EventSequence keeps a float64 times array it is given, and
+    # dataclasses.replace keeps it too, so two sequences of one corpus can
+    # hold the same times object with different marks.
+    t = np.array([1.0, 2.0])
+    a = EventSequence(t, np.array([0, 0]), 0.0, 5.0, 2, "a")
+    b = dataclasses.replace(a, marks=np.array([1, 1]), id="b")
+    c = EventSequence(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]), 0.0, 5.0, 2, "c")
+    d = EventSequence(t, np.array([1, 0]), 0.0, 5.0, 2, "d")
+    assert a.times is b.times is d.times
+    corpus = Corpus((a, b, c, d), 2, None)
+    for params in PARAMS:
+        got = distance_matrix(corpus, params)
+        assert np.array_equal(got, ref_matrix(corpus, params))
+        assert sequence_distance(b, c, params) == got[1, 2] == ref_pair(b, c, params)
+    assert distance_matrix(corpus)[1, 2] != distance_matrix(corpus)[0, 2]
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=PARAM_IDS)

@@ -8,18 +8,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from hawkeskit._util import (
-    _AS241_A,
-    _AS241_B,
-    _AS241_C,
-    _AS241_D,
-    _AS241_E,
-    _AS241_F,
-    _polevl,
-    logsumexp,
-    ndtr,
-    ndtri,
-)
+from hawkeskit._util import logsumexp, ndtr, ndtri
 
 
 def test_ndtr_matches_scipy_on_its_working_range():
@@ -53,56 +42,33 @@ def test_ndtri_matches_scipy_and_inverts_ndtr():
     assert np.allclose(ndtri(ndtr(x)), x, rtol=0.0, atol=1e-8)
 
 
-def _ndtri_reference(p):
-    """The masked-select form ``ndtri`` had before it gathered its bands by index."""
-    p = np.asarray(p, dtype=np.float64)
-    q = p - 0.5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = 0.180625 - q * q
-        central = q * _polevl(r, _AS241_A) / _polevl(r, _AS241_B)
-        r = np.sqrt(-np.log(np.where(q <= 0.0, p, 1.0 - p)))
-        near = _polevl(r - 1.6, _AS241_C) / _polevl(r - 1.6, _AS241_D)
-        far = _polevl(r - 5.0, _AS241_E) / _polevl(r - 5.0, _AS241_F)
-        tail = np.where(r <= 5.0, near, far)
-        x = np.where(np.abs(q) <= 0.425, central, np.where(q < 0.0, -tail, tail))
-    x = np.where(p == 0.0, -np.inf, np.where(p == 1.0, np.inf, x))
-    return np.where((p >= 0.0) & (p <= 1.0), x, np.nan)
-
-
 def _around(values):
     """Each value with its two float neighbours."""
     v = np.asarray(values, dtype=np.float64)
     return np.concatenate([np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)])
 
 
-def test_ndtri_is_bit_equal_to_its_masked_form():
-    rng = np.random.default_rng(3)
+def test_ndtri_matches_scipy_at_its_band_boundaries():
     r5 = math.exp(-25.0)  # r = sqrt(-log p) = 5 splits the near and far tails
     p = np.concatenate([
-        np.linspace(0.0, 1.0, 200_001),
-        rng.uniform(0.0, 1.0, 50_000),
-        np.logspace(-320.0, 0.0, 20_001),
-        1.0 - np.logspace(-17.0, 0.0, 5_001),
         _around([0.075, 0.925, 0.5 - 0.425, 0.5 + 0.425]),  # |q| = 0.425
         _around([r5, 1.0 - r5]),
-        _around([0.0, 1.0, 0.5]),
-        [5e-324, np.nan, -np.inf, np.inf, -0.1, 1.1, -0.0, 2.0, -1e-300],
+        _around([0.5]),
+        [5e-324, 1e-300],
     ])
-    got, want = ndtri(p), _ndtri_reference(p)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want, equal_nan=True)
+    got, want = ndtri(p), sp.ndtri(p)
     assert np.array_equal(np.signbit(got), np.signbit(want))
-    grid = p[:12].reshape(3, 4)
-    assert np.array_equal(ndtri(grid), _ndtri_reference(grid), equal_nan=True)
-    for scalar in (0.3, 0.01, 1e-20, 0.0, 1.0, 7.0):
-        got, want = ndtri(scalar), _ndtri_reference(scalar)
-        assert got.shape == () and np.array_equal(got, want, equal_nan=True)
+    nonzero = want != 0.0
+    assert np.array_equal(got[~nonzero], want[~nonzero])
+    assert np.max(np.abs(got[nonzero] - want[nonzero]) / np.abs(want[nonzero])) <= 1e-14
+    assert ndtri(p[:12].reshape(3, 4)).shape == (3, 4)
+    assert ndtri(0.3).shape == ()
 
 
 def test_ndtri_edges():
-    got = ndtri(np.array([0.0, 1.0, 0.5, -0.1, 1.1, np.nan]))
-    assert got[:3].tolist() == [-np.inf, np.inf, 0.0]
-    assert np.isnan(got[3:]).all()
+    got = ndtri(np.array([0.0, 1.0, 0.5, -0.0, -0.1, 1.1, np.nan, -np.inf, np.inf]))
+    assert got[:4].tolist() == [-np.inf, np.inf, 0.0, -np.inf]
+    assert np.isnan(got[4:]).all()
 
 
 def test_logsumexp_matches_scipy_with_minus_inf_rows():
