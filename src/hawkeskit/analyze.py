@@ -33,6 +33,7 @@ from .learn import (
     _Roughness,
     _check_corpus_dim,
     _diff_gram,
+    _em_map,
     _em_report,
     _fit_from_stats,
     _init_params,
@@ -226,10 +227,11 @@ def cluster_mixture(
     """Mixture of models over sequences, fitted by generalized EM.
 
     Each round reweights every sequence by its cluster responsibility,
-    advances each cluster's fit a few warm-started iterations, then
-    recomputes responsibilities with log-sum-exp normalization.  A cluster
-    whose total responsibility collapses is reseeded from the sequence the
-    current mixture explains worst.
+    advances each cluster ``inner_iters`` EM steps (``learn._em_map``) from
+    where the last round left it, then recomputes responsibilities with
+    log-sum-exp normalization.  A cluster whose total responsibility
+    collapses is reseeded from the sequence the current mixture explains
+    worst.
     """
     cfg = cfg or LearnConfig()
     n_seq = len(corpus)
@@ -240,31 +242,28 @@ def cluster_mixture(
     layout = _expected_coeff_shape(kernel_template, corpus.dim)
     stats = _kernel_stats(corpus, kernel_template)
     mstep, penalty = _structural(cfg.penalty)
-    init = _init_params(stats, cfg.rng_seed, 0.1 / stats.dim)
+    mu0, A0 = _init_params(stats, cfg.rng_seed, 0.1 / stats.dim)
+    lam0 = stats.rates(mu0, A0)
     rng = make_rng(cfg.rng_seed)
     resp = rng.uniform(0.5, 1.0, size=(n_seq, K))
     resp /= resp.sum(axis=1, keepdims=True)
 
-    params: list[tuple | None] = [None] * K
+    # each cluster's (mu, A, lam), carried from round to round
+    states = [(mu0, A0.copy(), lam0) for _ in range(K)]
     trace: list[float] = []
     checker = _Converge(cfg.tol)
-    converged = False
     obj_prev = None
     for _ in range(cfg.max_iters):
         for k in range(K):
-            mu_k, A_k, _, _ = _fit_from_stats(
-                stats, cfg, init if params[k] is None else params[k], mstep, penalty,
-                weights=resp[:, k], max_iters=inner_iters,
-            )
-            params[k] = (mu_k, A_k)
+            step = _em_map(stats, resp[:, k], mstep, penalty)[0]
+            for _ in range(inner_iters):
+                states[k] = step(*states[k])
         mixing = resp.mean(axis=0)
-        ll = np.stack(
-            [stats.per_seq_loglik(mu_k, A_k) for (mu_k, A_k) in params], axis=1
-        )
+        ll = np.stack([stats.per_seq_loglik(*state) for state in states], axis=1)
         logw = np.log(np.maximum(mixing, 1e-300))[None, :] + ll
         lse = logsumexp(logw, axis=1)
         resp = np.exp(logw - lse[:, None])
-        obj = _round_objective(lse, [penalty(A_k) for (_, A_k) in params])
+        obj = _round_objective(lse, [penalty(A_k) for (_, A_k, _) in states])
         trace.append(obj)
         col = resp.sum(axis=0)
         if np.any(col < 1e-12):
@@ -281,19 +280,17 @@ def cluster_mixture(
             obj_prev = None
             continue
         if obj_prev is not None and checker.step(obj_prev, obj):
-            converged = True
             break
         obj_prev = obj
 
     assignments = np.argmax(resp, axis=1) if n_seq else np.empty(0, np.int64)
-    models = []
-    for mu_k, A_k in params:
-        models.append(HawkesModel(mu=mu_k, kernel=kernel_template, A=A_k.reshape(layout)))
+    models = tuple(HawkesModel(mu=mu_k, kernel=kernel_template, A=A_k.reshape(layout))
+                   for mu_k, A_k, _ in states)
     return ClusterResult(
         K=K,
         responsibilities=resp,
         assignments=assignments,
-        models=tuple(models),
+        models=models,
         mixing=resp.mean(axis=0) / max(float(resp.mean(axis=0).sum()), 1e-300),
         objective_trace=trace,
     )

@@ -445,7 +445,6 @@ def _fit_report_doc(report, resolved: dict) -> dict:
 
 def _cmd_fit(r: dict) -> int:
     fit = _fitter(r["learner"], r)
-    _check_float_flags(r)
     report = fit(_read_corpus(r["data"]))
     save_model(report.model, r["out"])
     if r["report"]:
@@ -475,7 +474,6 @@ def _distance_params(r: dict) -> DistanceParams:
 
 
 def _cmd_cluster(r: dict) -> int:
-    _check_float_flags(r)
     corpus = _read_corpus(r["data"])
     if r["method"] == "mixture":
         kernel, cfg = _kernel_from(r["kernel"], r), _learn_cfg(r, _penalty(r))
@@ -616,11 +614,11 @@ def run_demo(out_dir: str, seed: int, config_echo: dict | None = None) -> dict:
         )
     atomic_write_text(join("consistency.csv"), "\n".join(lines) + "\n")
 
-    # (e) learners side by side on held-out data
+    # (e) learners side by side on held-out data; mle and ls are panel (c)'s fits
     specs = [
-        ("mle", lambda c: fit_mle(c, ExponentialKernel(decay=1.0), cfg)),
+        ("mle", lambda c: mle_report),
         ("mle-ode", lambda c: fit_mle_ode(c, 0.25, 20, cfg, alpha=10.0)),
-        ("ls", lambda c: fit_ls(c, 0.25, 20, ridge=1e-3)),
+        ("ls", lambda c: ls_report),
     ]
     rows = compare_learners(train, test, specs, truth=truth)
     write_compare_csv(rows, join("compare.csv"))
@@ -687,6 +685,7 @@ _DISPATCH = {
 def main(argv=None) -> int:
     try:
         r = _parse(argv)
+        _check_float_flags(r)
         return _DISPATCH[r["command"]](r)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

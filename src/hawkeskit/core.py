@@ -168,13 +168,14 @@ class EventSequence:
     id: str = ""
 
     def __post_init__(self):
-        times = np.asarray(_check_real(f"sequence {self.id!r}: times", self.times, 0))
+        # copies, so freezing them leaves the caller's arrays writeable
+        times = np.array(_check_real(f"sequence {self.id!r}: times", self.times, 0))
         raw_marks = np.asarray(self.marks)
         if raw_marks.dtype.kind == "b" or (raw_marks.dtype.kind == "f" and not np.all(
             np.isfinite(raw_marks) & (raw_marks == np.round(raw_marks))
         )):
             raise ValidationError(f"sequence {self.id!r}: marks must be integers")
-        marks = np.asarray(raw_marks, dtype=np.int64)
+        marks = np.array(raw_marks, dtype=np.int64)
         times.setflags(write=False)
         marks.setflags(write=False)
         object.__setattr__(self, "times", times)

@@ -1,20 +1,21 @@
 """Learners: penalized EM for any kernel's coefficients, a smoothness-penalized
 EM for step kernels on a lag grid, and binned least squares.
 
-fit_mle, fit_mle_ode, and (in analyze) fit_tvhp and cluster_mixture run one
-EM loop, ``_fit_from_stats``, over one statistics class, ``_EmStats``.  The
-statistics hold per-event excitation features R, stored event-major as
-(n, C·D) with column c·D + v for channel c and source v, and per-sequence
-exposures G (n_seq, C, D).  For a kernel's coefficients both come from
-``core``: R is ``core._excitation`` at the events, the features intensity
-grids read too, and G is ``core._exposures``; TVHP builds its own with one
-channel per grid node.  The events are stored sorted by mark, so each
-target's events are one row block of R: the intensities of a target's
-events are one matrix-vector product with its coefficients, and its
-attribution totals one vector-matrix product, O(n·C·D) per E-step.  An
+fit_mle, fit_mle_ode and (in analyze) fit_tvhp run one EM loop,
+``_fit_from_stats``, over one EM step, ``_em_map``, which cluster_mixture
+runs a fixed number of times per round, all over one statistics class,
+``_EmStats``.  The statistics hold per-event excitation features R, stored
+event-major as (n, C·D) with column c·D + v for channel c and source v,
+and per-sequence exposures G (n_seq, C, D).  For a kernel's coefficients
+both come from ``core``: R is ``core._excitation`` at the events, the
+features intensity grids read too, and G is ``core._exposures``; TVHP builds
+its own with one channel per grid node.  The events are stored sorted by
+mark, so each target's events are one row block of R: the intensities of a
+target's events are one matrix-vector product with its coefficients, and
+its attribution totals one vector-matrix product, O(n·C·D) per E-step.  An
 expectation pass attributes each event to the baseline or to one past
 event; the attribution totals N feed the learner's minimization step, which
-is passed to the loop together with the matching penalty term of the
+is passed to the step together with the matching penalty term of the
 recorded objective: a structural penalty (``_mstep``) or a quadratic
 roughness (``_Roughness``).  The group-sparse step is closed form per entry,
 from a bound made separable by De Pierro's weighting.  Where the step is a
@@ -223,8 +224,8 @@ class _EmStats:
         comp = T_w * float(mu.sum()) + float(np.einsum("cvu,cv->", A, G))
         return -float((ev_w * logs).sum()) + comp
 
-    def per_seq_loglik(self, mu, A) -> np.ndarray:
-        lam = self.rates(mu, A)
+    def per_seq_loglik(self, mu, A, lam) -> np.ndarray:
+        """Each sequence's log-likelihood, given the intensities ``lam = rates(mu, A)``."""
         n_seq = self.T_s.size
         logs = np.bincount(
             self.seq_idx, weights=np.log(np.maximum(lam, 1e-300)), minlength=n_seq
@@ -252,44 +253,49 @@ def _init_params(stats: _EmStats, seed: int, scale: float):
     return mu0, A0
 
 
-def _fit_from_stats(stats: _EmStats, cfg: LearnConfig, init, mstep, penalty,
-                    weights=None, max_iters=None):
-    """The EM loop of every learner; returns (mu, A, trace, converged).
+def _em_map(stats: _EmStats, weights, mstep, penalty):
+    """(step, objective): one EM step and the recorded objective under ``weights``.
 
-    ``mstep(N, G, A)`` minimizes or lowers the attribution surrogate
-    sum(-N log A + A G) plus the penalty (or a majorizer of it) from the
-    current A, which it may overwrite;
-    ``penalty(A)`` is the penalty term of the recorded objective.
+    ``step(mu, A, lam)`` attributes the events at their intensities ``lam``,
+    runs ``mstep(N, G, A)``, which lowers sum(-N log A + A G) plus the penalty
+    (or a majorizer of it) and may overwrite A, and returns (mu, A, lam) after
+    it; ``objective(mu, A, lam)`` is the weighted NLL plus ``penalty(A)``.
     """
-    D = stats.dim
     G, T_w, _, ev_w = stats.weighted(weights)
     if T_w <= 0:
         raise ValidationError("total weighted observation time is zero")
-    mu = np.array(init[0], dtype=np.float64)
-    A = np.array(init[1], dtype=np.float64)
-    iters = max_iters if max_iters is not None else cfg.max_iters
 
-    lam = stats.rates(mu, A)
-    obj = stats.nll(mu, A, lam, ev_w, G, T_w) + penalty(A)
-    if not math.isfinite(obj):
-        raise ValidationError(f"the starting objective is {obj}: its terms overflow floats")
-    trace = [obj]
-    checker = _Converge(cfg.tol)
-    converged = False
-    for _ in range(iters):
+    def step(mu, A, lam):
         wl = ev_w / np.maximum(lam, 1e-300)
-        base = np.bincount(stats.marks, weights=wl * mu[stats.marks], minlength=D)
+        base = np.bincount(stats.marks, weights=wl * mu[stats.marks], minlength=stats.dim)
         N = A * stats.contract(wl)
         mu = base / T_w
         A = mstep(N, G, A)
-        lam = stats.rates(mu, A)
-        obj_new = stats.nll(mu, A, lam, ev_w, G, T_w) + penalty(A)
-        trace.append(obj_new)
-        if checker.step(obj, obj_new):
-            converged = True
-            break
-        obj = obj_new
-    return mu, A, trace, converged
+        return mu, A, stats.rates(mu, A)
+
+    def objective(mu, A, lam):
+        return stats.nll(mu, A, lam, ev_w, G, T_w) + penalty(A)
+
+    return step, objective
+
+
+def _fit_from_stats(stats: _EmStats, cfg: LearnConfig, init, mstep, penalty, weights=None):
+    """The EM loop of every learner over ``_em_map``, with the start check, the
+    trace, the tolerance stop and ``cfg.max_iters``; returns (mu, A, trace, converged)."""
+    step, objective = _em_map(stats, weights, mstep, penalty)
+    mu = np.array(init[0], dtype=np.float64)
+    A = np.array(init[1], dtype=np.float64)
+    lam = stats.rates(mu, A)
+    trace = [objective(mu, A, lam)]
+    if not math.isfinite(trace[0]):
+        raise ValidationError(f"the starting objective is {trace[0]}: its terms overflow floats")
+    checker = _Converge(cfg.tol)
+    for _ in range(cfg.max_iters):
+        mu, A, lam = step(mu, A, lam)
+        trace.append(objective(mu, A, lam))
+        if checker.step(trace[-2], trace[-1]):
+            return mu, A, trace, True
+    return mu, A, trace, False
 
 
 def _penalty_value(pen: Penalty, A: np.ndarray) -> float:
@@ -749,18 +755,14 @@ def fit_ls(
     sse_const /= rows
     reg = np.ones(p)
     reg[0] = 0.0
-    if ridge == 0.0:
-        if np.linalg.matrix_rank(gram, tol=1e-10) < p:
-            raise RankDeficiencyError(
-                "normal equations are rank deficient; pass ridge > 0"
-            )
+    if ridge == 0.0 and np.linalg.matrix_rank(gram, tol=1e-10) < p:
+        raise RankDeficiencyError("normal equations are rank deficient; pass ridge > 0")
     system = gram + ridge * np.diag(reg)
     try:
         theta = np.linalg.solve(system, rhs)  # (p, D)
     except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError(
-            f"normal equations could not be solved ({exc}); pass ridge > 0"
-        ) from exc
+        raise RankDeficiencyError(f"normal equations could not be solved ({exc}); "
+                                  "pass a larger ridge") from exc
     clamps = int(np.count_nonzero(theta < 0))
     theta = np.clip(theta, 0.0, None)
     mu = theta[0]

@@ -666,3 +666,17 @@ def test_a_copied_or_unpickled_sequence_is_equal_and_read_only(twin):
     assert not out.times.flags.writeable and not out.marks.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         out.times[0] = 0.0
+
+
+@pytest.mark.parametrize("mark_dtype", [np.int64, np.int32, np.float64])
+def test_a_sequence_copies_the_arrays_it_is_given(mark_dtype):
+    # the sequence freezes its own copies: arrays already of the stored dtypes
+    # (float64 times, int64 marks) are copied too, not frozen in place
+    t = np.array([0.5, 1.0, 2.5])
+    m = np.array([1, 0, 1], dtype=mark_dtype)
+    seq = EventSequence(t, m, 0.0, 3.0, 2, "s0")
+    assert t.flags.writeable and m.flags.writeable
+    assert not np.shares_memory(seq.times, t) and not np.shares_memory(seq.marks, m)
+    t[0], m[0] = 0.25, 0
+    assert seq.times[0] == 0.5 and seq.marks[0] == 1
+    assert not seq.times.flags.writeable and not seq.marks.flags.writeable

@@ -172,14 +172,16 @@ def test_pairs_wider_than_the_cell_limit(monkeypatch, floor):
 
 
 def test_sequences_that_share_their_times_array():
-    # EventSequence keeps a float64 times array it is given, and
-    # dataclasses.replace keeps it too, so two sequences of one corpus can
-    # hold the same times object with different marks.
+    # EventSequence copies the arrays it is given, so two sequences share one
+    # times object only when it is forced, as here; the kernel must still use
+    # each pair's own marks.
     t = np.array([1.0, 2.0])
     a = EventSequence(t, np.array([0, 0]), 0.0, 5.0, 2, "a")
     b = dataclasses.replace(a, marks=np.array([1, 1]), id="b")
     c = EventSequence(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]), 0.0, 5.0, 2, "c")
     d = EventSequence(t, np.array([1, 0]), 0.0, 5.0, 2, "d")
+    for seq in (b, d):
+        object.__setattr__(seq, "times", a.times)
     assert a.times is b.times is d.times
     corpus = Corpus((a, b, c, d), 2, None)
     for params in PARAMS:

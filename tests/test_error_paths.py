@@ -1,5 +1,8 @@
 """Error paths and degenerate branches that the rest of the suite never reaches."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -26,8 +29,16 @@ from hawkeskit.core import (
     ValidationError,
     compensator,
 )
-from hawkeskit.data import Corpus, FormatError
-from hawkeskit.learn import LearnConfig, Penalty, fit_ls, fit_mle, fit_mle_ode
+from hawkeskit.cli import main
+from hawkeskit.data import Corpus, FormatError, ParseError, _kernel_to_doc, load_csv
+from hawkeskit.learn import (
+    LearnConfig,
+    Penalty,
+    RankDeficiencyError,
+    fit_ls,
+    fit_mle,
+    fit_mle_ode,
+)
 
 
 def _seq(sid, times=(1.0, 2.5, 4.0), marks=(0, 1, 0)):
@@ -239,3 +250,81 @@ def test_tvhp_model_refuses_coefficients_off_the_grid():
     message = r"node coefficients must have shape \(2, 2, 2\), got \(2, 1, 1\)"
     with pytest.raises(ValidationError, match=message):
         TvhpModel(np.array([0.1, 0.2]), np.array([0.0, 1.0]), np.zeros((2, 1, 1)), 1.0)
+
+
+def test_a_corpus_of_negative_dimension_is_refused():
+    with pytest.raises(ValidationError, match="corpus dim must be >= 0, got -1"):
+        Corpus((), -1)
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        # a row shorter than the header leaves its last columns None
+        ("time,mark,seq_id\n1.0,0\n", "line 2: missing sequence id"),
+        ("seq_id,time,mark\ns0,1.0,0\ns0,2.0,\n", "line 3: empty mark"),
+    ],
+    ids=["missing-id", "empty-mark"],
+)
+def test_csv_rows_without_an_id_or_a_mark_are_parse_errors(tmp_path, text, named):
+    path = tmp_path / "events.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=named):
+        load_csv(str(path))
+
+
+def test_a_negative_csv_mark_makes_every_mark_a_label(tmp_path):
+    # marks are dimension indices only when all are integers >= 0
+    path = tmp_path / "events.csv"
+    path.write_text("seq_id,time,mark\ns0,1.0,0\ns0,2.0,-1\ns0,3.0,0\n")
+    corpus = load_csv(str(path))
+    assert corpus.label_map == {"0": 0, "-1": 1}
+    assert corpus.dim == 2 and corpus[0].marks.tolist() == [0, 1, 0]
+
+
+def test_a_kernel_of_no_known_type_cannot_be_serialized():
+    # HawkesModel refuses such a kernel, so only a direct call reaches this
+    with pytest.raises(FormatError, match="cannot serialize kernel type object"):
+        _kernel_to_doc(object())
+
+
+def test_ls_with_no_bin_left_after_lag_trimming_is_refused():
+    # 3 * 0.173 / 0.173 rounds to 2.9999999999999996: the window passes the
+    # (lags + 1) * bin_width check yet holds only 2 whole bins
+    dt = 0.173
+    seq = EventSequence(np.array([0.1, 0.3]), np.array([0, 0]), 0.0, 3 * dt, 1, "s")
+    with pytest.raises(ValidationError, match="no usable bins after lag trimming"):
+        fit_ls(Corpus((seq,), 1), dt, 2)
+
+
+def test_ls_normal_equations_singular_under_a_tiny_ridge_are_rank_deficient():
+    # marks 0 and 1 share every event time, so their lag columns coincide and
+    # a ridge far below the Gram entries leaves an exactly zero pivot
+    t = np.sort(np.random.default_rng(0).uniform(0.0, 20.0, 30))
+    seq = EventSequence(np.repeat(t, 2), np.tile([0, 1], t.size), 0.0, 20.0, 2, "s")
+    with pytest.raises(RankDeficiencyError, match="could not be solved .*larger ridge"):
+        fit_ls(Corpus((seq,), 2), 1.0, 3, ridge=1e-300)
+
+
+def test_a_config_file_that_is_not_a_json_object_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps([{"max_iters": 5}]))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc = main(["distance", "--data", str(tmp_path / "unread.json"), "--config", str(config),
+               "--out", str(out_dir / "d.csv")])
+    assert rc == 2
+    assert "config file must hold a JSON object" in capsys.readouterr().err
+    assert os.listdir(out_dir) == []
+
+
+def test_an_empty_float_list_exits_2(tmp_path, capsys):
+    data = tmp_path / "corpus.json"
+    data.write_text(json.dumps({"dim": 1, "label_map": None, "sequences": [
+        {"id": "s0", "t_start": 0.0, "t_end": 5.0, "events": [[1.0, 0]]}]}))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc = main(["tvhp", "--data", str(data), "--grid", ",", "--out", str(out_dir / "t.json")])
+    assert rc == 2
+    assert "--grid must list at least one number" in capsys.readouterr().err
+    assert os.listdir(out_dir) == []
