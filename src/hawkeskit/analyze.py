@@ -530,7 +530,18 @@ def cluster_distance(
     rng_seed: int = 0,
     max_iters: int = 100,
 ) -> ClusterResult:
-    """k-medoids over the pairwise alignment distances.
+    """k-medoids over ``distance_matrix``; K, rng_seed and max_iters are checked first."""
+    n = len(corpus)
+    _check_int("K", K, 1)
+    _check_int("rng_seed", rng_seed, 0)
+    _check_int("max_iters", max_iters, 1)
+    if K > n:
+        raise ValidationError(f"K={K} exceeds corpus size {n}")
+    return _kmedoids(distance_matrix(corpus, params), K, rng_seed, max_iters)
+
+
+def _kmedoids(dm: np.ndarray, K: int, rng_seed: int, max_iters: int) -> ClusterResult:
+    """k-medoids over an n x n matrix from ``distance_matrix``, with valid K <= n.
 
     Seeding follows the usual spread-out rule (next medoid drawn with
     probability proportional to squared distance from the chosen set), then
@@ -538,13 +549,7 @@ def cluster_distance(
     Each medoid is assigned to its own cluster whatever the distance ties,
     so no cluster is empty.
     """
-    n = len(corpus)
-    _check_int("K", K, 1)
-    _check_int("rng_seed", rng_seed, 0)
-    _check_int("max_iters", max_iters, 1)
-    if K > n:
-        raise ValidationError(f"K={K} exceeds corpus size {n}")
-    dm = distance_matrix(corpus, params)
+    n = dm.shape[0]
     rng = make_rng(rng_seed)
     medoids = [int(rng.integers(n))]
     while len(medoids) < K:

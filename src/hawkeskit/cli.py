@@ -2,7 +2,8 @@
 
 Every command reads files, computes, writes files, and exits; outputs are
 plot-ready data (CSV/JSON/DOT), never rendered images.  All outputs are
-byte-deterministic given --seed.  Only `benchmark`, whose point is timing,
+byte-deterministic given the inputs and flags (--seed, where a command
+draws random numbers).  Only `benchmark`, whose point is timing,
 measures or writes time; --deterministic-timing pins its times to 0.0.
 
 Exit codes: 0 success, 2 usage or input validation, 3 runtime failure.
@@ -21,6 +22,7 @@ import numpy as np
 from ._util import atomic_write_text, dump_json, load_json
 from .analyze import (
     DistanceParams,
+    _kmedoids,
     cluster_distance,
     cluster_mixture,
     distance_matrix,
@@ -111,8 +113,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=_seed, default=0, help="RNG seed, an integer >= 0")
+    def common(sp, seed=True):
+        if seed:
+            sp.add_argument("--seed", type=_seed, default=0, help="RNG seed, an integer >= 0")
         sp.add_argument(
             "--config", default=None, help="JSON object of flag values; typed flags win"
         )
@@ -194,7 +197,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--data", required=True)
     distance_flags(sp)
     sp.add_argument("--out", required=True, help="distance CSV destination")
-    common(sp)
+    common(sp, seed=False)  # the distance is deterministic
 
     sp = sub.add_parser("tvhp", help="fit node infectivities over a time grid")
     sp.add_argument("--data", required=True)
@@ -466,11 +469,7 @@ def _cmd_granger(r: dict) -> int:
 
 
 def _distance_params(r: dict) -> DistanceParams:
-    return DistanceParams(
-        time_cost=r["time_cost"],
-        mark_mismatch_cost=r["mark_cost"],
-        indel_cost=r["indel_cost"],
-    )
+    return DistanceParams(r["time_cost"], r["mark_cost"], r["indel_cost"])
 
 
 def _cmd_cluster(r: dict) -> int:
@@ -479,9 +478,7 @@ def _cmd_cluster(r: dict) -> int:
         kernel, cfg = _kernel_from(r["kernel"], r), _learn_cfg(r, _penalty(r))
         res = cluster_mixture(corpus, r["k"], kernel, cfg)
     else:
-        res = cluster_distance(
-            corpus, r["k"], _distance_params(r), rng_seed=r["seed"]
-        )
+        res = cluster_distance(corpus, r["k"], _distance_params(r), r["seed"], r["max_iters"])
     save_cluster(res, [seq.id for seq in corpus], r["out"], _echoable(r))
     return 0
 
@@ -648,7 +645,7 @@ def run_demo(out_dir: str, seed: int, config_echo: dict | None = None) -> dict:
     small = Corpus(train.sequences[:25], train.dim, train.label_map)
     mat = distance_matrix(small)
     save_distance_csv(mat, [seq.id for seq in small], join("distance.csv"))
-    clus = cluster_distance(small, 2, rng_seed=seed)
+    clus = _kmedoids(mat, 2, rng_seed=seed, max_iters=100)
     save_cluster(clus, [seq.id for seq in small], join("cluster.json"), config_echo)
 
     manifest = {

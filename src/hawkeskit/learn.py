@@ -719,25 +719,22 @@ def fit_ls(
     if len(corpus) == 0:
         raise ValidationError("corpus is empty")
     D, L, dt = corpus.dim, lags, bin_width
+    n_bins = []  # whole bins per sequence, the count the fit uses
     for seq in corpus:
-        if seq.duration < (L + 1) * dt:
-            raise ValidationError(
-                f"sequence {seq.id!r}: window {seq.duration:g} shorter than "
-                f"(lags+1)*bin_width = {(L + 1) * dt:g}"
-            )
         if not seq.duration / dt < np.iinfo(np.intp).max:  # before any allocation; inf, NaN too
             raise ValidationError(f"sequence {seq.id!r}: too many bins of width {dt:g} to index")
+        n_bins.append(int(seq.duration / dt))
+        if n_bins[-1] <= L:
+            raise ValidationError(f"sequence {seq.id!r}: window {seq.duration:g} holds "
+                                  f"{n_bins[-1]} whole bins of width {dt:g}; lags={L} needs more")
     p = 1 + D * L
     gram = np.zeros((p, p))
     rhs = np.zeros((p, D))
     rows = 0
     sse_const = np.zeros(D)
-    for seq in corpus:
-        K = int(seq.duration / dt)
+    for seq, K in zip(corpus, n_bins):
         X = _bin_counts(seq, seq.t_start + np.arange(K + 1) * dt).astype(np.float64)  # (D, K)
         k_rows = K - L
-        if k_rows <= 0:
-            continue
         # column 1 + v * L + (l - 1) holds dt * X[v, r + L - l] on row r
         lagged = dt * sliding_window_view(X, L, axis=1)[:, :k_rows, ::-1]
         Z = np.empty((k_rows, p))
@@ -748,8 +745,6 @@ def fit_ls(
         rhs += Z.T @ Y
         sse_const += (Y * Y).sum(axis=0)
         rows += k_rows
-    if rows == 0:
-        raise ValidationError("no usable bins after lag trimming")
     gram /= rows
     rhs /= rows
     sse_const /= rows

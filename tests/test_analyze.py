@@ -542,3 +542,35 @@ def test_granger_refuses_a_non_finite_threshold(threshold):
     corpus = Corpus((seq_of([1.0, 2.0, 40.0], [0, 1, 0], t_end=60.0, dim=2),), 2, None)
     with pytest.raises(ValidationError, match="threshold must be finite"):
         granger_graph(corpus, ExponentialKernel(decay=1.0), LearnConfig(max_iters=2), threshold)
+
+
+@pytest.mark.parametrize(
+    "kwargs,named",
+    [
+        ({"K": 0}, "K must be"),
+        ({"K": 5}, "K=5 exceeds corpus size 4"),
+        ({"K": 2.0}, "K must be"),
+        ({"rng_seed": -1}, "rng_seed must be"),
+        ({"max_iters": 0}, "max_iters must be"),
+    ],
+)
+def test_cluster_distance_refuses_bad_arguments_before_any_dp_cell(kwargs, named, monkeypatch):
+    corpus, _ = two_population_corpus(n_each=2)
+
+    def no_dp(*args):
+        raise AssertionError("a DP cell was computed")
+
+    monkeypatch.setattr(analyze, "_dp_distance", no_dp)
+    with pytest.raises(ValidationError, match=named):
+        cluster_distance(corpus, **{"K": 2, **kwargs})
+
+
+@pytest.mark.parametrize("K,rng_seed,max_iters", [(2, 2, 100), (3, 5, 1), (1, 0, 3)])
+def test_kmedoids_over_the_matrix_is_cluster_distance(K, rng_seed, max_iters):
+    corpus, _ = two_population_corpus(n_each=8)
+    params = DistanceParams(time_cost=0.5)
+    a = cluster_distance(corpus, K, params, rng_seed, max_iters)
+    b = analyze._kmedoids(distance_matrix(corpus, params), K, rng_seed, max_iters)
+    assert (a.medoids, a.objective_trace) == (b.medoids, b.objective_trace)
+    for field in ("responsibilities", "assignments", "mixing"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field

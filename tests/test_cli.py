@@ -30,7 +30,8 @@ from hawkeskit import (
     save_corpus,
     save_model,
 )
-from hawkeskit import cli
+from hawkeskit import analyze, cli
+from hawkeskit.analyze import cluster_distance, distance_matrix
 from hawkeskit.cli import main
 from hawkeskit.data import Corpus
 from hawkeskit.simulate import SimConfig, simulate_branch
@@ -373,6 +374,19 @@ class TestClusterAndDistance:
         np.testing.assert_allclose(mat, expected, rtol=1e-12)
         assert ids == [seq.id for seq in corpus]
 
+    def test_distance_clustering_passes_max_iters(self, corpus_file, tmp_path):
+        # seed 0 needs more than one medoid refresh on this corpus
+        corpus = load_corpus(corpus_file)
+        one = cluster_distance(corpus, 2, rng_seed=0, max_iters=1)
+        assert one.medoids != cluster_distance(corpus, 2, rng_seed=0).medoids
+        out = str(tmp_path / "cl.json")
+        assert main(["cluster", "--data", corpus_file, "--method", "distance", "--k", "2",
+                     "--max-iters", "1", "--out", out]) == 0
+        doc = json.load(open(out))
+        assert doc["medoids"] == list(one.medoids)
+        assert doc["assignments"] == one.assignments.tolist()
+        assert doc["objective_trace"] == list(one.objective_trace)
+
 
 class TestTvhp:
     def test_writes_model_json_and_csv(self, corpus_file, tmp_path):
@@ -563,6 +577,19 @@ class TestDemo:
             k: v for k, v in doc.items() if k != "config"}
         assert demo["config"] == {"command": "demo", "seed": 0}
 
+    def test_demo_builds_its_distance_matrix_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return distance_matrix(*args, **kwargs)
+
+        # the demo's own call, and any call from inside the clustering
+        monkeypatch.setattr(cli, "distance_matrix", counted)
+        monkeypatch.setattr(analyze, "distance_matrix", counted)
+        assert main(["demo", "--out", str(tmp_path / "demo"), "--seed", "0"]) == 0
+        assert calls == [25]
+
     def test_two_runs_same_seed_are_byte_identical(self, tmp_path):
         a, b = str(tmp_path / "d1"), str(tmp_path / "d2")
         assert main(["demo", "--out", a, "--seed", "3"]) == 0
@@ -723,9 +750,7 @@ def test_malformed_config_model_or_corpus_exits_2_writing_nothing(
     assert os.listdir(out_dir) == []
 
 
-@pytest.mark.parametrize(
-    "command", ["simulate", "fit", "cluster", "eval", "benchmark", "distance", "granger"]
-)
+@pytest.mark.parametrize("command", ["simulate", "fit", "cluster", "eval", "benchmark", "granger"])
 def test_negative_seed_flag_exits_2_writing_nothing(
     command, model_file, corpus_file, tmp_path, capsys
 ):
@@ -734,6 +759,16 @@ def test_negative_seed_flag_exits_2_writing_nothing(
     argv = _argv(command, model_file, corpus_file, lambda name: str(out_dir / name))
     assert _exit_code([*argv, "--seed", "-1"]) == 2
     assert "seed must be an integer >= 0" in capsys.readouterr().err
+    assert os.listdir(out_dir) == []
+
+
+def test_distance_takes_no_seed_flag(corpus_file, tmp_path, capsys):
+    # the alignment distance draws no random numbers
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["distance", "--data", corpus_file, "--out", str(out_dir / "d.csv")]
+    assert _exit_code([*argv, "--seed", "0"]) == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
     assert os.listdir(out_dir) == []
 
 

@@ -289,12 +289,23 @@ def test_a_kernel_of_no_known_type_cannot_be_serialized():
 
 
 def test_ls_with_no_bin_left_after_lag_trimming_is_refused():
-    # 3 * 0.173 / 0.173 rounds to 2.9999999999999996: the window passes the
-    # (lags + 1) * bin_width check yet holds only 2 whole bins
+    # 3 * 0.173 / 0.173 rounds to 2.9999999999999996: the window is
+    # (lags + 1) * bin_width long yet holds only 2 whole bins
     dt = 0.173
     seq = EventSequence(np.array([0.1, 0.3]), np.array([0, 0]), 0.0, 3 * dt, 1, "s")
-    with pytest.raises(ValidationError, match="no usable bins after lag trimming"):
+    with pytest.raises(ValidationError, match="'s': window 0.519 holds 2 whole bins"):
         fit_ls(Corpus((seq,), 1), dt, 2)
+
+
+def test_ls_refuses_a_sequence_with_no_bin_left_among_others_by_name():
+    # the fit counts int(duration / bin_width) bins, so this one would add no row
+    dt = 0.173
+    short = EventSequence(np.array([0.1, 0.3]), np.array([0, 0]), 0.0, 3 * dt, 1, "short")
+    t = np.sort(np.random.default_rng(1).uniform(0.0, 20.0, 40))
+    long = EventSequence(t, np.zeros(t.size, np.int64), 0.0, 20.0, 1, "long")
+    fit_ls(Corpus((long,), 1), dt, 2)
+    with pytest.raises(ValidationError, match="'short': window 0.519 holds 2 whole bins"):
+        fit_ls(Corpus((long, short), 1), dt, 2)
 
 
 def test_ls_normal_equations_singular_under_a_tiny_ridge_are_rank_deficient():
